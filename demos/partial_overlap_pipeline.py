@@ -2,8 +2,8 @@
 
 Walks the full analysis pipeline on a three-photon state whose third photon
 is only partially indistinguishable from the other two: parse the operator
-product, expand it into a totally symmetric first-quantized state, trace out
-the hidden modes, and read off what polarization measurements can still see.
+product, trace out the hidden modes, and read off what polarization
+measurements can still see.
 """
 
 from pathlib import Path
@@ -11,11 +11,10 @@ from pathlib import Path
 import numpy as np
 
 from accdm import (
-    expand_and_symmetrize,
+    expression_to_accessible,
     fidelity,
     indistinguishability_report,
     parse_expression_file,
-    trace_hidden,
 )
 from accdm.states import AccessibleDensityMatrix
 from accdm.schur import occurring_two_j
@@ -27,11 +26,10 @@ print("expression file:")
 print(text)
 
 expr = parse_expression_file(text)
-state = expand_and_symmetrize(expr)
-print(f"expanded into {len(state.amplitudes)} symmetric amplitudes over "
-      f"hidden modes {state.modes}")
+modes = sorted({term.mode for factor in expr.factors for term in factor})
+print(f"{expr.n} photons over primitive hidden modes {tuple(modes)}")
 
-rho = trace_hidden(state)
+rho = expression_to_accessible(expr)
 for two_j in occurring_two_j(rho.n):
     label = f"{two_j}/2" if two_j % 2 else f"{two_j // 2}"
     print(f"\nblock j = {label} (x{rho.multiplicity(two_j)} copies):")

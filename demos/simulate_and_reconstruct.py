@@ -12,22 +12,21 @@ from pathlib import Path
 import numpy as np
 
 from accdm import (
-    expand_and_symmetrize,
+    expression_to_accessible,
     fidelity,
     indistinguishability_report,
     measurement_span_rank,
     mle_reconstruct,
     parse_expression_file,
     simulate_counts,
-    trace_hidden,
 )
 from accdm.io import format_counts, parse_settings
 
 np.set_printoptions(precision=4, suppress=True)
 data_dir = Path(__file__).parent / "data"
 
-truth = trace_hidden(expand_and_symmetrize(
-    parse_expression_file((data_dir / "half_overlap.expr").read_text())))
+truth = expression_to_accessible(
+    parse_expression_file((data_dir / "half_overlap.expr").read_text()))
 settings = parse_settings((data_dir / "settings12.csv").read_text())
 
 rank = measurement_span_rank(settings, truth.n)

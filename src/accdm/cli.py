@@ -20,8 +20,11 @@ from .schur import (
     symmetric_dimension,
     weyl_dimension,
 )
-from .states import expand_and_symmetrize, trace_hidden
+from .states import expression_to_accessible
+# imported only so that perfbench/tracing.py can patch them here by name
+from .states import expand_and_symmetrize, trace_hidden  # noqa: F401
 from .tomography import (
+    NumericalError,
     RankDeficiencyError,
     fidelity,
     indistinguishability_report,
@@ -75,9 +78,7 @@ def cmd_analyze(args) -> int:
     if not text.strip():
         return _fail(EXIT_USAGE, f"expression file {args.expression} is empty")
     try:
-        expr = parse_expression_file(text)
-        state = expand_and_symmetrize(expr)
-        rho = trace_hidden(state)
+        rho = expression_to_accessible(parse_expression_file(text))
     except (ParseError, ValueError) as err:
         return _fail(EXIT_FORMAT, str(err))
     report = indistinguishability_report(rho, tol=args.verdict_tol)
@@ -121,7 +122,7 @@ def cmd_reconstruct(args) -> int:
         return _fail(EXIT_FORMAT, str(err))
     try:
         result = mle_reconstruct(records, max_iters=args.max_iters, tol=args.tol)
-    except RankDeficiencyError as err:
+    except (RankDeficiencyError, NumericalError) as err:
         return _fail(EXIT_NUMERICAL, str(err))
     except ValueError as err:
         return _fail(EXIT_FORMAT, str(err))

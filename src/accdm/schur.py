@@ -258,32 +258,55 @@ def schur_basis(n: int) -> SchurBasis:
 # Collective rotations restricted to a sector
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=None)
+def _symmetric_power_terms(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Monomials of the symmetric k-fold power of a 2x2 matrix.
+
+    Column r (number of V's in) maps H^(k-r) V^r to
+    (u00 H + u10 V)^(k-r) (u01 H + u11 V)^r.  Returns the exponents 0..k,
+    the positions of each monomial's factors in the flattened table of
+    powers of (u00, u01, u10, u11), shape (4, terms), and the matrix that
+    scatters the monomials into the flattened (k+1) x (k+1) result with
+    their binomial and normalization weights.
+    """
+    fact = [math.factorial(i) for i in range(k + 1)]
+    factors, weights, cells = [], [], []
+    for rp in range(k + 1):
+        for r in range(k + 1):
+            scale = math.sqrt(fact[k - rp] * fact[rp] / (fact[k - r] * fact[r]))
+            for p in range(max(0, k - rp - r), min(k - r, k - rp) + 1):
+                q = (k - rp) - p
+                exps = (p, q, k - r - p, r - q)
+                factors.append([entry * (k + 1) + e for entry, e in enumerate(exps)])
+                weights.append(math.comb(k - r, p) * math.comb(r, q) * scale)
+                cells.append(rp * (k + 1) + r)
+    # complex, so that the product with the complex monomials stays in BLAS
+    scatter = np.zeros((len(cells), (k + 1) ** 2), dtype=complex)
+    scatter[np.arange(len(cells)), cells] = weights
+    positions = np.array(factors).T
+    exponents = np.arange(k + 1)
+    for array in (exponents, positions, scatter):
+        array.setflags(write=False)
+    return exponents, positions, scatter
+
+
 def symmetric_power(u: np.ndarray, k: int) -> np.ndarray:
     """Matrix of u^(x)k restricted to the symmetric subspace of k qubits.
 
     Basis ordered by weight m descending, i.e. index r = number of V's.
-    Valid for any 2x2 matrix u, not only unitaries.
+    Valid for any 2x2 matrix u, not only unitaries.  A stack of matrices,
+    shape (..., 2, 2), gives the stack of powers, shape (..., k+1, k+1).
     """
     u = np.asarray(u, dtype=complex)
-    if u.shape != (2, 2):
-        raise ValueError("u must be 2x2")
-    if k == 0:
-        return np.ones((1, 1), dtype=complex)
-    s = np.zeros((k + 1, k + 1), dtype=complex)
-    fact = [math.factorial(i) for i in range(k + 1)]
-    for rp in range(k + 1):
-        scale_rp = fact[k - rp] * fact[rp]
-        for r in range(k + 1):
-            total = 0.0 + 0.0j
-            for p in range(0, k - r + 1):
-                q = (k - rp) - p
-                if q < 0 or q > r:
-                    continue
-                total += (math.comb(k - r, p) * math.comb(r, q)
-                          * u[0, 0] ** p * u[1, 0] ** (k - r - p)
-                          * u[0, 1] ** q * u[1, 1] ** (r - q))
-            s[rp, r] = total * math.sqrt(scale_rp / (fact[k - r] * fact[r]))
-    return s
+    if u.shape[-2:] != (2, 2):
+        raise ValueError("u must be 2x2 or a stack of 2x2 matrices")
+    exponents, positions, scatter = _symmetric_power_terms(k)
+    stack = u.shape[:-2]
+    powers = (u.reshape(stack + (4, 1)) ** exponents).reshape(stack + (-1,))
+    monomials = powers[..., positions[0]]
+    for entry in (1, 2, 3):
+        monomials *= powers[..., positions[entry]]
+    return (monomials @ scatter).reshape(stack + (k + 1, k + 1))
 
 
 def sector_rotation(u: np.ndarray, n: int, two_j: int) -> np.ndarray:
@@ -291,10 +314,14 @@ def sector_rotation(u: np.ndarray, n: int, two_j: int) -> np.ndarray:
 
     Identical for every multiplicity copy of the sequential-coupling basis:
     det(u)^((n-2j)/2) times the symmetric (2j)-fold power of u.  Rows and
-    columns are ordered by weight m descending.
+    columns are ordered by weight m descending.  Like
+    :func:`symmetric_power`, accepts a stack of matrices.
     """
-    u = np.asarray(u, dtype=complex)
     if su2_multiplicity(n, two_j) == 0:
         raise ValueError(f"two_j={two_j} does not occur for n={n}")
-    det = u[0, 0] * u[1, 1] - u[0, 1] * u[1, 0]
-    return det ** ((n - two_j) // 2) * symmetric_power(u, two_j)
+    power = symmetric_power(u, two_j)
+    if two_j == n:
+        return power
+    u = np.asarray(u, dtype=complex)
+    det = u[..., 0, 0] * u[..., 1, 1] - u[..., 0, 1] * u[..., 1, 0]
+    return (det ** ((n - two_j) // 2))[..., None, None] * power

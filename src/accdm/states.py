@@ -1,29 +1,43 @@
 """N-photon states with visible polarization and hidden mode labels.
 
-Expands creation-operator products into totally symmetric first-quantized
-states, traces out the hidden modes, and represents the result as a
-block-diagonal accessible density matrix: one Hermitian block per total
-angular momentum j, stored once, with the convention that the full 2^N
-matrix repeats each block across its multiplicity copies.
+Maps creation-operator products to block-diagonal accessible density
+matrices: one Hermitian block per total angular momentum j, stored once,
+with the convention that the full 2^N matrix repeats each block across its
+multiplicity copies.  :func:`expression_to_accessible` gets the blocks from
+permanents of single-photon overlap matrices, at a cost that grows as 2^N
+rather than N! and linearly in the number of hidden modes.  The explicit
+route, expanding into a totally symmetric first-quantized state and then
+tracing out the hidden modes, is kept as the small-N reference.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import permutations
 from typing import Iterator, Mapping
 
 import numpy as np
 
 from .expressions import CreationOperatorExpression
-from .schur import N_MAX, occurring_two_j, schur_basis, su2_multiplicity
+from .schur import (
+    N_MAX,
+    accessible_param_count,
+    occurring_two_j,
+    schur_basis,
+    sector_rotation,
+    su2_multiplicity,
+)
 
 NORM_TOL = 1e-10
 SYMMETRY_TOL = 1e-10
 HERMITICITY_TOL = 1e-12
 PSD_TOL = 1e-10
 AMPLITUDE_CUTOFF = 1e-14
+CANCEL_TOL = 1e-14
+RESIDUAL_TOL = 1e-10
+PROBE_SEED = 20061208
 
 Label = tuple[str, str]          # (polarization, primitive mode)
 
@@ -312,6 +326,121 @@ def trace_hidden(state: FirstQuantizedState) -> AccessibleDensityMatrix:
             f"input state violates permutation symmetry: inter-sector coherence "
             f"{off_block:.3e} exceeds {SYMMETRY_TOL}")
     return AccessibleDensityMatrix(state.n, blocks)
+
+
+# ---------------------------------------------------------------------------
+# Hidden-mode trace from permanents
+# ---------------------------------------------------------------------------
+
+def _photon_vectors(expr: CreationOperatorExpression) -> np.ndarray:
+    """Unit vector of each factor over (polarization, primitive mode), shape (N, 2, M)."""
+    modes = sorted({term.mode for factor in expr.factors for term in factor})
+    column = {mode: i for i, mode in enumerate(modes)}
+    vectors = np.zeros((expr.n, 2, len(modes)), dtype=complex)
+    for k, factor in enumerate(expr.factors):
+        for term in factor:
+            vectors[k, "HV".index(term.polarization), column[term.mode]] += term.coefficient
+        norm = np.linalg.norm(vectors[k])
+        if norm <= CANCEL_TOL * sum(abs(term.coefficient) for term in factor):
+            raise ValueError(f"expression expands to zero: the terms of factor "
+                             f"{k + 1} cancel")
+        vectors[k] /= norm
+    return vectors
+
+
+@lru_cache(maxsize=None)
+def _glynn_signs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Sign vectors delta in {+1, -1}^n with delta_1 = +1, and their products."""
+    bits = (np.arange(2 ** (n - 1))[:, None] >> np.arange(n - 1)) & 1
+    # complex like the matrices they multiply: a mixed real-complex matmul
+    # misses BLAS and is many times slower
+    deltas = np.hstack([np.ones((len(bits), 1)), 1.0 - 2.0 * bits]).astype(complex)
+    parity = deltas.real.prod(axis=1).astype(complex)
+    deltas.setflags(write=False)
+    parity.setflags(write=False)
+    return deltas, parity
+
+
+def _permanents(mats: np.ndarray) -> np.ndarray:
+    """Permanents of a stack of n x n matrices by Glynn's formula.
+
+    perm(M) = 2^-(n-1) sum_delta (prod_k delta_k) prod_l (sum_k delta_k M_kl),
+    accumulated one column l at a time to keep the intermediate at one
+    value per (matrix, delta).
+    """
+    n = mats.shape[-1]
+    deltas, parity = _glynn_signs(n)
+    products = mats[..., 0] @ deltas.T
+    for col in range(1, n):
+        products *= mats[..., col] @ deltas.T
+    return products @ parity / 2 ** (n - 1)
+
+
+@lru_cache(maxsize=None)
+def _probe_design(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Probe rotations A_i, the design matrix D and its pseudo-inverse.
+
+    tr(rho A^(x)n) = sum_j mult_j tr(rho_j R_j(A)) is linear in the block
+    entries: D[i, (j, a, b)] = mult_j R_j(A_i)[b, a], with the blocks in
+    sector order and each flattened row-major.  Seeded Haar-random unitaries,
+    twice as many as the C(n+3, 3) unknowns, keep D's condition number in
+    the hundreds up to N_MAX, and |tr(rho A^(x)n)| <= 1 for each of them.
+    """
+    count = 2 * accessible_param_count(n, 2)
+    rng = np.random.default_rng([PROBE_SEED, n])
+    q, r = np.linalg.qr(rng.normal(size=(count, 2, 2))
+                        + 1j * rng.normal(size=(count, 2, 2)))
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
+    probes = q * (diag / np.abs(diag))[..., None, :]
+    design = np.hstack([
+        su2_multiplicity(n, two_j)
+        * sector_rotation(probes, n, two_j).transpose(0, 2, 1).reshape(count, -1)
+        for two_j in occurring_two_j(n)])
+    solve = np.linalg.pinv(design)
+    for array in (probes, design, solve):
+        array.setflags(write=False)
+    return probes, design, solve
+
+
+def expression_to_accessible(expr: CreationOperatorExpression) -> AccessibleDensityMatrix:
+    """Accessible density matrix of an operator product, hidden modes traced out.
+
+    With v_k the unit vector of factor k over polarization x primitive
+    hidden mode, the collective operator A^(x)n has expectation
+    perm[<v_k|A (x) 1|v_l>] / perm[<v_k|v_l>] in the normalized state.
+    That expectation is linear in the blocks, so evaluating it at the fixed
+    probe set of :func:`_probe_design` and solving the least-squares system
+    recovers them.  Agrees with ``trace_hidden(expand_and_symmetrize(expr))``
+    without the n!-term expansion.
+
+    Raises ValueError when a factor's terms cancel, when there are more than
+    N_MAX factors, or when the fit leaves a residual above RESIDUAL_TOL.
+    """
+    n = expr.n
+    if n > N_MAX:
+        raise ValueError(f"expression has {n} factors, cap is {N_MAX}")
+    if expr.prefactor == 0:
+        raise ValueError("expression expands to zero: all terms cancel")
+    vectors = _photon_vectors(expr)
+    probes, design, solve = _probe_design(n)
+    overlaps = np.einsum("kpm,lqm->kplq", vectors.conj(), vectors)
+    gram = np.einsum("kplp->kl", overlaps)
+    perms = _permanents(np.concatenate([
+        gram[None], np.einsum("kplq,ipq->ikl", overlaps, probes)]))
+    values = perms[1:] / perms[0]
+    theta = solve @ values
+    residual = float(np.abs(design @ theta - values).max())
+    if residual > RESIDUAL_TOL:
+        raise ValueError(f"hidden-mode trace failed: least-squares residual "
+                         f"{residual:.3e} exceeds {RESIDUAL_TOL}")
+    blocks = {}
+    pos = 0
+    for two_j in occurring_two_j(n):
+        dim = two_j + 1
+        block = theta[pos:pos + dim * dim].reshape(dim, dim)
+        blocks[two_j] = (block + block.conj().T) / 2
+        pos += dim * dim
+    return AccessibleDensityMatrix(n, blocks)
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,12 @@ from .states import AccessibleDensityMatrix
 
 LOG_FLOOR = 1e-12
 RANK_TOL = 1e-9
+START_MIX = 1e-9
+
+
+class NumericalError(ArithmeticError):
+    """The iteration broke an invariant it must keep, so its result is not a
+    valid estimate."""
 
 
 class RankDeficiencyError(ValueError):
@@ -192,7 +198,12 @@ def mle_reconstruct(data: list[CountRecord], *, max_iters: int = 100_000,
     convex combination (1 - d) rho + d * normalize(R rho R) with d backtracked
     from ``dilution`` until the log-likelihood does not decrease, and stops
     when the gain drops below ``tol``.  Initialized from clipped linear
-    inversion (falling back to the maximally mixed state).
+    inversion (falling back to the maximally mixed state), mixed with
+    START_MIX of the maximally mixed state.
+
+    Raises RankDeficiencyError when the settings do not span the accessible
+    space, and NumericalError when the iterate breaks monotonicity or leaves
+    the positive cone.
     """
     if not 0 < dilution <= 1.0:
         raise ValueError("dilution must be in (0, 1]")
@@ -202,12 +213,15 @@ def mle_reconstruct(data: list[CountRecord], *, max_iters: int = 100_000,
     dataset.check_span(dataset.design_matrix()[mask])
 
     try:
-        blocks = {tj: b.copy() for tj, b in linear_inversion(data).blocks.items()}
-    except RankDeficiencyError:
-        raise
+        start = linear_inversion(data)
     except ValueError:
-        blocks = {tj: b.copy() for tj, b
-                  in AccessibleDensityMatrix.maximally_mixed(dataset.n).blocks.items()}
+        start = AccessibleDensityMatrix.maximally_mixed(dataset.n)
+    # Clipping leaves exact zero eigenvalues, and R.rho.R scales each
+    # eigenvalue by a positive factor, so round-off of either sign there can
+    # grow until the iterate leaves the positive cone.  A trace of the
+    # maximally mixed state keeps every eigenvalue far above round-off.
+    blocks = {tj: (1 - START_MIX) * b + START_MIX * np.eye(tj + 1) / 2 ** dataset.n
+              for tj, b in start.blocks.items()}
 
     counts = dataset.counts.ravel()
     total_counts = counts.sum()
@@ -255,7 +269,8 @@ def mle_reconstruct(data: list[CountRecord], *, max_iters: int = 100_000,
             break
         d_start = min(dilution, 2 * d)
         gain = ll_candidate - ll
-        assert gain >= 0, "accepted step decreased the log-likelihood"
+        if not gain >= 0:
+            raise NumericalError("accepted step decreased the log-likelihood")
         blocks, ll = candidate, ll_candidate
         trace.append(ll)
         if gain < tol:
@@ -268,7 +283,10 @@ def mle_reconstruct(data: list[CountRecord], *, max_iters: int = 100_000,
     total = 0.0
     for two_j, b in blocks.items():
         vals, vecs = np.linalg.eigh((b + b.conj().T) / 2)
-        assert vals.min() > -1e-8, "iteration left the positive cone"
+        if not vals.min() > -1e-8:
+            raise NumericalError(
+                f"iteration left the positive cone: block two_j={two_j} has "
+                f"eigenvalue {vals.min():.3e}")
         vals = np.clip(vals, 0.0, None)
         cleaned[two_j] = (vecs * vals) @ vecs.conj().T
         total += dataset.mult[two_j] * vals.sum()

@@ -112,3 +112,13 @@ def brute_force_twirl(rho, n):
         p = permutation_matrix(perm, n)
         acc += p @ rho @ p.T
     return acc / math.factorial(n)
+
+
+def convolution_oracle(polarizations, unitary):
+    """P(N_V = r) for photons in distinct hidden modes: independent photons,
+    so the count distribution is a convolution of one-photon distributions."""
+    dist = np.array([1.0])
+    for vec in polarizations:
+        h, v = unitary @ (vec / np.linalg.norm(vec))
+        dist = np.convolve(dist, [abs(h) ** 2, abs(v) ** 2])
+    return dist

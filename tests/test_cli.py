@@ -1,14 +1,23 @@
 import math
 import sys
+import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from accdm import io
+from accdm import io, tomography
 from accdm.cli import main
+from accdm.measurement import WaveplateSetting, outcome_probabilities, waveplate_unitary
 from accdm.tomography import fidelity
 
-from conftest import HALF_OVERLAP_TEXT, TWELVE_SETTINGS, half_overlap_blocks
+from conftest import (
+    HALF_OVERLAP_TEXT,
+    TWELVE_SETTINGS,
+    convolution_oracle,
+    half_overlap_blocks,
+    sample_count_records,
+)
 
 
 @pytest.fixture
@@ -102,6 +111,38 @@ def test_analyze_syntax_error_is_format_error(workdir, capsys):
     assert run(["analyze", bad, "--out", workdir / "x.dm"]) == 3
     assert "position" in capsys.readouterr().err
     assert not (workdir / "x.dm").exists()
+
+
+@pytest.mark.parametrize("text", ["(aH + aV - aH - aV)(aH)\n", "(aH + bV)" * 11 + "\n"],
+                         ids=["cancelling-factor", "eleven-factors"])
+def test_analyze_unrepresentable_state_is_format_error(workdir, capsys, text):
+    expr = workdir / "bad.expr"
+    expr.write_text(text)
+    assert run(["analyze", expr, "--out", workdir / "x.dm"]) == 3
+    assert "error:" in capsys.readouterr().err
+    assert not (workdir / "x.dm").exists()
+    assert not (workdir / "x.dm.report.txt").exists()
+
+
+def test_analyze_ten_photons_in_distinct_modes(workdir, capsys):
+    x = [0.25 * 1.3 ** k for k in range(10)]
+    phi = [0.1 * k - 0.45 for k in range(10)]
+    expr = workdir / "ten.expr"
+    expr.write_text("".join(f"({x[k]!r}*m{k}H + exp(i*{phi[k]!r}*pi)*m{k}V)"
+                            for k in range(10)) + "\n")
+    start = time.perf_counter()
+    assert run(["analyze", expr, "--out", workdir / "ten.dm"]) == 0
+    # generous gate for slow hosts; the first-quantized expansion of this
+    # input (10! arrangements per monomial) does not finish in minutes
+    assert time.perf_counter() - start < 10.0
+    rho = io.parse_density_matrix((workdir / "ten.dm").read_text())
+    assert rho.n == 10
+    polarizations = [np.array([x[k], np.exp(1j * np.pi * phi[k])]) for k in range(10)]
+    for q, h in [(0.0, 0.0), (17.0, 33.0), (45.0, 22.5), (101.0, 7.5)]:
+        setting = WaveplateSetting(q, h)
+        np.testing.assert_allclose(
+            outcome_probabilities(rho, setting),
+            convolution_oracle(polarizations, waveplate_unitary(setting)), atol=1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -225,3 +266,19 @@ def test_reconstruct_rank_deficient_exits_4(workdir, capsys):
     err = capsys.readouterr().err
     assert "rank 4" in err
     assert not (workdir / "est.dm").exists()
+
+
+def test_reconstruct_leaving_positive_cone_exits_4(workdir, capsys, monkeypatch):
+    # A start outside the positive cone in the j = 1/2 sector, which the data
+    # populate: R.rho.R amplifies the negative eigenvalue until the iterate
+    # is no state.  Exit 4, and nothing is written.
+    start = SimpleNamespace(blocks={3: np.eye(4, dtype=complex) * (1 + 4e-8) / 4,
+                                    1: -1e-8 * np.eye(2, dtype=complex)})
+    monkeypatch.setattr(tomography, "linear_inversion", lambda records: start)
+    counts = workdir / "counts.csv"
+    counts.write_text(io.format_counts(sample_count_records()))
+    assert run(["reconstruct", counts, "--out", workdir / "est.dm",
+                "--trace", workdir / "ll.txt"]) == 4
+    assert "positive cone" in capsys.readouterr().err
+    for name in ("est.dm", "est.dm.report.txt", "ll.txt"):
+        assert not (workdir / name).exists()

@@ -306,6 +306,21 @@ def test_sector_rotation_matches_tensor_power(n):
                 w_from_basis = rows @ u_full @ rows.conj().T
                 np.testing.assert_allclose(w_from_basis, w, atol=1e-12)
 
+    # the same kernel on a stack, including non-unitary matrices
+    stack = np.array([random_unitary_2x2(rng) for _ in range(3)]
+                     + [rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+                        for _ in range(3)]).reshape(2, 3, 2, 2)
+    for two_j in occurring_two_j(n):
+        w_stack = sector_rotation(stack, n, two_j)
+        assert w_stack.shape == (2, 3, two_j + 1, two_j + 1)
+        rows = basis.amplitude_matrix(two_j, 1)
+        for idx in np.ndindex(2, 3):
+            u_full = np.array([[1.0]])
+            for _ in range(n):
+                u_full = np.kron(u_full, stack[idx])
+            np.testing.assert_allclose(w_stack[idx], rows @ u_full @ rows.conj().T,
+                                       atol=1e-12 * np.abs(u_full).max())
+
 
 def test_symmetric_power_is_unitary_for_unitary_input():
     rng = np.random.default_rng(11)

@@ -3,8 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from accdm.expressions import parse_expression_file, parse_operator_expression
-from accdm.schur import occurring_two_j, schur_basis, su2_multiplicity
+from accdm import states
+from accdm.expressions import (
+    Definitions,
+    parse_definition_line,
+    parse_expression_file,
+    parse_operator_expression,
+)
+from accdm.measurement import WaveplateSetting, outcome_probabilities, waveplate_unitary
+from accdm.schur import N_MAX, occurring_two_j, schur_basis, su2_multiplicity
 from accdm.states import (
     AccessibleDensityMatrix,
     CoupledCoefficients,
@@ -12,12 +19,14 @@ from accdm.states import (
     accessible_projection,
     coupled_to_accessible,
     expand_and_symmetrize,
+    expression_to_accessible,
     trace_hidden,
 )
 
 from conftest import (
     HALF_OVERLAP_TEXT,
     brute_force_twirl,
+    convolution_oracle,
     half_overlap_blocks,
     random_accessible_state,
 )
@@ -76,6 +85,8 @@ def test_bosonic_weighting_favors_doubly_occupied_labels():
 def test_cancelling_factor_raises():
     with pytest.raises(ValueError, match="cancel"):
         expand_text("(aH + aV - aH - aV)")
+    with pytest.raises(ValueError, match="cancel"):
+        expression_to_accessible(parse_operator_expression("(aH + aV - aH - aV)(aH)"))
 
 
 def random_factor_text(rng, modes, n_terms):
@@ -231,6 +242,64 @@ def test_trace_hidden_matches_twirl_oracle_random_expressions():
         oracle = accessible_projection(brute_force_twirl(
             state.visible_density_matrix(), n))
         assert acc.allclose(oracle, atol=1e-9)
+        assert expression_to_accessible(parse_operator_expression(text)).allclose(
+            acc, atol=1e-10)
+
+
+# ---------------------------------------------------------------------------
+# Hidden-mode trace from permanents
+# ---------------------------------------------------------------------------
+
+def test_expression_to_accessible_matches_expansion_with_derived_modes():
+    rng = np.random.default_rng(29)
+    for trial in range(36):
+        n = 1 + trial % 6
+        defs = Definitions()
+        x = float(rng.uniform(0.1, 0.95))
+        parse_definition_line(f"c = {x!r}*a + {math.sqrt(1 - x * x)!r}*b", defs)
+        parse_definition_line("d = 0.6*b - 0.8i*e", defs)
+        text = "".join(random_factor_text(rng, ["a", "b", "c", "d"],
+                                          int(rng.integers(1, 4 if n <= 4 else 3)))
+                       for _ in range(n))
+        expr = parse_operator_expression(text, defs)
+        expected = trace_hidden(expand_and_symmetrize(expr))
+        assert expression_to_accessible(expr).allclose(expected, atol=1e-10)
+
+
+@pytest.mark.parametrize("n", [9, 10])
+def test_expression_to_accessible_distinct_modes_beyond_expansion(n):
+    rng = np.random.default_rng(n)
+    vecs = rng.normal(size=(n, 2)) + 1j * rng.normal(size=(n, 2))
+    # complex coefficients are not in the grammar: one term per real and imaginary part
+    text = "".join(
+        f"({h.real!r}*m{k}H + {h.imag!r}i*m{k}H + {v.real!r}*m{k}V + {v.imag!r}i*m{k}V)"
+        for k, (h, v) in enumerate(vecs.tolist())).replace("+ -", "- ")
+    rho = expression_to_accessible(parse_operator_expression(text))
+    for q, h in rng.uniform(0.0, 180.0, size=(6, 2)):
+        setting = WaveplateSetting(float(q), float(h))
+        np.testing.assert_allclose(
+            outcome_probabilities(rho, setting),
+            convolution_oracle(vecs, waveplate_unitary(setting)), atol=1e-10)
+
+
+def test_expression_to_accessible_rejects_too_many_factors():
+    with pytest.raises(ValueError, match=f"cap is {N_MAX}"):
+        expression_to_accessible(parse_operator_expression("(aH)" * (N_MAX + 1)))
+
+
+def test_expression_to_accessible_rejects_inconsistent_fit(monkeypatch):
+    # permanents that no accessible state produces leave a residual
+    rng = np.random.default_rng(0)
+    monkeypatch.setattr(states, "_permanents",
+                        lambda mats: rng.normal(size=len(mats)) + 2.0)
+    with pytest.raises(ValueError, match="residual"):
+        expression_to_accessible(parse_operator_expression("(aH)(bV)(aV + bH)"))
+
+
+def test_probe_design_is_well_conditioned():
+    for n in range(1, N_MAX + 1):
+        _, design, _ = states._probe_design(n)
+        assert np.linalg.cond(design) < 1e3
 
 
 # ---------------------------------------------------------------------------
