@@ -104,7 +104,10 @@ def cmd_simulate(args) -> int:
         print(f"warning: settings span only {rank} of {needed} dimensions; "
               f"reconstruction from this data will be rank-deficient",
               file=sys.stderr)
-    records = simulate_counts(rho, settings, args.shots, args.seed)
+    try:
+        records = simulate_counts(rho, settings, args.shots, args.seed)
+    except NumericalError as err:
+        return _fail(EXIT_NUMERICAL, str(err))
     io.write_atomic(args.out, io.format_counts(records))
     total = sum(r.count for r in records)
     print(f"wrote {len(records)} rows ({total:.0f} counts) to {args.out}")

@@ -18,6 +18,7 @@ from .schur import N_MAX, occurring_two_j, sector_rotation, su2_multiplicity
 from .states import AccessibleDensityMatrix
 
 POVM_TOL = 1e-10
+RANK_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -79,24 +80,108 @@ def outcome_two_m(n: int, n_v: int) -> int:
     return n - 2 * n_v
 
 
-def _outcome_rows(setting: WaveplateSetting, n: int) -> dict[int, np.ndarray]:
-    """Per-sector row vectors whose outer products are the POVM blocks.
+class NumericalError(ArithmeticError):
+    """A computation broke an invariant it must keep; its result is invalid."""
 
-    For outcome index k (= N_V) the rotated projector block in sector j is
-    conj(row) row^T with row the weight-(n-2k) row of the sector rotation;
-    rows for weights outside the sector are zero.  Shape (n+1, 2j+1).
+
+class _OutcomeModel:
+    """Linear map from accessible blocks to every outcome probability of a
+    fixed list of settings.
+
+    Probabilities are linear in the blocks, p = sum_j mult_j tr(B_j Pi_kj),
+    so one real design matrix over the C(N+3,3) block parameters serves
+    span rank, simulation, linear inversion and maximum likelihood.  The
+    parameter vector ``theta`` holds the real parts of every block's upper
+    triangle, row by row and sectors in ``occurring_two_j`` order, then the
+    imaginary parts of the off-diagonal ones in the same order.  ``theta``
+    and ``blocks`` are the only code that knows this order.
     """
-    u = waveplate_unitary(setting)
-    rows: dict[int, np.ndarray] = {}
-    for two_j in occurring_two_j(n):
-        w = sector_rotation(u, n, two_j)
-        m = np.zeros((n + 1, two_j + 1), dtype=complex)
-        for k in range(n + 1):
-            two_m = outcome_two_m(n, k)
-            if abs(two_m) <= two_j:
-                m[k] = w[(two_j - two_m) // 2]
-        rows[two_j] = m
-    return rows
+
+    def __init__(self, settings: list[WaveplateSetting], n: int):
+        if not 1 <= n <= N_MAX:
+            raise ValueError(f"n must be between 1 and {N_MAX}")
+        self.n = n
+        unitaries = np.array([waveplate_unitary(s) for s in settings],
+                             dtype=complex).reshape(-1, 2, 2)
+        two_m = outcome_two_m(n, np.arange(n + 1))
+        self.rows, self.mult = {}, {}
+        upper, lower, scale, terms = [], [], [], []
+        self._starts = [0]
+        for two_j in occurring_two_j(n):
+            # one row per (setting, outcome k = N_V): the weight-(n-2k) row of
+            # the sector rotation, zero if outside the sector; the outcome's
+            # block is conj(row) row^T
+            w = sector_rotation(unitaries, n, two_j)
+            inside = np.abs(two_m) <= two_j
+            m = np.zeros((len(unitaries), n + 1, two_j + 1), dtype=complex)
+            m[:, inside] = w[:, (two_j - two_m[inside]) // 2]
+            m = m.reshape(-1, two_j + 1)
+            self.rows[two_j] = m
+            self.mult[two_j] = su2_multiplicity(n, two_j)
+            # upper-triangle entry (a, b) adds mult * 2 Re(B_ab m_a conj(m_b))
+            # to each probability, half that on the diagonal
+            index = np.arange(two_j + 1)
+            a, b = np.nonzero(index[:, None] <= index)
+            start = self._starts[-1]
+            upper.append(start + a * (two_j + 1) + b)
+            lower.append(start + b * (two_j + 1) + a)
+            self._starts.append(start + (two_j + 1) ** 2)
+            scale.append(self.mult[two_j] * np.where(a == b, 1, 2))
+            terms.append(scale[-1] * m[:, a] * m[:, b].conj())
+        # positions in the concatenation of the raveled blocks
+        self._upper, self._lower = np.concatenate(upper), np.concatenate(lower)
+        self._off = self._upper != self._lower
+        scale, terms = np.concatenate(scale), np.hstack(terms)
+        self.design = np.hstack([terms.real, -terms[:, self._off].imag])
+        # each row of design / _scale is one outcome operator's theta
+        self._scale = np.concatenate([scale, scale[self._off]])
+
+    def theta(self, blocks: dict[int, np.ndarray]) -> np.ndarray:
+        """Real parameter vector of a Hermitian block family."""
+        entries = np.concatenate([blocks[tj].ravel() for tj in self.rows])[self._upper]
+        return np.concatenate([entries.real, entries[self._off].imag])
+
+    def blocks(self, theta: np.ndarray) -> dict[int, np.ndarray]:
+        """Hermitian block family of a real parameter vector."""
+        entries = theta[:self._upper.size].astype(complex)
+        entries[self._off] += 1j * theta[self._upper.size:]
+        flat = np.zeros(self._starts[-1], dtype=complex)
+        flat[self._lower] = entries.conj()
+        flat[self._upper] = entries
+        parts = np.split(flat, self._starts[1:-1])
+        return {tj: part.reshape(tj + 1, tj + 1) for tj, part in zip(self.rows, parts)}
+
+    def probabilities(self, theta: np.ndarray) -> np.ndarray:
+        """Flat outcome probabilities, row-major over (setting, outcome)."""
+        return self.design @ theta
+
+    def operator(self, weights: np.ndarray) -> dict[int, np.ndarray]:
+        """Blocks of sum_k w_k Pi_k, one weight per (setting, outcome) row:
+        the transpose of ``probabilities``."""
+        return self.blocks(weights @ self.design / self._scale)
+
+    def distributions(self, rho: AccessibleDensityMatrix) -> np.ndarray:
+        """Outcome distributions of a state, one row per setting.
+
+        Tiny negative round-off is clipped to zero.  Raises NumericalError
+        when a probability is below -1e-12 or a row does not sum to 1
+        within 1e-10.
+        """
+        p = self.probabilities(self.theta(rho.blocks)).reshape(-1, self.n + 1)
+        if (p < -1e-12).any():
+            raise NumericalError(f"probability {p.min()} below tolerance")
+        p = np.clip(p, 0.0, None)
+        totals = p.sum(axis=1)
+        bad = ~(np.abs(totals - 1.0) <= 1e-10)
+        if bad.any():
+            raise NumericalError(f"probabilities sum to {totals[bad][0]}, expected 1")
+        return p
+
+    def rank(self, rows: np.ndarray | slice = slice(None)) -> int:
+        """Rank of the design restricted to ``rows``: singular values above
+        RANK_TOL times the largest."""
+        sv = np.linalg.svd(self.design[rows], compute_uv=False)
+        return int((sv > RANK_TOL * sv.max(initial=0.0)).sum())
 
 
 @dataclass(frozen=True)
@@ -122,17 +207,10 @@ class PovmElement:
 
 def povm_elements(setting: WaveplateSetting, n: int) -> list[PovmElement]:
     """The N+1 outcome operators of one setting, ordered (N,0), (N-1,1), ..., (0,N)."""
-    if not 1 <= n <= N_MAX:
-        raise ValueError(f"n must be between 1 and {N_MAX}")
-    rows = _outcome_rows(setting, n)
-    elements = []
-    for k in range(n + 1):
-        blocks = {}
-        for two_j, m in rows.items():
-            row = m[k]
-            blocks[two_j] = np.outer(row.conj(), row)
-        elements.append(PovmElement(n, n - k, k, blocks))
-    return elements
+    rows = _OutcomeModel([setting], n).rows
+    return [PovmElement(n, n - k, k, {two_j: np.outer(m[k].conj(), m[k])
+                                      for two_j, m in rows.items()})
+            for k in range(n + 1)]
 
 
 def outcome_probabilities(rho: AccessibleDensityMatrix,
@@ -140,21 +218,10 @@ def outcome_probabilities(rho: AccessibleDensityMatrix,
     """Probabilities of the N+1 outcomes, ordered (N,0) first.
 
     p_k = sum_j mult_j trace(B_j Pi_{k,j}); tiny negative round-off is
-    clipped to zero.
+    clipped to zero, and NumericalError is raised when the probabilities
+    are not a distribution within round-off.
     """
-    n = rho.n
-    rows = _outcome_rows(setting, n)
-    p = np.zeros(n + 1)
-    for two_j, m in rows.items():
-        quad = np.einsum("ka,ab,kb->k", m, rho.blocks[two_j], m.conj()).real
-        p += su2_multiplicity(n, two_j) * quad
-    if p.min() < -1e-12:
-        raise AssertionError(f"probability {p.min()} below tolerance")
-    p = np.clip(p, 0.0, None)
-    total = p.sum()
-    if abs(total - 1.0) > 1e-10:
-        raise AssertionError(f"probabilities sum to {total}, expected 1")
-    return p
+    return _OutcomeModel([setting], rho.n).distributions(rho)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -222,11 +289,11 @@ def simulate_counts(rho: AccessibleDensityMatrix,
     if seed < 0:
         raise ValueError("seed must be nonnegative")
     records = []
+    p = _OutcomeModel(settings, rho.n).distributions(rho)
     for si, setting in enumerate(settings):
-        p = outcome_probabilities(rho, setting)
         for k in range(rho.n + 1):
             rng = np.random.default_rng([seed, si, k])
-            count = poisson_draw(rng, mean_shots * p[k])
+            count = poisson_draw(rng, mean_shots * p[si, k])
             records.append(CountRecord(setting.qwp_deg, setting.hwp_deg,
                                        rho.n - k, k, count))
     return records
@@ -236,30 +303,13 @@ def simulate_counts(rho: AccessibleDensityMatrix,
 # Linear span of the measurement set
 # ---------------------------------------------------------------------------
 
-def _flatten_blocks(blocks: dict[int, np.ndarray], n: int) -> np.ndarray:
-    """Fixed real parameterization of a Hermitian block family."""
-    parts = []
-    for two_j in occurring_two_j(n):
-        block = blocks[two_j]
-        dim = two_j + 1
-        for i in range(dim):
-            parts.append(block[i, i].real)
-            for j2 in range(i + 1, dim):
-                parts.append(block[i, j2].real)
-                parts.append(block[i, j2].imag)
-    return np.array(parts)
-
-
 def measurement_span_rank(settings: list[WaveplateSetting], n: int) -> int:
     """Dimension of the real-linear span of all outcome operators.
 
-    Counts singular values above 1e-9 of the stacked block parameterization;
-    at most accessible_param_count(n, 2) dimensions are reachable.
+    The rank of the design matrix, whose columns are the block coordinates
+    of the outcome operators scaled by nonzero constants; at most
+    accessible_param_count(n, 2) dimensions are reachable.
     """
     if not settings:
         raise ValueError("settings must be nonempty")
-    rows = [_flatten_blocks(element.blocks, n)
-            for setting in settings
-            for element in povm_elements(setting, n)]
-    sv = np.linalg.svd(np.array(rows), compute_uv=False)
-    return int((sv > 1e-9 * sv[0]).sum())
+    return _OutcomeModel(settings, n).rank()

@@ -13,18 +13,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .measurement import CountRecord, WaveplateSetting, _outcome_rows
-from .schur import accessible_param_count, occurring_two_j, su2_multiplicity
+from .measurement import (
+    CountRecord,
+    NumericalError,
+    WaveplateSetting,
+    _OutcomeModel,
+)
+from .schur import accessible_param_count, su2_multiplicity
 from .states import AccessibleDensityMatrix
 
 LOG_FLOOR = 1e-12
-RANK_TOL = 1e-9
 START_MIX = 1e-9
-
-
-class NumericalError(ArithmeticError):
-    """The iteration broke an invariant it must keep, so its result is not a
-    valid estimate."""
 
 
 class RankDeficiencyError(ValueError):
@@ -43,7 +42,8 @@ class RankDeficiencyError(ValueError):
 # ---------------------------------------------------------------------------
 
 class _Dataset:
-    """Counts and per-sector outcome row vectors, one row per (setting, outcome)."""
+    """Counts, one row per setting and one column per outcome, and the
+    outcome model of the settings."""
 
     def __init__(self, records: list[CountRecord]):
         if not records:
@@ -66,61 +66,19 @@ class _Dataset:
         self.counts = np.zeros((len(settings), self.n + 1))
         for r in records:
             self.counts[index[(r.qwp_deg, r.hwp_deg)], r.n_v] += r.count
+        self.model = _OutcomeModel(settings, self.n)
+        totals = self.counts.sum(axis=1)
+        seen = totals > 0
+        # only rows of settings with counts constrain the state
+        self.observed = np.repeat(seen, self.n + 1)
+        self.frequencies = np.zeros_like(self.counts)
+        self.frequencies[seen] = self.counts[seen] / totals[seen, None]
 
-        self.rows: dict[int, np.ndarray] = {}
-        per_setting = [_outcome_rows(s, self.n) for s in settings]
-        for two_j in occurring_two_j(self.n):
-            self.rows[two_j] = np.vstack([m[two_j] for m in per_setting])
-        self.mult = {tj: su2_multiplicity(self.n, tj)
-                     for tj in occurring_two_j(self.n)}
-
-    def probabilities(self, blocks: dict[int, np.ndarray]) -> np.ndarray:
-        """Flat outcome probabilities, row-major over (setting, outcome)."""
-        p = np.zeros(self.counts.size)
-        for two_j, m in self.rows.items():
-            quad = np.einsum("ka,ab,kb->k", m, blocks[two_j], m.conj()).real
-            p += self.mult[two_j] * quad
-        return p
-
-    def design_matrix(self) -> np.ndarray:
-        """Probabilities of every Hermitian basis element, one column each."""
-        columns = []
-        for two_j in occurring_two_j(self.n):
-            dim = two_j + 1
-            for i in range(dim):
-                for j2 in range(i, dim):
-                    for unit in ([1.0] if i == j2 else [1.0, 1.0j]):
-                        h = np.zeros((dim, dim), dtype=complex)
-                        h[i, j2] = unit
-                        h[j2, i] = np.conj(unit)
-                        blocks = {tj: np.zeros((tj + 1, tj + 1), dtype=complex)
-                                  for tj in occurring_two_j(self.n)}
-                        blocks[two_j] = h
-                        columns.append(self.probabilities(blocks))
-        return np.array(columns).T
-
-    def blocks_from_parameters(self, theta: np.ndarray) -> dict[int, np.ndarray]:
-        blocks = {}
-        pos = 0
-        for two_j in occurring_two_j(self.n):
-            dim = two_j + 1
-            b = np.zeros((dim, dim), dtype=complex)
-            for i in range(dim):
-                for j2 in range(i, dim):
-                    if i == j2:
-                        b[i, i] = theta[pos]
-                        pos += 1
-                    else:
-                        b[i, j2] = theta[pos] + 1j * theta[pos + 1]
-                        b[j2, i] = theta[pos] - 1j * theta[pos + 1]
-                        pos += 2
-            blocks[two_j] = b
-        return blocks
-
-    def check_span(self, design: np.ndarray) -> None:
+    def check_span(self) -> None:
+        """Raise RankDeficiencyError unless the observed settings span the
+        accessible operator space."""
         required = accessible_param_count(self.n, 2)
-        sv = np.linalg.svd(design, compute_uv=False)
-        rank = int((sv > RANK_TOL * sv[0]).sum())
+        rank = self.model.rank(self.observed)
         if rank < required:
             raise RankDeficiencyError(rank, required)
 
@@ -130,8 +88,8 @@ def log_likelihood(rho: AccessibleDensityMatrix, data: list[CountRecord]) -> flo
     dataset = _Dataset(data)
     if dataset.n != rho.n:
         raise ValueError(f"data is for {dataset.n} photons, state for {rho.n}")
-    p = np.maximum(dataset.probabilities(rho.blocks), LOG_FLOOR)
-    return float((dataset.counts.ravel() * np.log(p)).sum())
+    p = dataset.model.probabilities(dataset.model.theta(rho.blocks))
+    return float((dataset.counts.ravel() * np.log(np.maximum(p, LOG_FLOOR))).sum())
 
 
 # ---------------------------------------------------------------------------
@@ -158,18 +116,13 @@ def linear_inversion(data: list[CountRecord]) -> AccessibleDensityMatrix:
     otherwise a RankDeficiencyError reporting the achieved rank is raised.
     """
     dataset = _Dataset(data)
-    design = dataset.design_matrix()
-    totals = dataset.counts.sum(axis=1)
-    if not (totals > 0).any():
+    if not dataset.observed.any():
         raise ValueError("all settings have zero total counts")
-    # only settings with observed counts constrain the fit
-    mask = np.repeat(totals > 0, dataset.n + 1)
-    dataset.check_span(design[mask])
-
-    freq = np.zeros_like(dataset.counts)
-    freq[totals > 0] = dataset.counts[totals > 0] / totals[totals > 0, None]
-    theta, *_ = np.linalg.lstsq(design[mask], freq.ravel()[mask], rcond=None)
-    blocks = dataset.blocks_from_parameters(theta)
+    dataset.check_span()
+    rows = dataset.observed
+    theta, *_ = np.linalg.lstsq(dataset.model.design[rows],
+                                dataset.frequencies.ravel()[rows], rcond=None)
+    blocks = dataset.model.blocks(theta)
     return AccessibleDensityMatrix(dataset.n, _clip_and_normalize(blocks, dataset.n))
 
 
@@ -208,9 +161,8 @@ def mle_reconstruct(data: list[CountRecord], *, max_iters: int = 100_000,
     if not 0 < dilution <= 1.0:
         raise ValueError("dilution must be in (0, 1]")
     dataset = _Dataset(data)
-    totals = dataset.counts.sum(axis=1)
-    mask = np.repeat(totals > 0, dataset.n + 1)
-    dataset.check_span(dataset.design_matrix()[mask])
+    dataset.check_span()
+    model = dataset.model
 
     try:
         start = linear_inversion(data)
@@ -226,52 +178,48 @@ def mle_reconstruct(data: list[CountRecord], *, max_iters: int = 100_000,
     counts = dataset.counts.ravel()
     total_counts = counts.sum()
 
-    def ll_of(b: dict[int, np.ndarray]) -> float:
-        p = np.maximum(dataset.probabilities(b), LOG_FLOOR)
-        return float((counts * np.log(p)).sum())
+    def ll_of(p: np.ndarray) -> float:
+        return float((counts * np.log(np.maximum(p, LOG_FLOOR))).sum())
 
-    ll = ll_of(blocks)
+    # probabilities are linear in the blocks, so the probabilities of every
+    # convex step follow from those of its two ends
+    p = model.probabilities(model.theta(blocks))
+    ll = ll_of(p)
     trace = [ll]
     converged = False
     iterations = 0
     d_start = dilution
     for iterations in range(1, max_iters + 1):
-        p = np.maximum(dataset.probabilities(blocks), 1e-15)
-        weights = counts / p / max(total_counts, 1.0)
-        direction = {}
-        total = 0.0
-        for two_j, m in dataset.rows.items():
-            r_op = (m.conj().T * weights) @ m
-            d_b = r_op @ blocks[two_j] @ r_op
-            direction[two_j] = d_b
-            total += dataset.mult[two_j] * d_b.trace().real
+        weights = counts / np.maximum(p, 1e-15) / max(total_counts, 1.0)
+        direction = {tj: r_op @ blocks[tj] @ r_op
+                     for tj, r_op in model.operator(weights).items()}
+        total = sum(model.mult[tj] * b.trace().real for tj, b in direction.items())
         if total <= 1e-300:
             converged = True
             break
-        for d_b in direction.values():
-            d_b /= total
+        direction = {tj: b / total for tj, b in direction.items()}
+        p_dir = model.probabilities(model.theta(direction))
 
         # backtrack d from the last successful step size (cheaper near the
         # optimum, where the full step keeps getting rejected)
         d = d_start
-        candidate = None
-        ll_candidate = ll
+        accepted = False
         while d > 1e-12:
-            cand = {tj: (1 - d) * blocks[tj] + d * direction[tj]
-                    for tj in blocks}
-            ll_cand = ll_of(cand)
+            p_cand = (1 - d) * p + d * p_dir
+            ll_cand = ll_of(p_cand)
             if ll_cand >= ll:
-                candidate, ll_candidate = cand, ll_cand
+                accepted = True
                 break
             d /= 2
-        if candidate is None:
+        if not accepted:
             converged = True
             break
         d_start = min(dilution, 2 * d)
-        gain = ll_candidate - ll
+        gain = ll_cand - ll
         if not gain >= 0:
             raise NumericalError("accepted step decreased the log-likelihood")
-        blocks, ll = candidate, ll_candidate
+        blocks = {tj: (1 - d) * blocks[tj] + d * direction[tj] for tj in blocks}
+        p, ll = p_cand, ll_cand
         trace.append(ll)
         if gain < tol:
             converged = True
@@ -279,30 +227,22 @@ def mle_reconstruct(data: list[CountRecord], *, max_iters: int = 100_000,
 
     # rounding guard: tens of thousands of convex steps can leave block
     # eigenvalues a hair below zero
-    cleaned = {}
-    total = 0.0
     for two_j, b in blocks.items():
-        vals, vecs = np.linalg.eigh((b + b.conj().T) / 2)
-        if not vals.min() > -1e-8:
+        low = np.linalg.eigvalsh((b + b.conj().T) / 2).min()
+        if not low > -1e-8:
             raise NumericalError(
                 f"iteration left the positive cone: block two_j={two_j} has "
-                f"eigenvalue {vals.min():.3e}")
-        vals = np.clip(vals, 0.0, None)
-        cleaned[two_j] = (vecs * vals) @ vecs.conj().T
-        total += dataset.mult[two_j] * vals.sum()
-    estimate = AccessibleDensityMatrix(
-        dataset.n, {tj: b / total for tj, b in cleaned.items()})
-    p_final = dataset.probabilities(estimate.blocks)
+                f"eigenvalue {low:.3e}")
+    estimate = AccessibleDensityMatrix(dataset.n, _clip_and_normalize(blocks, dataset.n))
+    p_final = model.probabilities(model.theta(estimate.blocks))
     floored = int(((p_final < LOG_FLOOR) & (counts > 0)).sum())
-    observed = np.zeros_like(dataset.counts)
-    observed[totals > 0] = dataset.counts[totals > 0] / totals[totals > 0, None]
     return ReconstructionResult(
         estimate=estimate,
         log_likelihood=ll,
         iterations=iterations,
         converged=converged,
         settings=dataset.settings,
-        observed_frequencies=observed,
+        observed_frequencies=dataset.frequencies,
         predicted_frequencies=p_final.reshape(dataset.counts.shape),
         ll_trace=np.array(trace),
         floored_cells=floored,

@@ -1,5 +1,12 @@
 """Shared fixtures: golden matrices, reference settings, sample count data."""
 
+import os
+
+# The matrices here are tiny: extra BLAS threads only spin, and on a busy
+# 2-core host they made a 0.2 s test take 17 s.  Set before numpy loads.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 import math
 from itertools import permutations
 

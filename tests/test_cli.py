@@ -6,7 +6,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from accdm import io, tomography
+from accdm import io, measurement, tomography
 from accdm.cli import main
 from accdm.measurement import WaveplateSetting, outcome_probabilities, waveplate_unitary
 from accdm.tomography import fidelity
@@ -166,6 +166,17 @@ def test_simulate_writes_deterministic_counts(workdir, capsys):
     assert len(records) == 48
     total = sum(r.count for r in records)
     assert abs(total - 12e4) < 5 * math.sqrt(12e4)
+
+
+def test_simulate_broken_probabilities_exit_4(workdir, capsys, monkeypatch):
+    matrix = analyzed_matrix(workdir)
+    monkeypatch.setattr(measurement._OutcomeModel, "probabilities",
+                        lambda self, theta: np.full(self.design.shape[0], -0.5))
+    out = workdir / "counts.csv"
+    assert run(["simulate", matrix, "--settings", workdir / "settings.csv",
+                "--out", out]) == 4
+    assert "below tolerance" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_simulate_zero_shots(workdir):

@@ -1,0 +1,271 @@
+"""The shared outcome model against the per-setting code it replaced.
+
+The oracles below are the earlier implementations: outcome rows from one
+scalar sector rotation per setting, probabilities by a three-operand einsum,
+a design matrix probed one Hermitian basis element at a time, and a span
+rank over flattened outcome-operator blocks.
+"""
+
+import numpy as np
+import pytest
+
+import accdm
+from accdm import measurement, tomography
+from accdm.measurement import (
+    CountRecord,
+    NumericalError,
+    WaveplateSetting,
+    _OutcomeModel,
+    measurement_span_rank,
+    outcome_probabilities,
+    outcome_two_m,
+    povm_elements,
+    simulate_counts,
+    waveplate_unitary,
+)
+from accdm.schur import (
+    accessible_param_count,
+    occurring_two_j,
+    sector_rotation,
+    su2_multiplicity,
+)
+from accdm.tomography import linear_inversion, log_likelihood, mle_reconstruct
+
+from conftest import TWELVE_SETTINGS, random_accessible_state, sample_count_records
+
+
+def random_settings(rng, count):
+    return [WaveplateSetting(q, h) for q, h in rng.uniform(0, 180, size=(count, 2))]
+
+
+def oracle_rows(settings, n):
+    """Per-sector outcome rows stacked over settings, one setting at a time."""
+    stacked = {}
+    for two_j in occurring_two_j(n):
+        parts = []
+        for setting in settings:
+            w = sector_rotation(waveplate_unitary(setting), n, two_j)
+            m = np.zeros((n + 1, two_j + 1), dtype=complex)
+            for k in range(n + 1):
+                two_m = outcome_two_m(n, k)
+                if abs(two_m) <= two_j:
+                    m[k] = w[(two_j - two_m) // 2]
+            parts.append(m)
+        stacked[two_j] = np.vstack(parts)
+    return stacked
+
+
+def oracle_probabilities(rows, blocks, n):
+    p = 0.0
+    for two_j, m in rows.items():
+        quad = np.einsum("ka,ab,kb->k", m, blocks[two_j], m.conj()).real
+        p = p + su2_multiplicity(n, two_j) * quad
+    return p
+
+
+def hermitian_basis(n):
+    """Block families with a single Hermitian unit entry, in the order the
+    earlier design matrix used."""
+    basis = []
+    for two_j in occurring_two_j(n):
+        dim = two_j + 1
+        for i in range(dim):
+            for j2 in range(i, dim):
+                for unit in ([1.0] if i == j2 else [1.0, 1.0j]):
+                    h = np.zeros((dim, dim), dtype=complex)
+                    h[i, j2] = unit
+                    h[j2, i] = np.conj(unit)
+                    blocks = {tj: np.zeros((tj + 1, tj + 1), dtype=complex)
+                              for tj in occurring_two_j(n)}
+                    blocks[two_j] = h
+                    basis.append(blocks)
+    return basis
+
+
+def oracle_design(settings, n):
+    """Probabilities of every Hermitian basis element, one column each."""
+    rows = oracle_rows(settings, n)
+    return np.array([oracle_probabilities(rows, blocks, n)
+                     for blocks in hermitian_basis(n)]).T
+
+
+def flatten_blocks(blocks, n):
+    parts = []
+    for two_j in occurring_two_j(n):
+        block = blocks[two_j]
+        dim = two_j + 1
+        for i in range(dim):
+            parts.append(block[i, i].real)
+            for j2 in range(i + 1, dim):
+                parts.append(block[i, j2].real)
+                parts.append(block[i, j2].imag)
+    return np.array(parts)
+
+
+def oracle_span_rank(settings, n):
+    rows = [flatten_blocks(element.blocks, n)
+            for setting in settings
+            for element in povm_elements(setting, n)]
+    sv = np.linalg.svd(np.array(rows), compute_uv=False)
+    return int((sv > 1e-9 * sv[0]).sum())
+
+
+def random_hermitian_blocks(n, rng):
+    blocks = {}
+    for two_j in occurring_two_j(n):
+        a = rng.normal(size=(two_j + 1,) * 2) + 1j * rng.normal(size=(two_j + 1,) * 2)
+        blocks[two_j] = a + a.conj().T
+    return blocks
+
+
+# ---------------------------------------------------------------------------
+# Design matrix and block layout
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_analytic_design_matches_probe_design(n):
+    settings = random_settings(np.random.default_rng(600 + n), 7)
+    model = _OutcomeModel(settings, n)
+    count = accessible_param_count(n, 2)
+    assert model.design.shape == (7 * (n + 1), count)
+    # each basis element's parameter vector is a distinct unit vector, so
+    # the design's columns are the probe columns in the layout's order
+    units = np.array([model.theta(blocks) for blocks in hermitian_basis(n)]).T
+    np.testing.assert_array_equal(units @ units.T, np.eye(count))
+    np.testing.assert_array_equal(np.abs(units).sum(axis=0), np.ones(count))
+    np.testing.assert_allclose(model.design @ units, oracle_design(settings, n),
+                               rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_layout_round_trip(n):
+    rng = np.random.default_rng(700 + n)
+    model = _OutcomeModel(random_settings(rng, 2), n)
+    for _ in range(3):
+        blocks = random_hermitian_blocks(n, rng)
+        theta = model.theta(blocks)
+        assert theta.shape == (accessible_param_count(n, 2),)
+        back = model.blocks(theta)
+        assert sorted(back) == sorted(blocks)
+        for two_j, block in blocks.items():
+            np.testing.assert_array_equal(back[two_j], block)
+        np.testing.assert_array_equal(model.theta(back), theta)
+
+
+@pytest.mark.parametrize("n", [1, 3, 5, 8])
+def test_model_probabilities_match_einsum_oracle(n):
+    rng = np.random.default_rng(800 + n)
+    settings = random_settings(rng, 5)
+    model = _OutcomeModel(settings, n)
+    rows = oracle_rows(settings, n)
+    for _ in range(3):
+        rho = random_accessible_state(n, rng)
+        expected = oracle_probabilities(rows, rho.blocks, n)
+        np.testing.assert_allclose(model.probabilities(model.theta(rho.blocks)),
+                                   expected, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(model.distributions(rho).ravel(), expected,
+                                   rtol=0, atol=1e-13)
+        for si, setting in enumerate(settings):
+            np.testing.assert_allclose(outcome_probabilities(rho, setting),
+                                       expected[si * (n + 1):(si + 1) * (n + 1)],
+                                       rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("n", [1, 4, 8])
+def test_operator_is_weighted_sum_of_outcome_operators(n):
+    rng = np.random.default_rng(850 + n)
+    settings = random_settings(rng, 4)
+    weights = rng.uniform(0, 3, size=len(settings) * (n + 1))
+    operator = _OutcomeModel(settings, n).operator(weights)
+    for two_j, m in oracle_rows(settings, n).items():
+        expected = np.einsum("k,ka,kb->ab", weights, m.conj(), m)
+        np.testing.assert_allclose(operator[two_j], expected, rtol=0, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# Span rank
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_span_rank_matches_flatten_oracle(n):
+    rng = np.random.default_rng(900 + n)
+    full = accessible_param_count(n, 2)
+    setting_sets = [
+        random_settings(rng, 1),
+        random_settings(rng, 3),
+        random_settings(rng, 40),
+        # linear polarization analysis only: no circular information
+        [WaveplateSetting(0.0, h) for h in np.linspace(0, 45, 12)],
+        # one setting repeated
+        random_settings(rng, 1) * 6,
+        TWELVE_SETTINGS,
+    ]
+    ranks = []
+    for settings in setting_sets:
+        rank = measurement_span_rank(settings, n)
+        assert rank == oracle_span_rank(settings, n)
+        ranks.append(rank)
+    assert ranks[2] == full
+    assert min(ranks) < full
+
+
+# ---------------------------------------------------------------------------
+# Linear inversion on exact data
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("n", [5, 8])
+def test_linear_inversion_recovers_truth_from_exact_counts(n):
+    # a parameter-order mismatch between design and layout fails this by
+    # far more than the tolerance
+    rng = np.random.default_rng(1000 + n)
+    settings = random_settings(rng, 48)
+    rho = random_accessible_state(n, rng)
+    p = oracle_probabilities(oracle_rows(settings, n), rho.blocks, n)
+    records = [CountRecord(s.qwp_deg, s.hwp_deg, n - k, k, 1e4 * p[si * (n + 1) + k])
+               for si, s in enumerate(settings) for k in range(n + 1)]
+    assert linear_inversion(records).allclose(rho, atol=1e-9)
+
+
+def test_mle_log_likelihood_matches_its_estimate():
+    # the MLE carries probabilities along its convex steps instead of
+    # recomputing them; they must agree with the returned estimate
+    records = sample_count_records()
+    result = mle_reconstruct(records, max_iters=300)
+    assert abs(result.log_likelihood - log_likelihood(result.estimate, records)) < 1e-6
+
+
+# ---------------------------------------------------------------------------
+# Typed probability invariants
+# ---------------------------------------------------------------------------
+
+def test_numerical_error_is_one_class():
+    assert accdm.NumericalError is tomography.NumericalError is NumericalError
+    assert issubclass(NumericalError, ArithmeticError)
+
+
+@pytest.mark.parametrize("shift, message", [(-1e-9, "below tolerance"),
+                                             (1e-9, "sum to")])
+def test_broken_probabilities_raise_numerical_error(monkeypatch, golden_state,
+                                                    shift, message):
+    original = _OutcomeModel.probabilities
+
+    def shifted(self, theta):
+        p = original(self, theta)
+        if shift < 0:
+            p[0] = shift
+        else:
+            p[0] += shift
+        return p
+
+    monkeypatch.setattr(measurement._OutcomeModel, "probabilities", shifted)
+    with pytest.raises(NumericalError, match=message):
+        outcome_probabilities(golden_state, TWELVE_SETTINGS[0])
+    with pytest.raises(NumericalError, match=message):
+        simulate_counts(golden_state, TWELVE_SETTINGS, 1e4, seed=0)
+
+
+def test_non_finite_probabilities_raise_numerical_error(monkeypatch, golden_state):
+    monkeypatch.setattr(measurement._OutcomeModel, "probabilities",
+                        lambda self, theta: np.full(self.design.shape[0], np.nan))
+    with pytest.raises(NumericalError):
+        outcome_probabilities(golden_state, TWELVE_SETTINGS[0])

@@ -173,6 +173,16 @@ def test_mle_requires_span(golden_state):
         mle_reconstruct(data)
 
 
+def test_all_zero_counts_are_rejected():
+    records = [CountRecord(s.qwp_deg, s.hwp_deg, 3 - k, k, 0)
+               for s in TWELVE_SETTINGS for k in range(4)]
+    with pytest.raises(ValueError, match="zero total counts"):
+        linear_inversion(records)
+    with pytest.raises(RankDeficiencyError) as err:
+        mle_reconstruct(records)
+    assert err.value.rank == 0
+
+
 def test_mle_flags_floored_cells():
     rho = pure_string_state(3, "000")
     records = expected_count_records(rho, TWELVE_SETTINGS, 1e4)
