@@ -7,6 +7,7 @@ Exit codes: 0 success, 2 usage, 3 input format, 4 numerical
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from . import io
@@ -155,6 +156,21 @@ def cmd_reconstruct(args) -> int:
 # Argument parsing
 # ---------------------------------------------------------------------------
 
+def _number(convert, low: float, *, strict: bool = False):
+    """argparse type: a finite number at least ``low`` (above it if strict)."""
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid number: {text!r}") from None
+        if not (math.isfinite(value) and (value > low if strict else value >= low)):
+            relation = "greater than" if strict else "at least"
+            raise argparse.ArgumentTypeError(
+                f"must be finite and {relation} {low:g}, got {text!r}")
+        return value
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="accdm",
@@ -179,9 +195,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim = sub.add_parser("simulate", help="matrix + settings -> Poisson counts")
     p_sim.add_argument("matrix", help="density matrix file")
     p_sim.add_argument("--settings", required=True, help="settings file")
-    p_sim.add_argument("--shots", type=float, default=1e4,
+    p_sim.add_argument("--shots", type=_number(float, 0), default=1e4,
                        help="mean shots per setting")
-    p_sim.add_argument("--seed", type=int, default=0, help="stream seed")
+    p_sim.add_argument("--seed", type=_number(int, 0), default=0, help="stream seed")
     p_sim.add_argument("--out", required=True, help="output counts file")
     p_sim.set_defaults(func=cmd_simulate)
 
@@ -190,9 +206,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_rec.add_argument("counts", help="counts file")
     p_rec.add_argument("--out", required=True, help="output matrix file")
     p_rec.add_argument("--reference", help="matrix file to compare against")
-    p_rec.add_argument("--tol", type=float, default=1e-10,
-                       help="log-likelihood convergence tolerance")
-    p_rec.add_argument("--max-iters", type=int, default=100_000,
+    p_rec.add_argument("--tol", type=_number(float, 0, strict=True), default=1e-10,
+                       help="stop when one iteration gains less log-likelihood "
+                            "than this (a measure of slow progress, not a "
+                            "certified distance to the maximum)")
+    p_rec.add_argument("--max-iters", type=_number(int, 1), default=100_000,
                        help="iteration cap")
     p_rec.add_argument("--verdict-tol", type=float, default=1e-3,
                        help="indistinguishability verdict tolerance")

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -48,6 +49,8 @@ class CountRecord:
     count: float
 
     def __post_init__(self):
+        if not math.isfinite(self.count):
+            raise ValueError("counts must be finite")
         if self.n_h < 0 or self.n_v < 0 or self.count < 0:
             raise ValueError("photon numbers and counts must be nonnegative")
 
@@ -56,9 +59,20 @@ class CountRecord:
         return WaveplateSetting(self.qwp_deg, self.hwp_deg)
 
 
-def _rotation(angle: float) -> np.ndarray:
-    c, s = math.cos(angle), math.sin(angle)
-    return np.array([[c, -s], [s, c]])
+def _rotations(angle: np.ndarray) -> np.ndarray:
+    c, s = np.cos(angle), np.sin(angle)
+    r = np.empty(np.shape(angle) + (2, 2))
+    r[..., 0, 0], r[..., 0, 1], r[..., 1, 0], r[..., 1, 1] = c, -s, s, c
+    return r
+
+
+def _waveplate_unitaries(qwp_deg: np.ndarray, hwp_deg: np.ndarray) -> np.ndarray:
+    """Jones matrices of plate pairs for arrays of angles, shape (..., 2, 2)."""
+    q = np.radians(qwp_deg)
+    h = np.radians(hwp_deg)
+    qwp = _rotations(q) @ np.diag([1.0, 1.0j]) @ _rotations(-q)
+    hwp = _rotations(h) @ np.diag([1.0, -1.0]) @ _rotations(-h)
+    return hwp @ qwp
 
 
 def waveplate_unitary(setting: WaveplateSetting) -> np.ndarray:
@@ -68,11 +82,7 @@ def waveplate_unitary(setting: WaveplateSetting) -> np.ndarray:
     waveplate R(h) diag(1, -1) R(-h), with R a real rotation and angles
     measured in degrees.
     """
-    q = math.radians(setting.qwp_deg)
-    h = math.radians(setting.hwp_deg)
-    qwp = _rotation(q) @ np.diag([1.0, 1.0j]) @ _rotation(-q)
-    hwp = _rotation(h) @ np.diag([1.0, -1.0]) @ _rotation(-h)
-    return hwp @ qwp
+    return _waveplate_unitaries(setting.qwp_deg, setting.hwp_deg)
 
 
 def outcome_two_m(n: int, n_v: int) -> int:
@@ -84,6 +94,64 @@ class NumericalError(ArithmeticError):
     """A computation broke an invariant it must keep; its result is invalid."""
 
 
+class _Layout:
+    """Everything about the block parameters of n photons that depends only
+    on n; built once per n by :func:`_layout`.
+
+    The parameter vector ``theta`` holds the real parts of every block's
+    upper triangle, row by row and sectors in ``occurring_two_j`` order,
+    then the imaginary parts of the off-diagonal ones in the same order.
+    The blocks are also held stacked: one zero-padded complex array of
+    shape (sectors, n+1, n+1), block two_j in the top-left corner of its
+    slice.  ``gather`` and ``scatter`` map between theta and the float
+    view of that array, raveled.
+    """
+
+    def __init__(self, n: int):
+        self.sectors = occurring_two_j(n)
+        self.shape = (len(self.sectors), n + 1, n + 1)
+        self.mult = np.array([su2_multiplicity(n, tj) for tj in self.sectors])
+        sector, row, col = [], [], []
+        for s, two_j in enumerate(self.sectors):
+            index = np.arange(two_j + 1)
+            a, b = np.nonzero(index[:, None] <= index)
+            sector.append(np.full(a.size, s))
+            row.append(a)
+            col.append(b)
+        # sector and position of each upper-triangle entry, in theta order
+        self.sector, self.row, self.col = (np.concatenate(x) for x in (sector, row, col))
+        self.off = self.row != self.col
+        # upper-triangle entry (a, b) adds mult * 2 Re(B_ab m_a conj(m_b))
+        # to each probability, half that on the diagonal
+        self.entry_scale = self.mult[self.sector] * np.where(self.off, 2, 1)
+        # each row of design / scale is one outcome operator's theta
+        self.scale = np.concatenate([self.entry_scale, self.entry_scale[self.off]])
+        # float positions: 2 * complex position for the real part, + 1 for
+        # the imaginary part; the lower triangle holds the conjugate
+        upper = 2 * ((self.sector * (n + 1) + self.row) * (n + 1) + self.col)
+        lower = 2 * ((self.sector * (n + 1) + self.col) * (n + 1) + self.row)
+        self.gather = np.concatenate([upper, upper[self.off] + 1])
+        count, imag = upper.size, np.arange(upper.size, self.scale.size)
+        self.scatter = np.concatenate([upper, lower, upper[self.off] + 1,
+                                       lower[self.off] + 1])
+        self.source = np.concatenate([np.arange(count), np.arange(count), imag, imag])
+        self.sign = np.concatenate([np.ones(2 * count + imag.size), -np.ones(imag.size)])
+        # outcome k = N_V reads the row of weight n - 2k, if inside the sector
+        two_m = outcome_two_m(n, np.arange(n + 1))
+        self.inside = [np.abs(two_m) <= tj for tj in self.sectors]
+        self.weight_row = [(tj - two_m[inside]) // 2
+                           for tj, inside in zip(self.sectors, self.inside)]
+        for array in (self.mult, self.sector, self.row, self.col, self.off,
+                      self.entry_scale, self.scale, self.gather, self.scatter,
+                      self.source, self.sign, *self.inside, *self.weight_row):
+            array.setflags(write=False)
+
+
+@lru_cache(maxsize=None)
+def _layout(n: int) -> _Layout:
+    return _Layout(n)
+
+
 class _OutcomeModel:
     """Linear map from accessible blocks to every outcome probability of a
     fixed list of settings.
@@ -91,74 +159,75 @@ class _OutcomeModel:
     Probabilities are linear in the blocks, p = sum_j mult_j tr(B_j Pi_kj),
     so one real design matrix over the C(N+3,3) block parameters serves
     span rank, simulation, linear inversion and maximum likelihood.  The
-    parameter vector ``theta`` holds the real parts of every block's upper
-    triangle, row by row and sectors in ``occurring_two_j`` order, then the
-    imaginary parts of the off-diagonal ones in the same order.  ``theta``
-    and ``blocks`` are the only code that knows this order.
+    parameter order and the stacked form of the blocks are fixed by
+    :class:`_Layout`, and only this class reads its index arrays.
     """
 
     def __init__(self, settings: list[WaveplateSetting], n: int):
         if not 1 <= n <= N_MAX:
             raise ValueError(f"n must be between 1 and {N_MAX}")
         self.n = n
-        unitaries = np.array([waveplate_unitary(s) for s in settings],
-                             dtype=complex).reshape(-1, 2, 2)
-        two_m = outcome_two_m(n, np.arange(n + 1))
-        self.rows, self.mult = {}, {}
-        upper, lower, scale, terms = [], [], [], []
-        self._starts = [0]
-        for two_j in occurring_two_j(n):
-            # one row per (setting, outcome k = N_V): the weight-(n-2k) row of
-            # the sector rotation, zero if outside the sector; the outcome's
-            # block is conj(row) row^T
+        layout = self._layout = _layout(n)
+        self.mult = layout.mult
+        unitaries = _waveplate_unitaries(
+            np.array([s.qwp_deg for s in settings], dtype=float),
+            np.array([s.hwp_deg for s in settings], dtype=float))
+        # one row per (setting, outcome) and sector, zero-padded to n+1
+        # entries; the outcome's block is conj(row) row^T
+        rows = np.zeros((len(settings), n + 1) + layout.shape[:2], dtype=complex)
+        for s, two_j in enumerate(layout.sectors):
             w = sector_rotation(unitaries, n, two_j)
-            inside = np.abs(two_m) <= two_j
-            m = np.zeros((len(unitaries), n + 1, two_j + 1), dtype=complex)
-            m[:, inside] = w[:, (two_j - two_m[inside]) // 2]
-            m = m.reshape(-1, two_j + 1)
-            self.rows[two_j] = m
-            self.mult[two_j] = su2_multiplicity(n, two_j)
-            # upper-triangle entry (a, b) adds mult * 2 Re(B_ab m_a conj(m_b))
-            # to each probability, half that on the diagonal
-            index = np.arange(two_j + 1)
-            a, b = np.nonzero(index[:, None] <= index)
-            start = self._starts[-1]
-            upper.append(start + a * (two_j + 1) + b)
-            lower.append(start + b * (two_j + 1) + a)
-            self._starts.append(start + (two_j + 1) ** 2)
-            scale.append(self.mult[two_j] * np.where(a == b, 1, 2))
-            terms.append(scale[-1] * m[:, a] * m[:, b].conj())
-        # positions in the concatenation of the raveled blocks
-        self._upper, self._lower = np.concatenate(upper), np.concatenate(lower)
-        self._off = self._upper != self._lower
-        scale, terms = np.concatenate(scale), np.hstack(terms)
-        self.design = np.hstack([terms.real, -terms[:, self._off].imag])
-        # each row of design / _scale is one outcome operator's theta
-        self._scale = np.concatenate([scale, scale[self._off]])
+            rows[:, layout.inside[s], s, :two_j + 1] = w[:, layout.weight_row[s]]
+        rows = rows.reshape((-1,) + layout.shape[:2])
+        self.rows = {tj: rows[:, s, :tj + 1] for s, tj in enumerate(layout.sectors)}
+        terms = (layout.entry_scale * rows[:, layout.sector, layout.row]
+                 * rows[:, layout.sector, layout.col].conj())
+        self.design = np.hstack([terms.real, -terms[:, layout.off].imag])
+
+    def stack(self, theta: np.ndarray) -> np.ndarray:
+        """Stacked Hermitian blocks of a real parameter vector."""
+        layout = self._layout
+        flat = np.zeros(2 * math.prod(layout.shape))
+        flat[layout.scatter] = theta[layout.source] * layout.sign
+        return flat.view(complex).reshape(layout.shape)
+
+    def stack_theta(self, stack: np.ndarray) -> np.ndarray:
+        """Real parameter vector of stacked Hermitian blocks (upper triangles)."""
+        return stack.reshape(-1).view(float)[self._layout.gather]
+
+    def pad(self, blocks: dict[int, np.ndarray]) -> np.ndarray:
+        """Stacked form of a block family."""
+        sectors = self._layout.sectors
+        stack = np.zeros(self._layout.shape, dtype=complex)
+        for s, two_j in enumerate(sectors):
+            stack[s, :two_j + 1, :two_j + 1] = blocks[two_j]
+        return stack
+
+    def unpad(self, stack: np.ndarray) -> dict[int, np.ndarray]:
+        """Block family of a stacked form."""
+        return {tj: stack[s, :tj + 1, :tj + 1].copy()
+                for s, tj in enumerate(self._layout.sectors)}
 
     def theta(self, blocks: dict[int, np.ndarray]) -> np.ndarray:
         """Real parameter vector of a Hermitian block family."""
-        entries = np.concatenate([blocks[tj].ravel() for tj in self.rows])[self._upper]
-        return np.concatenate([entries.real, entries[self._off].imag])
+        return self.stack_theta(self.pad(blocks))
 
     def blocks(self, theta: np.ndarray) -> dict[int, np.ndarray]:
         """Hermitian block family of a real parameter vector."""
-        entries = theta[:self._upper.size].astype(complex)
-        entries[self._off] += 1j * theta[self._upper.size:]
-        flat = np.zeros(self._starts[-1], dtype=complex)
-        flat[self._lower] = entries.conj()
-        flat[self._upper] = entries
-        parts = np.split(flat, self._starts[1:-1])
-        return {tj: part.reshape(tj + 1, tj + 1) for tj, part in zip(self.rows, parts)}
+        return self.unpad(self.stack(theta))
 
     def probabilities(self, theta: np.ndarray) -> np.ndarray:
         """Flat outcome probabilities, row-major over (setting, outcome)."""
         return self.design @ theta
 
+    def operator_theta(self, weights: np.ndarray) -> np.ndarray:
+        """Parameter vector of sum_k w_k Pi_k, one weight per (setting,
+        outcome) row: the transpose of ``probabilities``."""
+        return weights @ self.design / self._layout.scale
+
     def operator(self, weights: np.ndarray) -> dict[int, np.ndarray]:
-        """Blocks of sum_k w_k Pi_k, one weight per (setting, outcome) row:
-        the transpose of ``probabilities``."""
-        return self.blocks(weights @ self.design / self._scale)
+        """Blocks of sum_k w_k Pi_k."""
+        return self.blocks(self.operator_theta(weights))
 
     def distributions(self, rho: AccessibleDensityMatrix) -> np.ndarray:
         """Outcome distributions of a state, one row per setting.

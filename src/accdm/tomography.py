@@ -5,6 +5,9 @@ stays on the block manifold: every operator involved (state, outcome
 operators, the R update) is block-form with the repeated-copy structure, so
 the iteration never leaves the accessible space.  Convex dilution with
 backtracking makes every accepted step monotone in the log-likelihood.
+The iteration holds its blocks stacked in one zero-padded array of shape
+(sectors, N+1, N+1), so that each step is a few whole-array operations
+whatever the number of sectors.
 """
 
 from __future__ import annotations
@@ -109,16 +112,21 @@ def _clip_and_normalize(blocks: dict[int, np.ndarray], n: int) -> dict[int, np.n
     return {tj: b / total for tj, b in clipped.items()}
 
 
-def linear_inversion(data: list[CountRecord]) -> AccessibleDensityMatrix:
+def linear_inversion(data: list[CountRecord] | _Dataset) -> AccessibleDensityMatrix:
     """Least-squares frequency fit, eigenvalue-clipped to a valid state.
 
     Requires the settings to span the full accessible operator space;
     otherwise a RankDeficiencyError reporting the achieved rank is raised.
+    A ``_Dataset`` is taken as already checked, so that a caller that has
+    built one pays for neither the model nor the span check again.
     """
-    dataset = _Dataset(data)
-    if not dataset.observed.any():
-        raise ValueError("all settings have zero total counts")
-    dataset.check_span()
+    if isinstance(data, _Dataset):
+        dataset = data
+    else:
+        dataset = _Dataset(data)
+        if not dataset.observed.any():
+            raise ValueError("all settings have zero total counts")
+        dataset.check_span()
     rows = dataset.observed
     theta, *_ = np.linalg.lstsq(dataset.model.design[rows],
                                 dataset.frequencies.ravel()[rows], rcond=None)
@@ -154,6 +162,14 @@ def mle_reconstruct(data: list[CountRecord], *, max_iters: int = 100_000,
     inversion (falling back to the maximally mixed state), mixed with
     START_MIX of the maximally mixed state.
 
+    The iterate is held stacked: the blocks zero-padded into one complex
+    array of shape (sectors, N+1, N+1), so R is one matvec and one scatter,
+    R rho R one batched matmul, the normalization one multiplicity-weighted
+    trace, and the direction's probabilities one gather and one matvec.
+    The padding stays exactly zero through R rho R and convex steps.  The
+    outcome model and the span check are built once and shared with the
+    linear-inversion start.
+
     Raises RankDeficiencyError when the settings do not span the accessible
     space, and NumericalError when the iterate breaks monotonicity or leaves
     the positive cone.
@@ -165,15 +181,15 @@ def mle_reconstruct(data: list[CountRecord], *, max_iters: int = 100_000,
     model = dataset.model
 
     try:
-        start = linear_inversion(data)
+        start = linear_inversion(dataset)
     except ValueError:
         start = AccessibleDensityMatrix.maximally_mixed(dataset.n)
     # Clipping leaves exact zero eigenvalues, and R.rho.R scales each
     # eigenvalue by a positive factor, so round-off of either sign there can
     # grow until the iterate leaves the positive cone.  A trace of the
     # maximally mixed state keeps every eigenvalue far above round-off.
-    blocks = {tj: (1 - START_MIX) * b + START_MIX * np.eye(tj + 1) / 2 ** dataset.n
-              for tj, b in start.blocks.items()}
+    rho = model.pad({tj: (1 - START_MIX) * b + START_MIX * np.eye(tj + 1) / 2 ** dataset.n
+                     for tj, b in start.blocks.items()})
 
     counts = dataset.counts.ravel()
     total_counts = counts.sum()
@@ -183,7 +199,7 @@ def mle_reconstruct(data: list[CountRecord], *, max_iters: int = 100_000,
 
     # probabilities are linear in the blocks, so the probabilities of every
     # convex step follow from those of its two ends
-    p = model.probabilities(model.theta(blocks))
+    p = model.probabilities(model.stack_theta(rho))
     ll = ll_of(p)
     trace = [ll]
     converged = False
@@ -191,14 +207,14 @@ def mle_reconstruct(data: list[CountRecord], *, max_iters: int = 100_000,
     d_start = dilution
     for iterations in range(1, max_iters + 1):
         weights = counts / np.maximum(p, 1e-15) / max(total_counts, 1.0)
-        direction = {tj: r_op @ blocks[tj] @ r_op
-                     for tj, r_op in model.operator(weights).items()}
-        total = sum(model.mult[tj] * b.trace().real for tj, b in direction.items())
+        r_op = model.stack(model.operator_theta(weights))
+        direction = r_op @ rho @ r_op
+        total = model.mult @ direction.trace(axis1=1, axis2=2).real
         if total <= 1e-300:
             converged = True
             break
-        direction = {tj: b / total for tj, b in direction.items()}
-        p_dir = model.probabilities(model.theta(direction))
+        direction /= total
+        p_dir = model.probabilities(model.stack_theta(direction))
 
         # backtrack d from the last successful step size (cheaper near the
         # optimum, where the full step keeps getting rejected)
@@ -218,13 +234,14 @@ def mle_reconstruct(data: list[CountRecord], *, max_iters: int = 100_000,
         gain = ll_cand - ll
         if not gain >= 0:
             raise NumericalError("accepted step decreased the log-likelihood")
-        blocks = {tj: (1 - d) * blocks[tj] + d * direction[tj] for tj in blocks}
+        rho = (1 - d) * rho + d * direction
         p, ll = p_cand, ll_cand
         trace.append(ll)
         if gain < tol:
             converged = True
             break
 
+    blocks = model.unpad(rho)
     # rounding guard: tens of thousands of convex steps can leave block
     # eigenvalues a hair below zero
     for two_j, b in blocks.items():

@@ -187,6 +187,34 @@ def test_simulate_zero_shots(workdir):
     assert all(r.count == 0 for r in io.parse_counts(out.read_text()))
 
 
+def expect_usage_error(argv, capsys, flag):
+    with pytest.raises(SystemExit) as err:
+        run(argv)
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert flag in captured.err and "must be finite" in captured.err
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("value", ["-5", "nan", "inf"])
+def test_simulate_rejects_bad_shots(workdir, capsys, value):
+    matrix = analyzed_matrix(workdir)
+    capsys.readouterr()
+    out = workdir / "counts.csv"
+    expect_usage_error(["simulate", matrix, "--settings", workdir / "settings.csv",
+                        "--shots", value, "--out", out], capsys, "--shots")
+    assert not out.exists()
+
+
+def test_simulate_rejects_negative_seed(workdir, capsys):
+    matrix = analyzed_matrix(workdir)
+    capsys.readouterr()
+    out = workdir / "counts.csv"
+    expect_usage_error(["simulate", matrix, "--settings", workdir / "settings.csv",
+                        "--seed", "-1", "--out", out], capsys, "--seed")
+    assert not out.exists()
+
+
 def test_simulate_warns_on_rank_deficient_settings(workdir, capsys):
     matrix = analyzed_matrix(workdir)
     single = workdir / "one.csv"
@@ -255,6 +283,34 @@ def test_reconstruct_corrupt_counts_no_output(workdir):
     assert run(["reconstruct", bad, "--out", out]) == 3
     assert not out.exists()
     assert not (workdir / "nope.dm.report.txt").exists()
+
+
+@pytest.mark.parametrize("flag, value", [("--tol", "-1"), ("--tol", "0"),
+                                         ("--tol", "nan"), ("--tol", "inf"),
+                                         ("--max-iters", "0"), ("--max-iters", "-3")])
+def test_reconstruct_rejects_bad_numbers(workdir, capsys, flag, value):
+    counts = workdir / "counts.csv"
+    counts.write_text(io.format_counts(sample_count_records()))
+    out = workdir / "est.dm"
+    expect_usage_error(["reconstruct", counts, "--out", out, flag, value],
+                       capsys, flag)
+    assert not out.exists()
+    assert not (workdir / "est.dm.report.txt").exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_reconstruct_rejects_non_finite_count(workdir, capsys, value):
+    rows = io.format_counts(sample_count_records()).splitlines()
+    rows[5] = rows[5].rsplit(",", 1)[0] + "," + value
+    counts = workdir / "counts.csv"
+    counts.write_text("\n".join(rows) + "\n")
+    out = workdir / "est.dm"
+    assert run(["reconstruct", counts, "--out", out]) == 3
+    captured = capsys.readouterr()
+    assert "bad counts row" in captured.err
+    assert "verdict" not in captured.out
+    assert not out.exists()
+    assert not (workdir / "est.dm.report.txt").exists()
 
 
 def test_console_script_subprocess(workdir):

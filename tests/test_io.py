@@ -100,6 +100,14 @@ def test_counts_reject_bad_rows():
         io.parse_counts("qwp,hwp\n")
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_counts_reject_non_finite_count(value):
+    with pytest.raises(ValueError, match="finite"):
+        CountRecord(0.0, 0.0, 2, 1, float(value))
+    with pytest.raises(io.FormatError, match="bad counts row"):
+        io.parse_counts(f"qwp_deg,hwp_deg,n_h,n_v,count\n0,0,3,0,12\n0,0,2,1,{value}\n")
+
+
 def test_report_format_round_trip(golden_state):
     report = indistinguishability_report(golden_state)
     text = io.format_report(report)

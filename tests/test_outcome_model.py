@@ -1,10 +1,13 @@
 """The shared outcome model against the per-setting code it replaced.
 
-The oracles below are the earlier implementations: outcome rows from one
-scalar sector rotation per setting, probabilities by a three-operand einsum,
-a design matrix probed one Hermitian basis element at a time, and a span
-rank over flattened outcome-operator blocks.
+The oracles below are the earlier implementations: a Jones matrix built one
+setting at a time, outcome rows from one scalar sector rotation per
+setting, probabilities by a three-operand einsum, a design matrix probed
+one Hermitian basis element at a time, and a span rank over flattened
+outcome-operator blocks.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -16,6 +19,7 @@ from accdm.measurement import (
     NumericalError,
     WaveplateSetting,
     _OutcomeModel,
+    _waveplate_unitaries,
     measurement_span_rank,
     outcome_probabilities,
     outcome_two_m,
@@ -116,6 +120,40 @@ def random_hermitian_blocks(n, rng):
         a = rng.normal(size=(two_j + 1,) * 2) + 1j * rng.normal(size=(two_j + 1,) * 2)
         blocks[two_j] = a + a.conj().T
     return blocks
+
+
+def oracle_waveplate_unitary(qwp_deg, hwp_deg):
+    """The earlier scalar Jones matrix, one pair of plates per call."""
+    def rotation(angle):
+        c, s = math.cos(angle), math.sin(angle)
+        return np.array([[c, -s], [s, c]])
+
+    q, h = math.radians(qwp_deg), math.radians(hwp_deg)
+    qwp = rotation(q) @ np.diag([1.0, 1.0j]) @ rotation(-q)
+    hwp = rotation(h) @ np.diag([1.0, -1.0]) @ rotation(-h)
+    return hwp @ qwp
+
+
+# ---------------------------------------------------------------------------
+# Waveplate unitaries
+# ---------------------------------------------------------------------------
+
+def test_batched_waveplate_unitaries_match_scalar():
+    special = [0.0, 45.0, 90.0, 180.0]
+    angles = np.concatenate([
+        np.array([(q, h) for q in special for h in special]),
+        np.random.default_rng(1200).uniform(-360, 360, size=(200, 2)),
+    ])
+    stack = _waveplate_unitaries(angles[:, 0], angles[:, 1])
+    assert stack.shape == (len(angles), 2, 2)
+    grid = _waveplate_unitaries(angles[:, 0].reshape(8, -1), angles[:, 1].reshape(8, -1))
+    np.testing.assert_array_equal(grid.reshape(stack.shape), stack)
+    for (q, h), u in zip(angles, stack):
+        scalar = waveplate_unitary(WaveplateSetting(q, h))
+        assert scalar.shape == (2, 2)
+        np.testing.assert_allclose(u, scalar, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(u, oracle_waveplate_unitary(q, h), rtol=0, atol=1e-15)
+        np.testing.assert_allclose(u @ u.conj().T, np.eye(2), rtol=0, atol=1e-14)
 
 
 # ---------------------------------------------------------------------------
