@@ -12,7 +12,7 @@ import sys
 
 from . import io
 from .expressions import ParseError, parse_expression_file
-from .measurement import measurement_span_rank, simulate_counts
+from .measurement import MAX_SHOTS, measurement_span_rank, simulate_counts
 from .schur import (
     accessible_param_count,
     occurring_two_j,
@@ -124,6 +124,10 @@ def cmd_reconstruct(args) -> int:
         return _fail(EXIT_FORMAT, str(err))
     except io.FormatError as err:
         return _fail(EXIT_FORMAT, str(err))
+    counted = {r.n_h + r.n_v for r in records}
+    if reference is not None and counted != {reference.n}:
+        return _fail(EXIT_FORMAT, f"reference has {reference.n} photons, counts "
+                                  f"have {', '.join(map(str, sorted(counted)))}")
     try:
         result = mle_reconstruct(records, max_iters=args.max_iters, tol=args.tol)
     except (RankDeficiencyError, NumericalError) as err:
@@ -156,17 +160,21 @@ def cmd_reconstruct(args) -> int:
 # Argument parsing
 # ---------------------------------------------------------------------------
 
-def _number(convert, low: float, *, strict: bool = False):
-    """argparse type: a finite number at least ``low`` (above it if strict)."""
+def _number(convert, low: float, *, strict: bool = False, high: float = math.inf):
+    """argparse type: a finite number at least ``low`` (above it if strict)
+    and at most ``high``."""
     def parse(text: str):
         try:
             value = convert(text)
         except ValueError:
             raise argparse.ArgumentTypeError(f"invalid number: {text!r}") from None
-        if not (math.isfinite(value) and (value > low if strict else value >= low)):
-            relation = "greater than" if strict else "at least"
+        if not (math.isfinite(value) and (value > low if strict else value >= low)
+                and value <= high):
+            relation = f"greater than {low:g}" if strict else f"at least {low:g}"
+            if high < math.inf:
+                relation += f" and at most {high:g}"
             raise argparse.ArgumentTypeError(
-                f"must be finite and {relation} {low:g}, got {text!r}")
+                f"must be finite and {relation}, got {text!r}")
         return value
     return parse
 
@@ -195,8 +203,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim = sub.add_parser("simulate", help="matrix + settings -> Poisson counts")
     p_sim.add_argument("matrix", help="density matrix file")
     p_sim.add_argument("--settings", required=True, help="settings file")
-    p_sim.add_argument("--shots", type=_number(float, 0), default=1e4,
-                       help="mean shots per setting")
+    p_sim.add_argument("--shots", type=_number(float, 0, high=MAX_SHOTS),
+                       default=1e4,
+                       help=f"mean shots per setting, at most {MAX_SHOTS:g}")
     p_sim.add_argument("--seed", type=_number(int, 0), default=0, help="stream seed")
     p_sim.add_argument("--out", required=True, help="output counts file")
     p_sim.set_defaults(func=cmd_simulate)

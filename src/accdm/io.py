@@ -14,7 +14,7 @@ import tempfile
 import numpy as np
 
 from .measurement import CountRecord, WaveplateSetting
-from .schur import su2_multiplicity
+from .schur import N_MAX, su2_multiplicity
 from .states import AccessibleDensityMatrix
 from .tomography import IndistinguishabilityReport, ReconstructionResult
 
@@ -49,6 +49,8 @@ def parse_density_matrix(text: str) -> AccessibleDensityMatrix:
         n = int(lines[0].split()[1])
     except (IndexError, ValueError) as err:
         raise FormatError(f"bad n_photons line: {lines[0]!r}") from err
+    if not 1 <= n <= N_MAX:
+        raise FormatError(f"n_photons must be between 1 and {N_MAX}, got {n}")
 
     blocks: dict[int, np.ndarray] = {}
     i = 1
@@ -57,8 +59,13 @@ def parse_density_matrix(text: str) -> AccessibleDensityMatrix:
         if parts[:2] != ["block", "two_j"] or len(parts) != 5:
             raise FormatError(f"expected 'block two_j <j2> multiplicity <m>', "
                               f"got {lines[i]!r}")
-        two_j = int(parts[2])
-        declared_mult = int(parts[4])
+        try:
+            two_j = int(parts[2])
+            declared_mult = int(parts[4])
+        except ValueError as err:
+            raise FormatError(f"bad block header: {lines[i]!r}") from err
+        if two_j in blocks:
+            raise FormatError(f"block two_j={two_j} appears twice")
         if declared_mult != su2_multiplicity(n, two_j):
             raise FormatError(
                 f"block two_j={two_j}: declared multiplicity {declared_mult} "
@@ -170,16 +177,21 @@ def parse_counts(text: str) -> list[CountRecord]:
     if not lines or lines[0].replace(" ", "") != COUNTS_HEADER:
         raise FormatError(f"counts file must start with header {COUNTS_HEADER!r}")
     records = []
+    cells = set()
     for ln in lines[1:]:
         parts = ln.split(",")
         if len(parts) != 5:
             raise FormatError(f"expected 5 columns, got {ln!r}")
         try:
-            records.append(CountRecord(float(parts[0]), float(parts[1]),
-                                       int(parts[2]), int(parts[3]),
-                                       float(parts[4])))
+            record = CountRecord(float(parts[0]), float(parts[1]),
+                                 int(parts[2]), int(parts[3]), float(parts[4]))
         except ValueError as err:
             raise FormatError(f"bad counts row {ln!r}") from err
+        cell = (record.qwp_deg, record.hwp_deg, record.n_h, record.n_v)
+        if cell in cells:
+            raise FormatError(f"repeated counts row {ln!r}")
+        cells.add(cell)
+        records.append(record)
     if not records:
         raise FormatError("counts file has no rows")
     return records

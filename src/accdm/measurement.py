@@ -20,6 +20,8 @@ from .states import AccessibleDensityMatrix
 
 POVM_TOL = 1e-10
 RANK_TOL = 1e-9
+# mean shots per setting: Generator.poisson rejects means above about 9.2e18
+MAX_SHOTS = 1e18
 
 
 @dataclass(frozen=True)
@@ -294,53 +296,16 @@ def outcome_probabilities(rho: AccessibleDensityMatrix,
 
 
 # ---------------------------------------------------------------------------
-# Deterministic Poisson sampling
+# Poisson count simulation
 # ---------------------------------------------------------------------------
 
-def _poisson_inversion(rng: np.random.Generator, mean: float) -> int:
-    u = rng.random()
-    p = math.exp(-mean)
-    cdf = p
-    k = 0
-    while u > cdf:
-        k += 1
-        p *= mean / k
-        cdf += p
-        if p == 0.0:  # float tail exhausted; u fell in the residual mass
-            break
-    return k
-
-
-def _poisson_ptrs(rng: np.random.Generator, mean: float) -> int:
-    """Hormann's transformed-rejection sampler, valid for mean >= 10."""
-    log_mean = math.log(mean)
-    b = 0.931 + 2.53 * math.sqrt(mean)
-    a = -0.059 + 0.02483 * b
-    inv_alpha = 1.1239 + 1.1328 / (b - 3.4)
-    v_r = 0.9277 - 3.6224 / (b - 2.0)
-    while True:
-        u = rng.random() - 0.5
-        v = rng.random()
-        us = 0.5 - abs(u)
-        k = math.floor((2.0 * a / us + b) * u + mean + 0.43)
-        if us >= 0.07 and v <= v_r:
-            return int(k)
-        if k < 0 or (us < 0.013 and v > us):
-            continue
-        if (math.log(v) + math.log(inv_alpha) - math.log(a / (us * us) + b)
-                <= k * log_mean - mean - math.lgamma(k + 1.0)):
-            return int(k)
-
-
 def poisson_draw(rng: np.random.Generator, mean: float) -> int:
-    """One Poisson variate: sequential inversion below mean 30, PTRS above."""
-    if mean < 0:
-        raise ValueError("mean must be nonnegative")
-    if mean == 0:
-        return 0
-    if mean < 30.0:
-        return _poisson_inversion(rng, mean)
-    return _poisson_ptrs(rng, mean)
+    """One Poisson variate from ``rng``.
+
+    ``Generator.poisson`` raises ValueError for a negative or NaN mean and
+    for one above about 9.2e18.
+    """
+    return int(rng.poisson(mean))
 
 
 def simulate_counts(rho: AccessibleDensityMatrix,
@@ -350,11 +315,12 @@ def simulate_counts(rho: AccessibleDensityMatrix,
     """Poisson count data for every (setting, outcome) pair.
 
     Each pair owns an independent substream seeded by (seed, setting index,
-    outcome index), so results are reproducible and independent of
-    evaluation order.
+    outcome index), so results are reproducible for a given numpy version
+    and independent of evaluation order.  ``mean_shots`` must lie in
+    [0, MAX_SHOTS].
     """
-    if mean_shots < 0:
-        raise ValueError("mean_shots must be nonnegative")
+    if not 0 <= mean_shots <= MAX_SHOTS:
+        raise ValueError(f"mean_shots must be in [0, {MAX_SHOTS:g}]")
     if seed < 0:
         raise ValueError("seed must be nonnegative")
     records = []

@@ -121,16 +121,11 @@ def accessible_param_count(n: int, d: int) -> int:
     """Number of independent real parameters in an accessible density matrix.
 
     Equals C(n + d^2 - 1, n), which is also the sum of squared irrep
-    dimensions over all partitions of n into at most d parts.  The identity
-    is cross-checked here for small arguments.
+    dimensions over all partitions of n into at most d parts.
     """
     if n < 1 or d < 1:
         raise ValueError("n and d must be >= 1")
-    count = math.comb(n + d * d - 1, n)
-    if n <= 8 and d <= 4:
-        by_sum = sum(weyl_dimension(lam, d) ** 2 for lam in partitions(n, d))
-        assert by_sum == count, f"parameter-count identity failed for n={n}, d={d}"
-    return count
+    return math.comb(n + d * d - 1, n)
 
 
 # ---------------------------------------------------------------------------

@@ -192,6 +192,8 @@ class AccessibleDensityMatrix:
             dim = two_j + 1
             if block.shape != (dim, dim):
                 raise ValueError(f"block for two_j={two_j} must be {dim}x{dim}")
+            if not np.isfinite(block).all():
+                raise ValueError(f"block for two_j={two_j} has non-finite entries")
             if np.abs(block - block.conj().T).max() > HERMITICITY_TOL:
                 raise ValueError(f"block for two_j={two_j} is not Hermitian")
             eigs = np.linalg.eigvalsh(block)

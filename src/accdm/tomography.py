@@ -152,15 +152,15 @@ class ReconstructionResult:
 
 
 def mle_reconstruct(data: list[CountRecord], *, max_iters: int = 100_000,
-                    tol: float = 1e-10, dilution: float = 1.0) -> ReconstructionResult:
+                    tol: float = 1e-10) -> ReconstructionResult:
     """Maximize the log-likelihood over accessible states by diluted R.rho.R.
 
     Each iteration forms R = sum_k (n_k / p_k) Pi_k in block form, takes the
-    convex combination (1 - d) rho + d * normalize(R rho R) with d backtracked
-    from ``dilution`` until the log-likelihood does not decrease, and stops
-    when the gain drops below ``tol``.  Initialized from clipped linear
-    inversion (falling back to the maximally mixed state), mixed with
-    START_MIX of the maximally mixed state.
+    convex combination (1 - d) rho + d * normalize(R rho R) with d halved
+    from min(1, twice the last accepted d) until the log-likelihood does not
+    decrease, and stops when the gain drops below ``tol``.  Initialized from
+    clipped linear inversion (falling back to the maximally mixed state),
+    mixed with START_MIX of the maximally mixed state.
 
     The iterate is held stacked: the blocks zero-padded into one complex
     array of shape (sectors, N+1, N+1), so R is one matvec and one scatter,
@@ -174,8 +174,6 @@ def mle_reconstruct(data: list[CountRecord], *, max_iters: int = 100_000,
     space, and NumericalError when the iterate breaks monotonicity or leaves
     the positive cone.
     """
-    if not 0 < dilution <= 1.0:
-        raise ValueError("dilution must be in (0, 1]")
     dataset = _Dataset(data)
     dataset.check_span()
     model = dataset.model
@@ -204,7 +202,7 @@ def mle_reconstruct(data: list[CountRecord], *, max_iters: int = 100_000,
     trace = [ll]
     converged = False
     iterations = 0
-    d_start = dilution
+    d_start = 1.0
     for iterations in range(1, max_iters + 1):
         weights = counts / np.maximum(p, 1e-15) / max(total_counts, 1.0)
         r_op = model.stack(model.operator_theta(weights))
@@ -230,7 +228,7 @@ def mle_reconstruct(data: list[CountRecord], *, max_iters: int = 100_000,
         if not accepted:
             converged = True
             break
-        d_start = min(dilution, 2 * d)
+        d_start = min(1.0, 2 * d)
         gain = ll_cand - ll
         if not gain >= 0:
             raise NumericalError("accepted step decreased the log-likelihood")

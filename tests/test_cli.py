@@ -9,6 +9,7 @@ import pytest
 from accdm import io, measurement, tomography
 from accdm.cli import main
 from accdm.measurement import WaveplateSetting, outcome_probabilities, waveplate_unitary
+from accdm.states import AccessibleDensityMatrix
 from accdm.tomography import fidelity
 
 from conftest import (
@@ -196,7 +197,7 @@ def expect_usage_error(argv, capsys, flag):
     assert "Traceback" not in captured.err
 
 
-@pytest.mark.parametrize("value", ["-5", "nan", "inf"])
+@pytest.mark.parametrize("value", ["-5", "nan", "inf", "1e19"])
 def test_simulate_rejects_bad_shots(workdir, capsys, value):
     matrix = analyzed_matrix(workdir)
     capsys.readouterr()
@@ -230,6 +231,25 @@ def test_simulate_rejects_corrupt_matrix(workdir):
     bad.write_text("not a matrix\n")
     assert run(["simulate", bad, "--settings", workdir / "settings.csv",
                 "--out", workdir / "c.csv"]) == 3
+
+
+@pytest.mark.parametrize("corrupt", [
+    lambda text: text.replace("two_j 1 multiplicity 2", "two_j 1.5 multiplicity 2"),
+    lambda text: text.replace("two_j 1 multiplicity 2", "two_j 1 multiplicity x"),
+    # the last block (two_j = 1: header and two rows) once more
+    lambda text: text + "\n".join(text.splitlines()[-3:]) + "\n",
+    lambda text: io.format_density_matrix(AccessibleDensityMatrix.maximally_mixed(11)),
+], ids=["fractional-two_j", "non-integer-multiplicity", "repeated-block",
+        "eleven-photons"])
+def test_simulate_rejects_malformed_matrix_header(workdir, capsys, corrupt):
+    matrix = analyzed_matrix(workdir)
+    matrix.write_text(corrupt(matrix.read_text()))
+    capsys.readouterr()
+    out = workdir / "counts.csv"
+    assert run(["simulate", matrix, "--settings", workdir / "settings.csv",
+                "--out", out]) == 3
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -274,6 +294,22 @@ def test_reconstruct_noiseless_counts(workdir, capsys):
     stdout = capsys.readouterr().out
     line = [ln for ln in stdout.splitlines() if "fidelity to reference" in ln][0]
     assert float(line.split()[-1]) >= 1 - 1e-6
+
+
+def test_reconstruct_reference_photon_number_mismatch(workdir, capsys):
+    counts = workdir / "counts.csv"
+    counts.write_text(io.format_counts(sample_count_records()))
+    reference = workdir / "two.dm"
+    reference.write_text(io.format_density_matrix(
+        AccessibleDensityMatrix.maximally_mixed(2)))
+    out = workdir / "est.dm"
+    assert run(["reconstruct", counts, "--out", out, "--reference", reference,
+                "--trace", workdir / "ll.txt"]) == 3
+    captured = capsys.readouterr()
+    assert "reference has 2 photons, counts have 3" in captured.err
+    assert "verdict" not in captured.out
+    for name in ("est.dm", "est.dm.report.txt", "ll.txt"):
+        assert not (workdir / name).exists()
 
 
 def test_reconstruct_corrupt_counts_no_output(workdir):

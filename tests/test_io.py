@@ -3,6 +3,7 @@ import pytest
 
 from accdm import io
 from accdm.measurement import CountRecord, simulate_counts
+from accdm.states import AccessibleDensityMatrix
 from accdm.tomography import indistinguishability_report
 
 from conftest import TWELVE_SETTINGS, random_accessible_state
@@ -44,6 +45,39 @@ def test_density_matrix_invalid_state_rejected(golden_state):
     bad = text.replace("3.63636363636363", "7.27272727272727", 1)
     with pytest.raises(io.FormatError, match="not a valid state"):
         io.parse_density_matrix(bad)
+
+
+@pytest.mark.parametrize("header", ["block two_j 1.5 multiplicity 2",
+                                    "block two_j 1 multiplicity x"])
+def test_density_matrix_bad_block_header(golden_state, header):
+    text = io.format_density_matrix(golden_state)
+    bad = text.replace("block two_j 1 multiplicity 2", header)
+    with pytest.raises(io.FormatError, match="bad block header"):
+        io.parse_density_matrix(bad)
+
+
+def test_density_matrix_repeated_block(golden_state):
+    text = io.format_density_matrix(golden_state)
+    lines = text.splitlines()
+    # the two_j = 1 block (header and two rows) once more
+    with pytest.raises(io.FormatError, match="appears twice"):
+        io.parse_density_matrix("\n".join(lines + lines[-3:]))
+
+
+@pytest.mark.parametrize("text", [
+    "n_photons 0\nblock two_j 0 multiplicity 1\n1 0\n",
+    io.format_density_matrix(AccessibleDensityMatrix.maximally_mixed(11)),
+], ids=["zero", "eleven"])
+def test_density_matrix_photon_number_out_of_range(text):
+    with pytest.raises(io.FormatError, match="between 1 and 10"):
+        io.parse_density_matrix(text)
+
+
+@pytest.mark.parametrize("rows", ["nan 0 0 0\n0 0 nan 0\n", "inf 0 0 0\n0 0 -inf 0\n"],
+                         ids=["nan", "inf"])
+def test_density_matrix_non_finite_entries(rows):
+    with pytest.raises(io.FormatError, match="non-finite"):
+        io.parse_density_matrix("n_photons 1\nblock two_j 1 multiplicity 1\n" + rows)
 
 
 def test_state_round_trip():
@@ -98,6 +132,12 @@ def test_counts_reject_bad_rows():
         io.parse_counts("qwp_deg,hwp_deg,n_h,n_v,count\n0,0,3\n")
     with pytest.raises(io.FormatError):
         io.parse_counts("qwp,hwp\n")
+
+
+def test_counts_reject_repeated_row():
+    text = "qwp_deg,hwp_deg,n_h,n_v,count\n0,0,3,0,12\n0,0,2,1,5\n0,0,3,0,7\n"
+    with pytest.raises(io.FormatError, match="repeated counts row"):
+        io.parse_counts(text)
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])

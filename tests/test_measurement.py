@@ -278,6 +278,15 @@ def test_simulate_rejects_negative_shots_and_seed(golden_state):
         simulate_counts(golden_state, TWELVE_SETTINGS, 1.0, seed=-3)
 
 
+def test_simulate_counts_shots_bound(golden_state):
+    # Generator.poisson rejects means above about 9.2e18
+    records = simulate_counts(golden_state, TWELVE_SETTINGS, 1e18, seed=0)
+    assert sum(r.count for r in records) > 0.99e18 * len(TWELVE_SETTINGS)
+    for shots in (1e19, math.nan):
+        with pytest.raises(ValueError, match="mean_shots"):
+            simulate_counts(golden_state, TWELVE_SETTINGS, shots, seed=0)
+
+
 # ---------------------------------------------------------------------------
 # Measurement span
 # ---------------------------------------------------------------------------

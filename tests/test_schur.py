@@ -161,6 +161,13 @@ def test_param_count_examples():
     assert (count_ssyt((2,), 3) ** 2 + count_ssyt((1, 1), 3) ** 2) == 45
 
 
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+@pytest.mark.parametrize("n", range(1, 9))
+def test_param_count_is_sum_of_squared_weyl_dimensions(n, d):
+    by_sum = sum(weyl_dimension(lam, d) ** 2 for lam in partitions(n, d))
+    assert by_sum == accessible_param_count(n, d)
+
+
 def test_partition_enumeration_order():
     assert list(partitions(4, 2)) == [(4,), (3, 1), (2, 2)]
     assert list(partitions(3, 3)) == [(3,), (2, 1), (1, 1, 1)]
