@@ -168,7 +168,9 @@ def _number(convert, low: float, *, strict: bool = False, high: float = math.inf
             value = convert(text)
         except ValueError:
             raise argparse.ArgumentTypeError(f"invalid number: {text!r}") from None
-        if not (math.isfinite(value) and (value > low if strict else value >= low)
+        # an int is finite, and math.isfinite overflows beyond float range
+        finite = isinstance(value, int) or math.isfinite(value)
+        if not (finite and (value > low if strict else value >= low)
                 and value <= high):
             relation = f"greater than {low:g}" if strict else f"at least {low:g}"
             if high < math.inf:
@@ -196,7 +198,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_analyze.add_argument("expression", help="expression file "
                            "(definitions block, then operator factors)")
     p_analyze.add_argument("--out", required=True, help="output matrix file")
-    p_analyze.add_argument("--tol", dest="verdict_tol", type=float, default=1e-3,
+    p_analyze.add_argument("--tol", dest="verdict_tol",
+                           type=_number(float, 0, strict=True), default=1e-3,
                            help="indistinguishability verdict tolerance")
     p_analyze.set_defaults(func=cmd_analyze)
 
@@ -221,7 +224,8 @@ def build_parser() -> argparse.ArgumentParser:
                             "certified distance to the maximum)")
     p_rec.add_argument("--max-iters", type=_number(int, 1), default=100_000,
                        help="iteration cap")
-    p_rec.add_argument("--verdict-tol", type=float, default=1e-3,
+    p_rec.add_argument("--verdict-tol", type=_number(float, 0, strict=True),
+                       default=1e-3,
                        help="indistinguishability verdict tolerance")
     p_rec.add_argument("--trace", help="write the log-likelihood trace here")
     p_rec.set_defaults(func=cmd_reconstruct)

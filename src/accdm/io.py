@@ -59,6 +59,8 @@ def parse_density_matrix(text: str) -> AccessibleDensityMatrix:
         if parts[:2] != ["block", "two_j"] or len(parts) != 5:
             raise FormatError(f"expected 'block two_j <j2> multiplicity <m>', "
                               f"got {lines[i]!r}")
+        if parts[3] != "multiplicity":
+            raise FormatError(f"bad block header: {lines[i]!r}")
         try:
             two_j = int(parts[2])
             declared_mult = int(parts[4])

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -128,6 +128,9 @@ class _Layout:
         self.entry_scale = self.mult[self.sector] * np.where(self.off, 2, 1)
         # each row of design / scale is one outcome operator's theta
         self.scale = np.concatenate([self.entry_scale, self.entry_scale[self.off]])
+        # theta @ trace_weights is sum_j mult_j tr B_j
+        self.trace_weights = np.concatenate([np.where(self.off, 0, self.entry_scale),
+                                             np.zeros(self.off.sum())])
         # float positions: 2 * complex position for the real part, + 1 for
         # the imaginary part; the lower triangle holds the conjugate
         upper = 2 * ((self.sector * (n + 1) + self.row) * (n + 1) + self.col)
@@ -144,7 +147,8 @@ class _Layout:
         self.weight_row = [(tj - two_m[inside]) // 2
                            for tj, inside in zip(self.sectors, self.inside)]
         for array in (self.mult, self.sector, self.row, self.col, self.off,
-                      self.entry_scale, self.scale, self.gather, self.scatter,
+                      self.entry_scale, self.scale, self.trace_weights,
+                      self.gather, self.scatter,
                       self.source, self.sign, *self.inside, *self.weight_row):
             array.setflags(write=False)
 
@@ -152,6 +156,11 @@ class _Layout:
 @lru_cache(maxsize=None)
 def _layout(n: int) -> _Layout:
     return _Layout(n)
+
+
+def _rank(singular_values: np.ndarray) -> int:
+    """Numerical rank: the singular values above RANK_TOL times the largest."""
+    return int((singular_values > RANK_TOL * singular_values.max(initial=0.0)).sum())
 
 
 class _OutcomeModel:
@@ -222,10 +231,19 @@ class _OutcomeModel:
         """Flat outcome probabilities, row-major over (setting, outcome)."""
         return self.design @ theta
 
+    @cached_property
+    def _operator_design(self) -> np.ndarray:
+        # row k is the parameter vector of outcome operator Pi_k
+        return self.design / self._layout.scale
+
     def operator_theta(self, weights: np.ndarray) -> np.ndarray:
         """Parameter vector of sum_k w_k Pi_k, one weight per (setting,
         outcome) row: the transpose of ``probabilities``."""
-        return weights @ self.design / self._layout.scale
+        return weights @ self._operator_design
+
+    def trace(self, theta: np.ndarray) -> float:
+        """Multiplicity-weighted trace sum_j mult_j tr B_j of a parameter vector."""
+        return float(self._layout.trace_weights @ theta)
 
     def operator(self, weights: np.ndarray) -> dict[int, np.ndarray]:
         """Blocks of sum_k w_k Pi_k."""
@@ -248,11 +266,9 @@ class _OutcomeModel:
             raise NumericalError(f"probabilities sum to {totals[bad][0]}, expected 1")
         return p
 
-    def rank(self, rows: np.ndarray | slice = slice(None)) -> int:
-        """Rank of the design restricted to ``rows``: singular values above
-        RANK_TOL times the largest."""
-        sv = np.linalg.svd(self.design[rows], compute_uv=False)
-        return int((sv > RANK_TOL * sv.max(initial=0.0)).sum())
+    def rank(self) -> int:
+        """Numerical rank of the design."""
+        return _rank(np.linalg.svd(self.design, compute_uv=False))
 
 
 @dataclass(frozen=True)
@@ -314,9 +330,12 @@ def simulate_counts(rho: AccessibleDensityMatrix,
                     seed: int) -> list[CountRecord]:
     """Poisson count data for every (setting, outcome) pair.
 
-    Each pair owns an independent substream seeded by (seed, setting index,
-    outcome index), so results are reproducible for a given numpy version
-    and independent of evaluation order.  ``mean_shots`` must lie in
+    Each pair owns a substream of one PCG64 stream seeded by ``seed``: the
+    pair (setting index si, outcome index k) draws from that stream jumped
+    ahead by ((si << 32) + k) * 2**64 steps, so substreams lie 2**64 draws
+    apart and a pair's count depends only on the seed, its indices and its
+    own mean, not on the other pairs or the evaluation order.  Results are
+    reproducible for a given numpy version.  ``mean_shots`` must lie in
     [0, MAX_SHOTS].
     """
     if not 0 <= mean_shots <= MAX_SHOTS:
@@ -325,9 +344,13 @@ def simulate_counts(rho: AccessibleDensityMatrix,
         raise ValueError("seed must be nonnegative")
     records = []
     p = _OutcomeModel(settings, rho.n).distributions(rho)
+    bits = np.random.PCG64(seed)
+    seeded = bits.state
+    rng = np.random.Generator(bits)
     for si, setting in enumerate(settings):
         for k in range(rho.n + 1):
-            rng = np.random.default_rng([seed, si, k])
+            bits.state = seeded
+            bits.advance(((si << 32) + k) << 64)
             count = poisson_draw(rng, mean_shots * p[si, k])
             records.append(CountRecord(setting.qwp_deg, setting.hwp_deg,
                                        rho.n - k, k, count))

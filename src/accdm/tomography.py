@@ -21,6 +21,7 @@ from .measurement import (
     NumericalError,
     WaveplateSetting,
     _OutcomeModel,
+    _rank,
 )
 from .schur import accessible_param_count, su2_multiplicity
 from .states import AccessibleDensityMatrix
@@ -77,14 +78,6 @@ class _Dataset:
         self.frequencies = np.zeros_like(self.counts)
         self.frequencies[seen] = self.counts[seen] / totals[seen, None]
 
-    def check_span(self) -> None:
-        """Raise RankDeficiencyError unless the observed settings span the
-        accessible operator space."""
-        required = accessible_param_count(self.n, 2)
-        rank = self.model.rank(self.observed)
-        if rank < required:
-            raise RankDeficiencyError(rank, required)
-
 
 def log_likelihood(rho: AccessibleDensityMatrix, data: list[CountRecord]) -> float:
     """Sum of count * log(probability), with probabilities floored at 1e-12."""
@@ -115,10 +108,12 @@ def _clip_and_normalize(blocks: dict[int, np.ndarray], n: int) -> dict[int, np.n
 def linear_inversion(data: list[CountRecord] | _Dataset) -> AccessibleDensityMatrix:
     """Least-squares frequency fit, eigenvalue-clipped to a valid state.
 
-    Requires the settings to span the full accessible operator space;
-    otherwise a RankDeficiencyError reporting the achieved rank is raised.
-    A ``_Dataset`` is taken as already checked, so that a caller that has
-    built one pays for neither the model nor the span check again.
+    Requires the observed settings to span the full accessible operator
+    space; otherwise a RankDeficiencyError reporting the achieved rank is
+    raised.  The rank is read from the singular values of the observed
+    design that the least-squares solve computes, so the design is
+    factorized once.  A caller that has built a ``_Dataset`` passes it, to
+    pay for the outcome model only once.
     """
     if isinstance(data, _Dataset):
         dataset = data
@@ -126,10 +121,12 @@ def linear_inversion(data: list[CountRecord] | _Dataset) -> AccessibleDensityMat
         dataset = _Dataset(data)
         if not dataset.observed.any():
             raise ValueError("all settings have zero total counts")
-        dataset.check_span()
     rows = dataset.observed
-    theta, *_ = np.linalg.lstsq(dataset.model.design[rows],
-                                dataset.frequencies.ravel()[rows], rcond=None)
+    theta, _, _, singular_values = np.linalg.lstsq(
+        dataset.model.design[rows], dataset.frequencies.ravel()[rows], rcond=None)
+    rank, required = _rank(singular_values), accessible_param_count(dataset.n, 2)
+    if rank < required:
+        raise RankDeficiencyError(rank, required)
     blocks = dataset.model.blocks(theta)
     return AccessibleDensityMatrix(dataset.n, _clip_and_normalize(blocks, dataset.n))
 
@@ -164,22 +161,23 @@ def mle_reconstruct(data: list[CountRecord], *, max_iters: int = 100_000,
 
     The iterate is held stacked: the blocks zero-padded into one complex
     array of shape (sectors, N+1, N+1), so R is one matvec and one scatter,
-    R rho R one batched matmul, the normalization one multiplicity-weighted
-    trace, and the direction's probabilities one gather and one matvec.
-    The padding stays exactly zero through R rho R and convex steps.  The
-    outcome model and the span check are built once and shared with the
-    linear-inversion start.
+    R rho R one batched matmul, and the normalization and the direction's
+    probabilities one gather and two dot products.  The padding stays
+    exactly zero through R rho R and convex steps.  The outcome model is
+    built once and shared with the linear-inversion start, which also
+    checks the span.
 
     Raises RankDeficiencyError when the settings do not span the accessible
     space, and NumericalError when the iterate breaks monotonicity or leaves
     the positive cone.
     """
     dataset = _Dataset(data)
-    dataset.check_span()
     model = dataset.model
 
     try:
         start = linear_inversion(dataset)
+    except RankDeficiencyError:
+        raise
     except ValueError:
         start = AccessibleDensityMatrix.maximally_mixed(dataset.n)
     # Clipping leaves exact zero eigenvalues, and R.rho.R scales each
@@ -190,7 +188,7 @@ def mle_reconstruct(data: list[CountRecord], *, max_iters: int = 100_000,
                      for tj, b in start.blocks.items()})
 
     counts = dataset.counts.ravel()
-    total_counts = counts.sum()
+    fractions = counts / max(counts.sum(), 1.0)
 
     def ll_of(p: np.ndarray) -> float:
         return float((counts * np.log(np.maximum(p, LOG_FLOOR))).sum())
@@ -204,22 +202,23 @@ def mle_reconstruct(data: list[CountRecord], *, max_iters: int = 100_000,
     iterations = 0
     d_start = 1.0
     for iterations in range(1, max_iters + 1):
-        weights = counts / np.maximum(p, 1e-15) / max(total_counts, 1.0)
-        r_op = model.stack(model.operator_theta(weights))
+        r_op = model.stack(model.operator_theta(fractions / np.maximum(p, 1e-15)))
         direction = r_op @ rho @ r_op
-        total = model.mult @ direction.trace(axis1=1, axis2=2).real
+        theta_dir = model.stack_theta(direction)
+        total = model.trace(theta_dir)
         if total <= 1e-300:
             converged = True
             break
         direction /= total
-        p_dir = model.probabilities(model.stack_theta(direction))
+        theta_dir /= total
+        p_dir = model.probabilities(theta_dir)
 
         # backtrack d from the last successful step size (cheaper near the
         # optimum, where the full step keeps getting rejected)
         d = d_start
         accepted = False
         while d > 1e-12:
-            p_cand = (1 - d) * p + d * p_dir
+            p_cand = p_dir if d == 1.0 else (1 - d) * p + d * p_dir
             ll_cand = ll_of(p_cand)
             if ll_cand >= ll:
                 accepted = True
@@ -232,7 +231,9 @@ def mle_reconstruct(data: list[CountRecord], *, max_iters: int = 100_000,
         gain = ll_cand - ll
         if not gain >= 0:
             raise NumericalError("accepted step decreased the log-likelihood")
-        rho = (1 - d) * rho + d * direction
+        # a full step takes the direction as it is: the same bits as the
+        # convex combination, without its arithmetic
+        rho = direction if d == 1.0 else (1 - d) * rho + d * direction
         p, ll = p_cand, ll_cand
         trace.append(ll)
         if gain < tol:

@@ -125,6 +125,15 @@ def test_analyze_unrepresentable_state_is_format_error(workdir, capsys, text):
     assert not (workdir / "x.dm.report.txt").exists()
 
 
+@pytest.mark.parametrize("value", ["-1", "0", "nan", "inf"])
+def test_analyze_rejects_bad_verdict_tolerance(workdir, capsys, value):
+    out = workdir / "x.dm"
+    expect_usage_error(["analyze", workdir / "state.expr", "--out", out,
+                        "--tol", value], capsys, "--tol")
+    assert not out.exists()
+    assert not (workdir / "x.dm.report.txt").exists()
+
+
 def test_analyze_ten_photons_in_distinct_modes(workdir, capsys):
     x = [0.25 * 1.3 ** k for k in range(10)]
     phi = [0.1 * k - 0.45 for k in range(10)]
@@ -216,6 +225,18 @@ def test_simulate_rejects_negative_seed(workdir, capsys):
     assert not out.exists()
 
 
+def test_huge_integer_seed_and_iteration_cap_are_accepted(workdir, capsys):
+    # integers beyond float range are finite: no OverflowError traceback
+    huge = "1" + "0" * 400
+    matrix = analyzed_matrix(workdir)
+    counts = workdir / "counts.csv"
+    assert run(["simulate", matrix, "--settings", workdir / "settings.csv",
+                "--seed", huge, "--out", counts]) == 0
+    assert run(["reconstruct", counts, "--out", workdir / "est.dm",
+                "--max-iters", huge, "--tol", "1e-2"]) == 0
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_simulate_warns_on_rank_deficient_settings(workdir, capsys):
     matrix = analyzed_matrix(workdir)
     single = workdir / "one.csv"
@@ -239,8 +260,9 @@ def test_simulate_rejects_corrupt_matrix(workdir):
     # the last block (two_j = 1: header and two rows) once more
     lambda text: text + "\n".join(text.splitlines()[-3:]) + "\n",
     lambda text: io.format_density_matrix(AccessibleDensityMatrix.maximally_mixed(11)),
+    lambda text: text.replace("two_j 1 multiplicity 2", "two_j 1 foo 2"),
 ], ids=["fractional-two_j", "non-integer-multiplicity", "repeated-block",
-        "eleven-photons"])
+        "eleven-photons", "misnamed-multiplicity"])
 def test_simulate_rejects_malformed_matrix_header(workdir, capsys, corrupt):
     matrix = analyzed_matrix(workdir)
     matrix.write_text(corrupt(matrix.read_text()))
@@ -323,7 +345,10 @@ def test_reconstruct_corrupt_counts_no_output(workdir):
 
 @pytest.mark.parametrize("flag, value", [("--tol", "-1"), ("--tol", "0"),
                                          ("--tol", "nan"), ("--tol", "inf"),
-                                         ("--max-iters", "0"), ("--max-iters", "-3")])
+                                         ("--max-iters", "0"), ("--max-iters", "-3"),
+                                         ("--verdict-tol", "-1"), ("--verdict-tol", "0"),
+                                         ("--verdict-tol", "nan"),
+                                         ("--verdict-tol", "inf")])
 def test_reconstruct_rejects_bad_numbers(workdir, capsys, flag, value):
     counts = workdir / "counts.csv"
     counts.write_text(io.format_counts(sample_count_records()))

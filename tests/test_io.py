@@ -48,7 +48,8 @@ def test_density_matrix_invalid_state_rejected(golden_state):
 
 
 @pytest.mark.parametrize("header", ["block two_j 1.5 multiplicity 2",
-                                    "block two_j 1 multiplicity x"])
+                                    "block two_j 1 multiplicity x",
+                                    "block two_j 1 foo 2"])
 def test_density_matrix_bad_block_header(golden_state, header):
     text = io.format_density_matrix(golden_state)
     bad = text.replace("block two_j 1 multiplicity 2", header)

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from accdm.measurement import (
     CountRecord,
@@ -243,6 +244,45 @@ def test_simulate_counts_deterministic(golden_state):
     assert a == b
     c = simulate_counts(golden_state, TWELVE_SETTINGS, 1e4, seed=43)
     assert a != c
+
+
+def count_table(records, n):
+    return np.array([r.count for r in records]).reshape(-1, n + 1)
+
+
+ANGLE_PAIRS = st.lists(st.tuples(st.floats(0, 180), st.floats(0, 180)),
+                       min_size=2, max_size=6)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(n=st.integers(1, 4), seed=st.integers(0, 2 ** 80), other=st.integers(0, 2 ** 80),
+       angles=ANGLE_PAIRS, appended=ANGLE_PAIRS, moved=st.integers(0, 5))
+def test_simulate_counts_cells_are_substreams(n, seed, other, angles, appended, moved):
+    # a cell's count depends on the seed, its indices and its own mean only
+    rho = random_accessible_state(n, np.random.default_rng(n))
+    chosen = [WaveplateSetting(q, h) for q, h in angles]
+    base = count_table(simulate_counts(rho, chosen, 1e4, seed), n)
+
+    extended = chosen + [WaveplateSetting(q, h) for q, h in appended]
+    longer = count_table(simulate_counts(rho, extended, 1e4, seed), n)
+    np.testing.assert_array_equal(longer[:len(chosen)], base)
+
+    j = moved % len(chosen)
+    changed = list(chosen)
+    changed[j] = WaveplateSetting(chosen[j].qwp_deg + 30.0, chosen[j].hwp_deg + 7.0)
+    other_cells = count_table(simulate_counts(rho, changed, 1e4, seed), n)
+    keep = np.arange(len(chosen)) != j
+    np.testing.assert_array_equal(other_cells[keep], base[keep])
+
+    # the documented stream: PCG64(seed) jumped ahead by ((si << 32) + k) << 64
+    si, k = len(chosen) - 1, n
+    bits = np.random.PCG64(seed)
+    bits.advance(((si << 32) + k) << 64)
+    mean = 1e4 * outcome_probabilities(rho, chosen[si])[k]
+    assert base[si, k] == np.random.Generator(bits).poisson(mean)
+
+    if other != seed:
+        assert (count_table(simulate_counts(rho, chosen, 1e4, other), n) != base).any()
 
 
 def test_simulate_counts_zero_shots(golden_state):

@@ -19,6 +19,7 @@ from accdm.measurement import (
     NumericalError,
     WaveplateSetting,
     _OutcomeModel,
+    _rank,
     _waveplate_unitaries,
     measurement_span_rank,
     outcome_probabilities,
@@ -33,7 +34,12 @@ from accdm.schur import (
     sector_rotation,
     su2_multiplicity,
 )
-from accdm.tomography import linear_inversion, log_likelihood, mle_reconstruct
+from accdm.tomography import (
+    RankDeficiencyError,
+    linear_inversion,
+    log_likelihood,
+    mle_reconstruct,
+)
 
 from conftest import TWELVE_SETTINGS, random_accessible_state, sample_count_records
 
@@ -224,11 +230,9 @@ def test_operator_is_weighted_sum_of_outcome_operators(n):
 # Span rank
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("n", [2, 3, 4, 5])
-def test_span_rank_matches_flatten_oracle(n):
+def span_rank_cases(n):
     rng = np.random.default_rng(900 + n)
-    full = accessible_param_count(n, 2)
-    setting_sets = [
+    return [
         random_settings(rng, 1),
         random_settings(rng, 3),
         random_settings(rng, 40),
@@ -238,13 +242,38 @@ def test_span_rank_matches_flatten_oracle(n):
         random_settings(rng, 1) * 6,
         TWELVE_SETTINGS,
     ]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_span_rank_matches_flatten_oracle(n):
+    full = accessible_param_count(n, 2)
     ranks = []
-    for settings in setting_sets:
+    for settings in span_rank_cases(n):
         rank = measurement_span_rank(settings, n)
         assert rank == oracle_span_rank(settings, n)
         ranks.append(rank)
     assert ranks[2] == full
     assert min(ranks) < full
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_linear_inversion_rank_matches_model_rank(n):
+    # linear inversion reads the span rank from the singular values of its
+    # least-squares solve, not from a separate SVD
+    full = accessible_param_count(n, 2)
+    rho = random_accessible_state(n, np.random.default_rng(950 + n))
+    for settings in span_rank_cases(n):
+        model = _OutcomeModel(settings, n)
+        p = model.probabilities(model.theta(rho.blocks))
+        assert _rank(np.linalg.lstsq(model.design, p, rcond=None)[3]) == model.rank()
+        records = [CountRecord(s.qwp_deg, s.hwp_deg, n - k, k, 1e4 * p[si * (n + 1) + k])
+                   for si, s in enumerate(settings) for k in range(n + 1)]
+        if model.rank() < full:
+            with pytest.raises(RankDeficiencyError) as err:
+                linear_inversion(records)
+            assert (err.value.rank, err.value.required) == (model.rank(), full)
+        else:
+            assert linear_inversion(records).allclose(rho, atol=1e-8)
 
 
 # ---------------------------------------------------------------------------

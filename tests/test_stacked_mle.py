@@ -30,7 +30,6 @@ def oracle_mle(records, *, max_iters, tol, dilution=1.0):
     """The dict-of-blocks diluted R.rho.R loop; returns (estimate, iterations,
     ll_trace)."""
     dataset = _Dataset(records)
-    dataset.check_span()
     model = dataset.model
     n = dataset.n
     try:
@@ -152,9 +151,12 @@ def test_stacked_mle_keeps_padding_zero():
 
 
 def test_one_model_and_one_svd_per_reconstruction(monkeypatch, golden_state):
-    calls = {"model": 0, "svd": 0}
+    # the one SVD of the observed design is the least-squares solve's: the
+    # span rank is read from its singular values
+    calls = {"model": 0, "svd": 0, "lstsq": 0}
     original_init = measurement._OutcomeModel.__init__
     original_svd = np.linalg.svd
+    original_lstsq = np.linalg.lstsq
 
     def counting_init(self, *args, **kwargs):
         calls["model"] += 1
@@ -164,17 +166,21 @@ def test_one_model_and_one_svd_per_reconstruction(monkeypatch, golden_state):
         calls["svd"] += 1
         return original_svd(*args, **kwargs)
 
+    def counting_lstsq(*args, **kwargs):
+        calls["lstsq"] += 1
+        return original_lstsq(*args, **kwargs)
+
     records = simulate_counts(golden_state, TWELVE_SETTINGS, 1e4, seed=3)
     monkeypatch.setattr(measurement._OutcomeModel, "__init__", counting_init)
     monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    monkeypatch.setattr(np.linalg, "lstsq", counting_lstsq)
     mle_reconstruct(records, max_iters=50)
-    assert calls == {"model": 1, "svd": 1}
+    assert calls == {"model": 1, "svd": 0, "lstsq": 1}
 
 
 def test_linear_inversion_of_dataset_matches_records(golden_state):
     records = simulate_counts(golden_state, TWELVE_SETTINGS, 1e4, seed=4)
     dataset = _Dataset(records)
-    dataset.check_span()
     from_records = linear_inversion(records)
     from_dataset = linear_inversion(dataset)
     for two_j, block in from_records.blocks.items():
