@@ -1,18 +1,30 @@
 """Command-line front end: dims, analyze, simulate, reconstruct.
 
-Exit codes: 0 success, 2 usage, 3 input format, 4 numerical
-(rank deficiency or non-convergence).
+Exit codes: 0 success, 2 usage, 3 input format or a file that cannot be
+read or written, 4 numerical (rank deficiency or non-convergence).  A
+command that does not exit 0 leaves no output file behind.
+
+``main`` may be called any number of times in one process; it builds its
+parser on the first call and reuses it.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import functools
 import math
+import os
 import sys
 
 from . import io
 from .expressions import ParseError, parse_expression_file
-from .measurement import MAX_SHOTS, measurement_span_rank, simulate_counts
+from .measurement import (
+    MAX_SHOTS,
+    _OutcomeModel,
+    measurement_span_rank,
+    simulate_counts,
+)
 from .schur import (
     accessible_param_count,
     occurring_two_j,
@@ -36,6 +48,7 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_FORMAT = 3
 EXIT_NUMERICAL = 4
+DIMS_N_MAX = 1000
 
 
 def _fail(code: int, message: str) -> int:
@@ -44,8 +57,40 @@ def _fail(code: int, message: str) -> int:
 
 
 def _read(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as handle:
-        return handle.read()
+    """Text of an input file; FormatError when it is not UTF-8."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return handle.read()
+    except UnicodeDecodeError as err:
+        raise io.FormatError(f"{path} is not UTF-8 text: {err.reason} at byte "
+                             f"{err.start}") from None
+
+
+def _write(outputs: dict[str, str]) -> int:
+    """Write every output file, or none of them and return exit 3.
+
+    A path that names a directory or lies outside an existing directory is
+    refused before anything is written; when a write fails anyway, the
+    files this call has already written are removed again.
+    """
+    for path in outputs:
+        parent = os.path.dirname(path) or os.curdir
+        if os.path.isdir(path):
+            return _fail(EXIT_FORMAT, f"cannot write {path}: is a directory")
+        if not os.path.isdir(parent):
+            return _fail(EXIT_FORMAT, f"cannot write {path}: {parent} is not "
+                                      f"a directory")
+    written = []
+    for path, text in outputs.items():
+        try:
+            io.write_atomic(path, text)
+        except OSError as err:
+            for done in written:
+                with contextlib.suppress(OSError):
+                    os.unlink(done)
+            return _fail(EXIT_FORMAT, f"cannot write {path}: {err}")
+        written.append(path)
+    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -54,8 +99,10 @@ def _read(path: str) -> str:
 
 def cmd_dims(args) -> int:
     n, d = args.n, args.d
-    if n < 1 or d < 1:
-        return _fail(EXIT_USAGE, "--n and --d must be at least 1")
+    # the d = 2 table has n/2 rows, and range() overflows beyond sys.maxsize
+    if not (1 <= n <= DIMS_N_MAX and d >= 1):
+        return _fail(EXIT_USAGE, f"--n must be between 1 and {DIMS_N_MAX}, "
+                                 f"--d at least 1")
     if d == 2:
         print(f"{'two_j':>6} {'multiplicity':>13} {'dimension':>10}")
         for two_j in occurring_two_j(n):
@@ -76,6 +123,8 @@ def cmd_analyze(args) -> int:
         text = _read(args.expression)
     except OSError as err:
         return _fail(EXIT_FORMAT, f"cannot read {args.expression}: {err}")
+    except io.FormatError as err:
+        return _fail(EXIT_FORMAT, str(err))
     if not text.strip():
         return _fail(EXIT_USAGE, f"expression file {args.expression} is empty")
     try:
@@ -83,8 +132,10 @@ def cmd_analyze(args) -> int:
     except (ParseError, ValueError) as err:
         return _fail(EXIT_FORMAT, str(err))
     report = indistinguishability_report(rho, tol=args.verdict_tol)
-    io.write_atomic(args.out, io.format_density_matrix(rho))
-    io.write_atomic(args.out + ".report.txt", io.format_report(report))
+    code = _write({args.out: io.format_density_matrix(rho),
+                   args.out + ".report.txt": io.format_report(report)})
+    if code != EXIT_OK:
+        return code
     print(f"photons: {rho.n}")
     print(io.format_report(report), end="")
     print(f"wrote {args.out} and {args.out}.report.txt")
@@ -99,17 +150,21 @@ def cmd_simulate(args) -> int:
         return _fail(EXIT_FORMAT, str(err))
     except io.FormatError as err:
         return _fail(EXIT_FORMAT, str(err))
-    rank = measurement_span_rank(settings, rho.n)
+    # one outcome model serves the span rank and the simulation
+    model = _OutcomeModel(settings, rho.n)
+    rank = measurement_span_rank(settings, rho.n, model=model)
     needed = accessible_param_count(rho.n, 2)
     if rank < needed:
         print(f"warning: settings span only {rank} of {needed} dimensions; "
               f"reconstruction from this data will be rank-deficient",
               file=sys.stderr)
     try:
-        records = simulate_counts(rho, settings, args.shots, args.seed)
+        records = simulate_counts(rho, settings, args.shots, args.seed, model=model)
     except NumericalError as err:
         return _fail(EXIT_NUMERICAL, str(err))
-    io.write_atomic(args.out, io.format_counts(records))
+    code = _write({args.out: io.format_counts(records)})
+    if code != EXIT_OK:
+        return code
     total = sum(r.count for r in records)
     print(f"wrote {len(records)} rows ({total:.0f} counts) to {args.out}")
     return EXIT_OK
@@ -135,14 +190,21 @@ def cmd_reconstruct(args) -> int:
     except ValueError as err:
         return _fail(EXIT_FORMAT, str(err))
 
-    report = indistinguishability_report(result.estimate, tol=args.verdict_tol)
-    io.write_atomic(args.out, io.format_density_matrix(result.estimate))
-    io.write_atomic(args.out + ".report.txt", io.format_report(report))
-    if args.trace:
-        io.write_atomic(args.trace, io.format_ll_trace(result))
-
     print(f"iterations: {result.iterations} (converged: {result.converged})")
     print(f"log-likelihood: {result.log_likelihood:.6f}")
+    print(f"likelihood gap bound: {result.gap_bound:.6g}")
+    if not result.converged:
+        return _fail(EXIT_NUMERICAL,
+                     f"not converged within {args.max_iters} iterations")
+
+    report = indistinguishability_report(result.estimate, tol=args.verdict_tol)
+    outputs = {args.out: io.format_density_matrix(result.estimate),
+               args.out + ".report.txt": io.format_report(report)}
+    if args.trace:
+        outputs[args.trace] = io.format_ll_trace(result)
+    code = _write(outputs)
+    if code != EXIT_OK:
+        return code
     if result.floored_cells:
         print(f"warning: {result.floored_cells} outcome(s) had counts but "
               f"near-zero predicted probability", file=sys.stderr)
@@ -150,9 +212,6 @@ def cmd_reconstruct(args) -> int:
         print(f"fidelity to reference: {fidelity(result.estimate, reference):.6f}")
     print(io.format_report(report), end="")
     print(f"wrote {args.out} and {args.out}.report.txt")
-    if not result.converged:
-        return _fail(EXIT_NUMERICAL,
-                     f"not converged within {args.max_iters} iterations")
     return EXIT_OK
 
 
@@ -182,6 +241,8 @@ def _number(convert, low: float, *, strict: bool = False, high: float = math.inf
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """A new parser on every call, free for the caller to extend; ``main``
+    builds one per process."""
     parser = argparse.ArgumentParser(
         prog="accdm",
         description="Accessible density matrices: dimension tables, state "
@@ -233,9 +294,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # parse_args reads and writes only the namespace it returns, so one
+    # parser serves every call of main in a process
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     return args.func(args)
 
 

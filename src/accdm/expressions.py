@@ -19,6 +19,7 @@ orthonormal by convention.
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -192,7 +193,10 @@ class _Parser:
         denominator = 1.0
         if self.peek().kind == "/":
             self.next()
-            denominator = float(self.expect("number").text)
+            tok = self.expect("number")
+            denominator = float(tok.text)
+            if denominator == 0:
+                raise ParseError("division by zero in exp(...)", tok.pos)
         self.expect("*")
         pi_tok = self.expect("ident")
         if pi_tok.text != "pi":
@@ -324,11 +328,12 @@ def parse_definition_line(line: str, definitions: Definitions) -> None:
         expansion = definitions.modes.get(ident, {ident: 1.0 + 0.0j})
         for prim, gamma in expansion.items():
             resolved[prim] = resolved.get(prim, 0) + coef * gamma
-    norm_sq = sum(abs(v) ** 2 for v in resolved.values())
-    if abs(norm_sq - 1.0) > NORM_TOL:
+    # hypot of the parts neither overflows, as a sum of squares does, nor
+    # raises, as abs() of a complex can for a NaN
+    norm = math.hypot(*(x for v in resolved.values() for x in (v.real, v.imag)))
+    if not abs(norm * norm - 1.0) <= NORM_TOL:
         raise ParseError(
-            f"derived mode {name!r} has norm {norm_sq ** 0.5:.12f}, expected 1",
-            eq + 1)
+            f"derived mode {name!r} has norm {norm:.12g}, expected 1", eq + 1)
     definitions.modes[name] = resolved
 
 

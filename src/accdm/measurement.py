@@ -327,7 +327,8 @@ def poisson_draw(rng: np.random.Generator, mean: float) -> int:
 def simulate_counts(rho: AccessibleDensityMatrix,
                     settings: list[WaveplateSetting],
                     mean_shots: float,
-                    seed: int) -> list[CountRecord]:
+                    seed: int, *,
+                    model: _OutcomeModel | None = None) -> list[CountRecord]:
     """Poisson count data for every (setting, outcome) pair.
 
     Each pair owns a substream of one PCG64 stream seeded by ``seed``: the
@@ -336,14 +337,18 @@ def simulate_counts(rho: AccessibleDensityMatrix,
     apart and a pair's count depends only on the seed, its indices and its
     own mean, not on the other pairs or the evaluation order.  Results are
     reproducible for a given numpy version.  ``mean_shots`` must lie in
-    [0, MAX_SHOTS].
+    [0, MAX_SHOTS].  A caller that has built the outcome model of these
+    settings for ``rho.n`` photons passes it as ``model``, to pay for it
+    once.
     """
     if not 0 <= mean_shots <= MAX_SHOTS:
         raise ValueError(f"mean_shots must be in [0, {MAX_SHOTS:g}]")
     if seed < 0:
         raise ValueError("seed must be nonnegative")
     records = []
-    p = _OutcomeModel(settings, rho.n).distributions(rho)
+    if model is None:
+        model = _OutcomeModel(settings, rho.n)
+    p = model.distributions(rho)
     bits = np.random.PCG64(seed)
     seeded = bits.state
     rng = np.random.Generator(bits)
@@ -361,13 +366,17 @@ def simulate_counts(rho: AccessibleDensityMatrix,
 # Linear span of the measurement set
 # ---------------------------------------------------------------------------
 
-def measurement_span_rank(settings: list[WaveplateSetting], n: int) -> int:
+def measurement_span_rank(settings: list[WaveplateSetting], n: int, *,
+                          model: _OutcomeModel | None = None) -> int:
     """Dimension of the real-linear span of all outcome operators.
 
     The rank of the design matrix, whose columns are the block coordinates
     of the outcome operators scaled by nonzero constants; at most
-    accessible_param_count(n, 2) dimensions are reachable.
+    accessible_param_count(n, 2) dimensions are reachable.  A caller that
+    has built the outcome model of these settings passes it as ``model``.
     """
     if not settings:
         raise ValueError("settings must be nonempty")
-    return _OutcomeModel(settings, n).rank()
+    if model is None:
+        model = _OutcomeModel(settings, n)
+    return model.rank()

@@ -12,6 +12,7 @@ whatever the number of sectors.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,7 +24,7 @@ from .measurement import (
     _OutcomeModel,
     _rank,
 )
-from .schur import accessible_param_count, su2_multiplicity
+from .schur import N_MAX, accessible_param_count, su2_multiplicity
 from .states import AccessibleDensityMatrix
 
 LOG_FLOOR = 1e-12
@@ -56,8 +57,10 @@ class _Dataset:
         if len(n_values) != 1:
             raise ValueError(f"records mix photon numbers: {sorted(n_values)}")
         self.n = n_values.pop()
-        if self.n < 1:
-            raise ValueError("photon number must be at least 1")
+        # checked before the counts array of n + 1 columns is allocated
+        if not 1 <= self.n <= N_MAX:
+            raise ValueError(f"photon number must be between 1 and {N_MAX}, "
+                             f"got {self.n}")
 
         settings: list[WaveplateSetting] = []
         index: dict[tuple[float, float], int] = {}
@@ -137,6 +140,17 @@ def linear_inversion(data: list[CountRecord] | _Dataset) -> AccessibleDensityMat
 
 @dataclass
 class ReconstructionResult:
+    """The estimate and its diagnostics.
+
+    ``gap_bound`` certifies the estimate: no state has a log-likelihood
+    more than this many nats above it (Glancy, Knill, Girard, New J. Phys.
+    14, 095017 (2012)).  It is inf when a cell with counts has probability
+    at most LOG_FLOOR at the estimate.  The bound is first-order: at a
+    maximum on the boundary of the state space (rank-deficient) it stays
+    large, often hundreds of nats at N = 8, even when the log-likelihood
+    has converged.
+    """
+
     estimate: AccessibleDensityMatrix
     log_likelihood: float
     iterations: int
@@ -146,6 +160,25 @@ class ReconstructionResult:
     predicted_frequencies: np.ndarray
     ll_trace: np.ndarray = field(repr=False)
     floored_cells: int = 0
+    gap_bound: float = math.inf
+
+
+def _gap_bound(model: _OutcomeModel, counts: np.ndarray, p: np.ndarray) -> float:
+    """lambda_max(sum_k n_k Pi_k / p_k) - sum_k n_k at probabilities p.
+
+    The log-likelihood is concave in the state, so for every state sigma,
+    LL(sigma) - LL(rho) <= tr(sigma R) - sum_k n_k with R the operator
+    above, and tr(sigma R) <= lambda_max(R).
+    """
+    counted = counts > 0
+    if (counted & (p <= LOG_FLOOR)).any():
+        return math.inf
+    weights = np.divide(counts, p, out=np.zeros_like(counts), where=counted)
+    # the zero padding of the stacked blocks adds only zero eigenvalues,
+    # and R is positive semidefinite
+    r_max = np.linalg.eigvalsh(model.stack(model.operator_theta(weights))).max()
+    # tr(rho R) = sum_k n_k, so only round-off can put the difference below zero
+    return max(float(r_max - counts.sum()), 0.0)
 
 
 def mle_reconstruct(data: list[CountRecord], *, max_iters: int = 100_000,
@@ -262,6 +295,7 @@ def mle_reconstruct(data: list[CountRecord], *, max_iters: int = 100_000,
         predicted_frequencies=p_final.reshape(dataset.counts.shape),
         ll_trace=np.array(trace),
         floored_cells=floored,
+        gap_bound=_gap_bound(model, counts, p_final),
     )
 
 

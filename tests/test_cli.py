@@ -6,9 +6,14 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from accdm import io, measurement, tomography
+from accdm import cli, io, measurement, tomography
 from accdm.cli import main
-from accdm.measurement import WaveplateSetting, outcome_probabilities, waveplate_unitary
+from accdm.measurement import (
+    WaveplateSetting,
+    outcome_probabilities,
+    simulate_counts,
+    waveplate_unitary,
+)
 from accdm.states import AccessibleDensityMatrix
 from accdm.tomography import fidelity
 
@@ -187,6 +192,27 @@ def test_simulate_broken_probabilities_exit_4(workdir, capsys, monkeypatch):
                 "--out", out]) == 4
     assert "below tolerance" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_simulate_builds_one_outcome_model(workdir, monkeypatch):
+    # the span rank and the draw share one model; the counts are those of
+    # simulate_counts building its own
+    matrix = analyzed_matrix(workdir)
+    built = []
+    original_init = measurement._OutcomeModel.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args)
+        original_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(measurement._OutcomeModel, "__init__", counting_init)
+    out = workdir / "counts.csv"
+    assert run(["simulate", matrix, "--settings", workdir / "settings.csv",
+                "--shots", "10000", "--seed", "7", "--out", out]) == 0
+    assert len(built) == 1
+    rho = io.parse_density_matrix(matrix.read_text())
+    assert out.read_text() == io.format_counts(
+        simulate_counts(rho, TWELVE_SETTINGS, 1e4, 7))
 
 
 def test_simulate_zero_shots(workdir):
@@ -410,3 +436,172 @@ def test_reconstruct_leaving_positive_cone_exits_4(workdir, capsys, monkeypatch)
     assert "positive cone" in capsys.readouterr().err
     for name in ("est.dm", "est.dm.report.txt", "ll.txt"):
         assert not (workdir / name).exists()
+
+
+def test_reconstruct_not_converged_exits_4_and_writes_nothing(workdir, capsys):
+    counts = workdir / "counts.csv"
+    counts.write_text(io.format_counts(sample_count_records()))
+    before = files_under(workdir)
+    assert run(["reconstruct", counts, "--out", workdir / "est.dm",
+                "--max-iters", "2", "--trace", workdir / "ll.txt"]) == 4
+    captured = capsys.readouterr()
+    assert "not converged within 2 iterations" in captured.err
+    assert "iterations: 2 (converged: False)" in captured.out
+    assert "verdict" not in captured.out and "wrote" not in captured.out
+    assert files_under(workdir) == before
+
+
+def test_reconstruct_prints_likelihood_gap_bound(workdir, capsys):
+    counts = workdir / "counts.csv"
+    counts.write_text(io.format_counts(sample_count_records()))
+    assert run(["reconstruct", counts, "--out", workdir / "est.dm", "--tol", "1e-2"]) == 0
+    line = [ln for ln in capsys.readouterr().out.splitlines()
+            if ln.startswith("likelihood gap bound: ")]
+    assert len(line) == 1 and float(line[0].split()[-1]) >= 0
+
+
+# ---------------------------------------------------------------------------
+# files that cannot be read or written
+# ---------------------------------------------------------------------------
+
+def files_under(path):
+    return sorted(p.relative_to(path) for p in path.rglob("*"))
+
+
+def expect_write_error(argv, workdir, capsys, target):
+    before = files_under(workdir)
+    assert run(argv) == 3
+    captured = capsys.readouterr()
+    assert f"error: cannot write {target}" in captured.err
+    assert "Traceback" not in captured.err
+    assert "verdict" not in captured.out and "wrote" not in captured.out
+    assert files_under(workdir) == before
+
+
+@pytest.mark.parametrize("target", ["missing/x.dm", "sub"],
+                         ids=["missing-directory", "directory"])
+def test_analyze_unwritable_output_exits_3(workdir, capsys, target):
+    (workdir / "sub").mkdir()
+    out = workdir / target
+    expect_write_error(["analyze", workdir / "state.expr", "--out", out],
+                       workdir, capsys, out)
+
+
+@pytest.mark.parametrize("target", ["missing/c.csv", "sub"],
+                         ids=["missing-directory", "directory"])
+def test_simulate_unwritable_output_exits_3(workdir, capsys, target):
+    matrix = analyzed_matrix(workdir)
+    capsys.readouterr()
+    (workdir / "sub").mkdir()
+    out = workdir / target
+    expect_write_error(["simulate", matrix, "--settings", workdir / "settings.csv",
+                        "--out", out], workdir, capsys, out)
+
+
+@pytest.mark.parametrize("flag, target", [("--out", "missing/est.dm"), ("--out", "sub"),
+                                          ("--trace", "missing/ll.txt"),
+                                          ("--trace", "sub")],
+                         ids=["out-missing", "out-directory", "trace-missing",
+                              "trace-directory"])
+def test_reconstruct_unwritable_output_exits_3(workdir, capsys, flag, target):
+    counts = workdir / "counts.csv"
+    counts.write_text(io.format_counts(sample_count_records()))
+    (workdir / "sub").mkdir()
+    paths = {"--out": workdir / "est.dm", "--trace": workdir / "ll.txt"}
+    paths[flag] = workdir / target
+    expect_write_error(["reconstruct", counts, "--tol", "1e-2",
+                        "--out", paths["--out"], "--trace", paths["--trace"]],
+                       workdir, capsys, paths[flag])
+
+
+def test_failed_write_removes_the_outputs_already_written(workdir, capsys, monkeypatch):
+    # a failure the checks before writing cannot see (a full disk, say)
+    original = io.write_atomic
+
+    def write_atomic(path, text):
+        if path.endswith("ll.txt"):
+            raise OSError(28, "No space left on device")
+        original(path, text)
+
+    monkeypatch.setattr(io, "write_atomic", write_atomic)
+    counts = workdir / "counts.csv"
+    counts.write_text(io.format_counts(sample_count_records()))
+    expect_write_error(["reconstruct", counts, "--tol", "1e-2", "--out",
+                        workdir / "est.dm", "--trace", workdir / "ll.txt"],
+                       workdir, capsys, workdir / "ll.txt")
+
+
+@pytest.mark.parametrize("command", ["analyze", "simulate", "reconstruct"])
+def test_input_that_is_not_utf8_exits_3(workdir, capsys, command):
+    bad = workdir / "bad.txt"
+    bad.write_bytes(b"qwp_deg,hwp_deg\n\xff\xfe,0\n")
+    out = workdir / "out.txt"
+    argv = {"analyze": ["analyze", bad, "--out", out],
+            "simulate": ["simulate", analyzed_matrix(workdir), "--settings", bad,
+                         "--out", out],
+            "reconstruct": ["reconstruct", bad, "--out", out]}[command]
+    capsys.readouterr()
+    assert run(argv) == 3
+    assert "is not UTF-8 text" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_counts_with_a_huge_photon_number_exit_3(workdir, capsys):
+    # refused before a counts array with one column per outcome is allocated
+    counts = workdir / "counts.csv"
+    counts.write_text("qwp_deg,hwp_deg,n_h,n_v,count\n0,0,1000000000000000,0,5\n")
+    assert run(["reconstruct", counts, "--out", workdir / "est.dm"]) == 3
+    assert "between 1 and 10" in capsys.readouterr().err
+    assert not (workdir / "est.dm").exists()
+
+
+# ---------------------------------------------------------------------------
+# one parser per process
+# ---------------------------------------------------------------------------
+
+def test_main_builds_its_parser_once(workdir, capsys, monkeypatch):
+    built = []
+    original = cli.build_parser
+
+    def counting_build_parser():
+        built.append(1)
+        return original()
+
+    monkeypatch.setattr(cli, "build_parser", counting_build_parser)
+    cli._parser.cache_clear()
+    try:
+        for _ in range(3):
+            assert run(["dims", "--n", "3"]) == 0
+        matrix = analyzed_matrix(workdir)
+        assert run(["simulate", matrix, "--settings", workdir / "settings.csv",
+                    "--out", workdir / "counts.csv"]) == 0
+    finally:
+        cli._parser.cache_clear()
+    assert len(built) == 1
+    # a caller who extends the parser gets one of their own
+    assert cli.build_parser() is not cli.build_parser()
+
+
+def test_reused_parser_forgets_the_previous_options(workdir, capsys):
+    counts = workdir / "counts.csv"
+    counts.write_text(io.format_counts(sample_count_records()))
+    matrix = analyzed_matrix(workdir)
+    argv = ["reconstruct", counts, "--out", workdir / "est.dm", "--tol", "1e-2"]
+    assert run(argv + ["--reference", matrix, "--trace", workdir / "ll.txt"]) == 0
+    assert "fidelity to reference" in capsys.readouterr().out
+    (workdir / "ll.txt").unlink()
+    assert run(argv) == 0
+    assert "fidelity to reference" not in capsys.readouterr().out
+    assert not (workdir / "ll.txt").exists()
+
+
+def test_usage_error_between_calls_changes_nothing(workdir, capsys):
+    argv = ["analyze", workdir / "state.expr", "--out", workdir / "rho.dm"]
+    assert run(argv) == 0
+    first = capsys.readouterr().out
+    with pytest.raises(SystemExit) as err:
+        run(argv + ["--tol", "0.5", "--tol", "nan"])
+    assert err.value.code == 2
+    capsys.readouterr()
+    assert run(argv) == 0
+    assert capsys.readouterr().out == first

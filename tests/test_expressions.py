@@ -95,6 +95,21 @@ def test_derived_mode_must_be_unit_norm():
         parse_definition_line("c = 0.5*a + 0.5*b", defs)
 
 
+@pytest.mark.parametrize("line", ["c = 1e200*a + b", "c = 1e400*a",
+                                  "c = exp(i*1e400*pi)*a"],
+                         ids=["overflowing-square", "infinite", "nan"])
+def test_derived_mode_norm_that_is_not_finite_is_a_parse_error(line):
+    with pytest.raises(ParseError, match="norm"):
+        parse_definition_line(line, Definitions())
+
+
+@pytest.mark.parametrize("text", ["(exp(i*1/0*pi)*aH)", "x = exp(i*1/0*pi)\n(x*aH)"],
+                         ids=["in-expression", "in-definition"])
+def test_phase_with_zero_denominator_is_a_parse_error(text):
+    with pytest.raises(ParseError, match="division by zero"):
+        parse_expression_file(text)
+
+
 def test_constant_definition_then_mode_definition():
     defs = Definitions()
     parse_definition_line("half = 0.7071067811865476", defs)

@@ -23,6 +23,7 @@ from accdm.measurement import waveplate_unitary
 
 from conftest import (
     TWELVE_SETTINGS,
+    half_overlap_blocks,
     noon_state,
     random_accessible_state,
     sample_count_records,
@@ -329,3 +330,51 @@ def test_report_symmetric_but_impure_is_inconclusive():
 def test_report_tolerance_must_be_positive(golden_state):
     with pytest.raises(ValueError):
         indistinguishability_report(golden_state, tol=0.0)
+
+
+def gap_bound_datasets():
+    rng = np.random.default_rng(12)
+    random_settings = [WaveplateSetting(q, h) for q, h in rng.uniform(0, 180, (20, 2))]
+    golden = AccessibleDensityMatrix(3, half_overlap_blocks())
+    yield golden, simulate_counts(golden, TWELVE_SETTINGS, 1e4, seed=21)
+    yield noon_state(3), simulate_counts(noon_state(3), TWELVE_SETTINGS, 1e3, seed=22)
+    two = random_accessible_state(2, rng)
+    yield two, simulate_counts(two, TWELVE_SETTINGS, 1e3, seed=23)
+    four = random_accessible_state(4, rng)
+    yield four, simulate_counts(four, random_settings, 1e4, seed=24)
+
+
+@pytest.mark.parametrize("max_iters, tol", [(5, 1e-10), (100_000, 1e-3)],
+                         ids=["stopped-early", "converged"])
+def test_gap_bound_certifies_the_estimate(max_iters, tol):
+    # LL(sigma) - LL(estimate) <= gap_bound for every state sigma; here the
+    # truth, the maximally mixed state and random states
+    rng = np.random.default_rng(5)
+    for truth, records in gap_bound_datasets():
+        result = mle_reconstruct(records, max_iters=max_iters, tol=tol)
+        assert 0 <= result.gap_bound < math.inf
+        ll_estimate = log_likelihood(result.estimate, records)
+        slack = 1e-9 * abs(ll_estimate)
+        others = [truth, AccessibleDensityMatrix.maximally_mixed(truth.n)]
+        others += [random_accessible_state(truth.n, rng) for _ in range(5)]
+        for sigma in others:
+            assert log_likelihood(sigma, records) - ll_estimate <= result.gap_bound + slack
+
+
+def test_gap_bound_is_small_at_an_interior_maximum():
+    # noiseless counts of a full-rank state: the maximum is the state itself,
+    # where sum_k n_k Pi_k / p_k is sum_k n_k times the identity; what is
+    # left is round-off relative to the 1.2e5 counts
+    rho = random_accessible_state(3, np.random.default_rng(8))
+    result = mle_reconstruct(expected_count_records(rho, TWELVE_SETTINGS, 1e4),
+                             tol=1e-12)
+    assert result.gap_bound < 1e-3
+
+
+def test_gap_bound_is_infinite_when_a_counted_cell_has_no_probability():
+    from accdm.tomography import LOG_FLOOR, _Dataset, _gap_bound
+    dataset = _Dataset(sample_count_records())
+    counts = dataset.counts.ravel()
+    p = np.full(counts.size, 0.25)
+    p[np.argmax(counts)] = LOG_FLOOR
+    assert _gap_bound(dataset.model, counts, p) == math.inf
