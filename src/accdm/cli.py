@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import itertools
 import math
 import os
 import sys
@@ -49,6 +50,8 @@ EXIT_USAGE = 2
 EXIT_FORMAT = 3
 EXIT_NUMERICAL = 4
 DIMS_N_MAX = 1000
+DIMS_D_MAX = 100  # d ** (2 n) then has at most 4001 of the 4300 digits str() allows
+DIMS_ROWS_MAX = 10_000
 
 
 def _fail(code: int, message: str) -> int:
@@ -100,16 +103,21 @@ def _write(outputs: dict[str, str]) -> int:
 def cmd_dims(args) -> int:
     n, d = args.n, args.d
     # the d = 2 table has n/2 rows, and range() overflows beyond sys.maxsize
-    if not (1 <= n <= DIMS_N_MAX and d >= 1):
+    if not (1 <= n <= DIMS_N_MAX and 1 <= d <= DIMS_D_MAX):
         return _fail(EXIT_USAGE, f"--n must be between 1 and {DIMS_N_MAX}, "
-                                 f"--d at least 1")
+                                 f"--d between 1 and {DIMS_D_MAX}")
     if d == 2:
         print(f"{'two_j':>6} {'multiplicity':>13} {'dimension':>10}")
         for two_j in occurring_two_j(n):
             print(f"{two_j:>6} {su2_multiplicity(n, two_j):>13} {two_j + 1:>10}")
     else:
+        # about n^(d-1) / ((d-1)! d!) rows
+        rows = list(itertools.islice(partitions(n, d), DIMS_ROWS_MAX + 1))
+        if len(rows) > DIMS_ROWS_MAX:
+            return _fail(EXIT_USAGE, f"the table for --n {n} --d {d} has more "
+                                     f"than {DIMS_ROWS_MAX} rows")
         print(f"{'partition':>20} {'dimension':>10}")
-        for lam in partitions(n, d):
+        for lam in rows:
             print(f"{str(lam):>20} {weyl_dimension(lam, d):>10}")
     sym = symmetric_dimension(n, d)
     print(f"symmetric dimension: {sym} (squared: {sym ** 2})")

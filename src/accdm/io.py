@@ -98,47 +98,6 @@ def parse_density_matrix(text: str) -> AccessibleDensityMatrix:
 
 
 # ---------------------------------------------------------------------------
-# First-quantized states
-# ---------------------------------------------------------------------------
-
-def format_state(state) -> str:
-    """One 'amplitude <pol:mode ...> <re> <im>' line per basis label."""
-    lines = [f"n_photons {state.n}"]
-    for key in sorted(state.amplitudes):
-        labels = " ".join(f"{pol}:{mode}" for pol, mode in key)
-        amp = state.amplitudes[key]
-        lines.append(f"amplitude {labels} {amp.real:.17e} {amp.imag:.17e}")
-    return "\n".join(lines) + "\n"
-
-
-def parse_state(text: str):
-    from .states import FirstQuantizedState
-
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith("n_photons"):
-        raise FormatError("state file must start with 'n_photons <N>'")
-    try:
-        n = int(lines[0].split()[1])
-    except (IndexError, ValueError) as err:
-        raise FormatError(f"bad n_photons line: {lines[0]!r}") from err
-    amplitudes = {}
-    for ln in lines[1:]:
-        parts = ln.split()
-        if parts[0] != "amplitude" or len(parts) != n + 3:
-            raise FormatError(f"expected 'amplitude' with {n} labels and "
-                              f"re/im, got {ln!r}")
-        try:
-            key = tuple(tuple(label.split(":", 1)) for label in parts[1:n + 1])
-            amplitudes[key] = complex(float(parts[-2]), float(parts[-1]))
-        except ValueError as err:
-            raise FormatError(f"bad amplitude row {ln!r}") from err
-    try:
-        return FirstQuantizedState(n, amplitudes)
-    except ValueError as err:
-        raise FormatError(f"file parsed but is not a valid state: {err}") from err
-
-
-# ---------------------------------------------------------------------------
 # Settings and counts tables
 # ---------------------------------------------------------------------------
 

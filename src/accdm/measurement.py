@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
-from .schur import N_MAX, occurring_two_j, sector_rotation, su2_multiplicity
+from .schur import N_MAX, _layout, sector_rotation
 from .states import AccessibleDensityMatrix
 
 POVM_TOL = 1e-10
@@ -96,68 +96,6 @@ class NumericalError(ArithmeticError):
     """A computation broke an invariant it must keep; its result is invalid."""
 
 
-class _Layout:
-    """Everything about the block parameters of n photons that depends only
-    on n; built once per n by :func:`_layout`.
-
-    The parameter vector ``theta`` holds the real parts of every block's
-    upper triangle, row by row and sectors in ``occurring_two_j`` order,
-    then the imaginary parts of the off-diagonal ones in the same order.
-    The blocks are also held stacked: one zero-padded complex array of
-    shape (sectors, n+1, n+1), block two_j in the top-left corner of its
-    slice.  ``gather`` and ``scatter`` map between theta and the float
-    view of that array, raveled.
-    """
-
-    def __init__(self, n: int):
-        self.sectors = occurring_two_j(n)
-        self.shape = (len(self.sectors), n + 1, n + 1)
-        self.mult = np.array([su2_multiplicity(n, tj) for tj in self.sectors])
-        sector, row, col = [], [], []
-        for s, two_j in enumerate(self.sectors):
-            index = np.arange(two_j + 1)
-            a, b = np.nonzero(index[:, None] <= index)
-            sector.append(np.full(a.size, s))
-            row.append(a)
-            col.append(b)
-        # sector and position of each upper-triangle entry, in theta order
-        self.sector, self.row, self.col = (np.concatenate(x) for x in (sector, row, col))
-        self.off = self.row != self.col
-        # upper-triangle entry (a, b) adds mult * 2 Re(B_ab m_a conj(m_b))
-        # to each probability, half that on the diagonal
-        self.entry_scale = self.mult[self.sector] * np.where(self.off, 2, 1)
-        # each row of design / scale is one outcome operator's theta
-        self.scale = np.concatenate([self.entry_scale, self.entry_scale[self.off]])
-        # theta @ trace_weights is sum_j mult_j tr B_j
-        self.trace_weights = np.concatenate([np.where(self.off, 0, self.entry_scale),
-                                             np.zeros(self.off.sum())])
-        # float positions: 2 * complex position for the real part, + 1 for
-        # the imaginary part; the lower triangle holds the conjugate
-        upper = 2 * ((self.sector * (n + 1) + self.row) * (n + 1) + self.col)
-        lower = 2 * ((self.sector * (n + 1) + self.col) * (n + 1) + self.row)
-        self.gather = np.concatenate([upper, upper[self.off] + 1])
-        count, imag = upper.size, np.arange(upper.size, self.scale.size)
-        self.scatter = np.concatenate([upper, lower, upper[self.off] + 1,
-                                       lower[self.off] + 1])
-        self.source = np.concatenate([np.arange(count), np.arange(count), imag, imag])
-        self.sign = np.concatenate([np.ones(2 * count + imag.size), -np.ones(imag.size)])
-        # outcome k = N_V reads the row of weight n - 2k, if inside the sector
-        two_m = outcome_two_m(n, np.arange(n + 1))
-        self.inside = [np.abs(two_m) <= tj for tj in self.sectors]
-        self.weight_row = [(tj - two_m[inside]) // 2
-                           for tj, inside in zip(self.sectors, self.inside)]
-        for array in (self.mult, self.sector, self.row, self.col, self.off,
-                      self.entry_scale, self.scale, self.trace_weights,
-                      self.gather, self.scatter,
-                      self.source, self.sign, *self.inside, *self.weight_row):
-            array.setflags(write=False)
-
-
-@lru_cache(maxsize=None)
-def _layout(n: int) -> _Layout:
-    return _Layout(n)
-
-
 def _rank(singular_values: np.ndarray) -> int:
     """Numerical rank: the singular values above RANK_TOL times the largest."""
     return int((singular_values > RANK_TOL * singular_values.max(initial=0.0)).sum())
@@ -168,64 +106,33 @@ class _OutcomeModel:
     fixed list of settings.
 
     Probabilities are linear in the blocks, p = sum_j mult_j tr(B_j Pi_kj),
-    so one real design matrix over the C(N+3,3) block parameters serves
-    span rank, simulation, linear inversion and maximum likelihood.  The
-    parameter order and the stacked form of the blocks are fixed by
-    :class:`_Layout`, and only this class reads its index arrays.
+    so one real design matrix over the block parameters theta of
+    :class:`accdm.schur._Layout` serves span rank, simulation, linear
+    inversion and maximum likelihood.
     """
 
     def __init__(self, settings: list[WaveplateSetting], n: int):
         if not 1 <= n <= N_MAX:
             raise ValueError(f"n must be between 1 and {N_MAX}")
         self.n = n
-        layout = self._layout = _layout(n)
-        self.mult = layout.mult
+        layout = self.layout = _layout(n)
         unitaries = _waveplate_unitaries(
             np.array([s.qwp_deg for s in settings], dtype=float),
             np.array([s.hwp_deg for s in settings], dtype=float))
-        # one row per (setting, outcome) and sector, zero-padded to n+1
-        # entries; the outcome's block is conj(row) row^T
+        # one row m per (setting, outcome) and sector, zero-padded to n+1
+        # entries; the outcome's block is conj(m) m^T, and upper-triangle
+        # entry (a, b) of B adds entry_scale * Re(B_ab m_a conj(m_b)) to its
+        # probability.  Outcome N_V reads the row of its weight, if inside.
+        two_m = outcome_two_m(n, np.arange(n + 1))
         rows = np.zeros((len(settings), n + 1) + layout.shape[:2], dtype=complex)
         for s, two_j in enumerate(layout.sectors):
+            inside = np.abs(two_m) <= two_j
             w = sector_rotation(unitaries, n, two_j)
-            rows[:, layout.inside[s], s, :two_j + 1] = w[:, layout.weight_row[s]]
+            rows[:, inside, s, :two_j + 1] = w[:, (two_j - two_m[inside]) // 2]
         rows = rows.reshape((-1,) + layout.shape[:2])
-        self.rows = {tj: rows[:, s, :tj + 1] for s, tj in enumerate(layout.sectors)}
         terms = (layout.entry_scale * rows[:, layout.sector, layout.row]
                  * rows[:, layout.sector, layout.col].conj())
         self.design = np.hstack([terms.real, -terms[:, layout.off].imag])
-
-    def stack(self, theta: np.ndarray) -> np.ndarray:
-        """Stacked Hermitian blocks of a real parameter vector."""
-        layout = self._layout
-        flat = np.zeros(2 * math.prod(layout.shape))
-        flat[layout.scatter] = theta[layout.source] * layout.sign
-        return flat.view(complex).reshape(layout.shape)
-
-    def stack_theta(self, stack: np.ndarray) -> np.ndarray:
-        """Real parameter vector of stacked Hermitian blocks (upper triangles)."""
-        return stack.reshape(-1).view(float)[self._layout.gather]
-
-    def pad(self, blocks: dict[int, np.ndarray]) -> np.ndarray:
-        """Stacked form of a block family."""
-        sectors = self._layout.sectors
-        stack = np.zeros(self._layout.shape, dtype=complex)
-        for s, two_j in enumerate(sectors):
-            stack[s, :two_j + 1, :two_j + 1] = blocks[two_j]
-        return stack
-
-    def unpad(self, stack: np.ndarray) -> dict[int, np.ndarray]:
-        """Block family of a stacked form."""
-        return {tj: stack[s, :tj + 1, :tj + 1].copy()
-                for s, tj in enumerate(self._layout.sectors)}
-
-    def theta(self, blocks: dict[int, np.ndarray]) -> np.ndarray:
-        """Real parameter vector of a Hermitian block family."""
-        return self.stack_theta(self.pad(blocks))
-
-    def blocks(self, theta: np.ndarray) -> dict[int, np.ndarray]:
-        """Hermitian block family of a real parameter vector."""
-        return self.unpad(self.stack(theta))
 
     def probabilities(self, theta: np.ndarray) -> np.ndarray:
         """Flat outcome probabilities, row-major over (setting, outcome)."""
@@ -234,20 +141,12 @@ class _OutcomeModel:
     @cached_property
     def _operator_design(self) -> np.ndarray:
         # row k is the parameter vector of outcome operator Pi_k
-        return self.design / self._layout.scale
+        return self.design / self.layout.scale
 
     def operator_theta(self, weights: np.ndarray) -> np.ndarray:
         """Parameter vector of sum_k w_k Pi_k, one weight per (setting,
         outcome) row: the transpose of ``probabilities``."""
         return weights @ self._operator_design
-
-    def trace(self, theta: np.ndarray) -> float:
-        """Multiplicity-weighted trace sum_j mult_j tr B_j of a parameter vector."""
-        return float(self._layout.trace_weights @ theta)
-
-    def operator(self, weights: np.ndarray) -> dict[int, np.ndarray]:
-        """Blocks of sum_k w_k Pi_k."""
-        return self.blocks(self.operator_theta(weights))
 
     def distributions(self, rho: AccessibleDensityMatrix) -> np.ndarray:
         """Outcome distributions of a state, one row per setting.
@@ -256,7 +155,7 @@ class _OutcomeModel:
         when a probability is below -1e-12 or a row does not sum to 1
         within 1e-10.
         """
-        p = self.probabilities(self.theta(rho.blocks)).reshape(-1, self.n + 1)
+        p = self.probabilities(self.layout.theta(rho.blocks)).reshape(-1, self.n + 1)
         if (p < -1e-12).any():
             raise NumericalError(f"probability {p.min()} below tolerance")
         p = np.clip(p, 0.0, None)
@@ -294,10 +193,9 @@ class PovmElement:
 
 def povm_elements(setting: WaveplateSetting, n: int) -> list[PovmElement]:
     """The N+1 outcome operators of one setting, ordered (N,0), (N-1,1), ..., (0,N)."""
-    rows = _OutcomeModel([setting], n).rows
-    return [PovmElement(n, n - k, k, {two_j: np.outer(m[k].conj(), m[k])
-                                      for two_j, m in rows.items()})
-            for k in range(n + 1)]
+    model = _OutcomeModel([setting], n)
+    return [PovmElement(n, n - k, k, model.layout.blocks(theta))
+            for k, theta in enumerate(model._operator_design)]
 
 
 def outcome_probabilities(rho: AccessibleDensityMatrix,

@@ -3,10 +3,10 @@
 The N-qubit space decomposes into total-angular-momentum sectors j, each
 occurring with a multiplicity determined by the Clebsch-Gordan series.  This
 module provides the counting side of that decomposition (multiplicities,
-irrep dimensions via the Weyl character formula, parameter counts) and the
+irrep dimensions via the Weyl character formula, parameter counts), the
 explicit orthonormal change of basis from the computational {H,V}^N basis to
 (j, multiplicity copy, weight) labels, built by sequential angular-momentum
-coupling.
+coupling, and the one real-vector form of a family of sector blocks.
 
 Half-integer angular momenta are represented exactly as doubled integers:
 ``two_j = 2j`` and ``two_m = 2m``.
@@ -97,17 +97,21 @@ def weyl_dimension(partition: Sequence[int], d: int) -> int:
 
     Weyl character formula: prod over 1 <= i < j <= d of
     ``(lam_i - lam_j + j - i) / (j - i)`` with the partition padded to
-    length d by zeros.  For d = 2 this is 2j + 1.
+    length d by zeros.  For d = 2 this is 2j + 1.  With l nonzero parts, the
+    pairs (i, j > l) give C(lam_i + d - i, lam_i) / C(lam_i + l - i, lam_i).
     """
     if d < 1:
         raise ValueError("d must be >= 1")
-    lam = _validate_partition(partition, d) + (0,) * (d - len(partition))
-    result = Fraction(1)
-    for i in range(d):
-        for j in range(i + 1, d):
-            result *= Fraction(lam[i] - lam[j] + j - i, j - i)
-    assert result.denominator == 1
-    return int(result)
+    lam = [x for x in _validate_partition(partition, d) if x]
+    parts = len(lam)
+    numerator = denominator = 1
+    for i, a in enumerate(lam):
+        numerator *= math.comb(a + d - 1 - i, a)
+        denominator *= math.comb(a + parts - 1 - i, a)
+        for j in range(i + 1, parts):
+            numerator *= a - lam[j] + j - i
+            denominator *= j - i
+    return numerator // denominator
 
 
 def symmetric_dimension(n: int, d: int) -> int:
@@ -320,3 +324,94 @@ def sector_rotation(u: np.ndarray, n: int, two_j: int) -> np.ndarray:
     u = np.asarray(u, dtype=complex)
     det = u[..., 0, 0] * u[..., 1, 1] - u[..., 0, 1] * u[..., 1, 0]
     return (det ** ((n - two_j) // 2))[..., None, None] * power
+
+
+# ---------------------------------------------------------------------------
+# One real vector per block family
+# ---------------------------------------------------------------------------
+
+class _Layout:
+    """The real-vector form of accessible block families of n photons;
+    ``_layout(n)`` builds it once per n.
+
+    The parameter vector ``theta`` holds the real parts of every block's
+    upper triangle, row by row and sectors in ``occurring_two_j`` order,
+    then the imaginary parts of the off-diagonal ones in the same order:
+    C(n+3, 3) entries.  The blocks are also held stacked: one zero-padded
+    complex array of shape (sectors, n+1, n+1), block two_j in the
+    top-left corner of its slice.  ``gather`` and ``scatter`` map between
+    theta and the float view of that array, raveled.
+    """
+
+    def __init__(self, n: int):
+        self.sectors = occurring_two_j(n)
+        self.shape = (len(self.sectors), n + 1, n + 1)
+        self.mult = np.array([su2_multiplicity(n, tj) for tj in self.sectors])
+        sector, row, col = [], [], []
+        for s, two_j in enumerate(self.sectors):
+            index = np.arange(two_j + 1)
+            a, b = np.nonzero(index[:, None] <= index)
+            sector.append(np.full(a.size, s))
+            row.append(a)
+            col.append(b)
+        # sector and position of each upper-triangle entry, in theta order
+        self.sector, self.row, self.col = (np.concatenate(x) for x in (sector, row, col))
+        self.off = self.row != self.col
+        # sum_j mult_j tr(A_j B_j) = sum_i scale_i theta_A,i theta_B,i for
+        # Hermitian families A and B: an off-diagonal entry appears twice
+        self.entry_scale = self.mult[self.sector] * np.where(self.off, 2, 1)
+        self.scale = np.concatenate([self.entry_scale, self.entry_scale[self.off]])
+        # theta @ trace_weights is sum_j mult_j tr B_j
+        self.trace_weights = np.concatenate([np.where(self.off, 0, self.entry_scale),
+                                             np.zeros(self.off.sum())])
+        # float positions: 2 * complex position for the real part, + 1 for
+        # the imaginary part; the lower triangle holds the conjugate
+        upper = 2 * ((self.sector * (n + 1) + self.row) * (n + 1) + self.col)
+        lower = 2 * ((self.sector * (n + 1) + self.col) * (n + 1) + self.row)
+        self.gather = np.concatenate([upper, upper[self.off] + 1])
+        count, imag = upper.size, np.arange(upper.size, self.scale.size)
+        self.scatter = np.concatenate([upper, lower, upper[self.off] + 1,
+                                       lower[self.off] + 1])
+        self.source = np.concatenate([np.arange(count), np.arange(count), imag, imag])
+        self.sign = np.concatenate([np.ones(2 * count + imag.size), -np.ones(imag.size)])
+        for array in (self.mult, self.sector, self.row, self.col, self.off,
+                      self.entry_scale, self.scale, self.trace_weights,
+                      self.gather, self.scatter, self.source, self.sign):
+            array.setflags(write=False)
+
+    def stack(self, theta: np.ndarray) -> np.ndarray:
+        """Stacked Hermitian blocks of a real parameter vector."""
+        flat = np.zeros(2 * math.prod(self.shape))
+        flat[self.scatter] = theta[self.source] * self.sign
+        return flat.view(complex).reshape(self.shape)
+
+    def stack_theta(self, stack: np.ndarray) -> np.ndarray:
+        """Real parameter vector of stacked Hermitian blocks (upper triangles)."""
+        return stack.reshape(-1).view(float)[self.gather]
+
+    def pad(self, blocks: dict[int, np.ndarray]) -> np.ndarray:
+        """Stacked form of a block family."""
+        stack = np.zeros(self.shape, dtype=complex)
+        for s, two_j in enumerate(self.sectors):
+            stack[s, :two_j + 1, :two_j + 1] = blocks[two_j]
+        return stack
+
+    def unpad(self, stack: np.ndarray) -> dict[int, np.ndarray]:
+        """Block family of a stacked form."""
+        return {tj: stack[s, :tj + 1, :tj + 1].copy()
+                for s, tj in enumerate(self.sectors)}
+
+    def theta(self, blocks: dict[int, np.ndarray]) -> np.ndarray:
+        """Real parameter vector of a Hermitian block family."""
+        return self.stack_theta(self.pad(blocks))
+
+    def blocks(self, theta: np.ndarray) -> dict[int, np.ndarray]:
+        """Hermitian block family of a real parameter vector."""
+        return self.unpad(self.stack(theta))
+
+    def trace(self, theta: np.ndarray) -> float:
+        """Multiplicity-weighted trace sum_j mult_j tr B_j of a parameter vector."""
+        return float(self.trace_weights @ theta)
+
+
+_layout = lru_cache(maxsize=None)(_Layout)

@@ -15,7 +15,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import permutations
 from typing import Iterator, Mapping
 
 import numpy as np
@@ -23,6 +22,7 @@ import numpy as np
 from .expressions import CreationOperatorExpression
 from .schur import (
     N_MAX,
+    _layout,
     accessible_param_count,
     occurring_two_j,
     schur_basis,
@@ -263,14 +263,13 @@ def _extract_blocks(rho_schur: np.ndarray, n: int) -> tuple[dict[int, np.ndarray
     return blocks, float(np.abs(remainder).max())
 
 
-def accessible_projection(rho: np.ndarray, *, method: str = "schur") -> AccessibleDensityMatrix:
+def accessible_projection(rho: np.ndarray) -> AccessibleDensityMatrix:
     """Project a visible density matrix onto the accessible operator space.
 
-    This is the S_N twirl (1/N!) sum_P P rho P^dag, expressed in block form;
-    it leaves rho unchanged whenever rho already commutes with all
-    permutations.  ``method="schur"`` extracts and mu-averages Schur-basis
-    blocks; ``method="average"`` performs the explicit permutation average
-    (small n only) -- both agree to high precision.
+    This is the S_N twirl (1/N!) sum_P P rho P^dag, expressed in block form:
+    the Schur-basis blocks, averaged over their multiplicity copies.  It
+    leaves rho unchanged whenever rho already commutes with all
+    permutations.
     """
     rho = np.asarray(rho, dtype=complex)
     dim = rho.shape[0]
@@ -282,33 +281,9 @@ def accessible_projection(rho: np.ndarray, *, method: str = "schur") -> Accessib
     if abs(rho.trace().real - 1.0) > NORM_TOL:
         raise ValueError("input matrix does not have unit trace within tolerance")
 
-    if method == "average":
-        if n > 6:
-            raise ValueError("explicit permutation averaging is limited to n <= 6")
-        acc = np.zeros_like(rho)
-        for perm in permutations(range(n)):
-            p = _permutation_matrix(perm, n)
-            acc += p @ rho @ p.T
-        rho = acc / math.factorial(n)
-    elif method != "schur":
-        raise ValueError(f"unknown method {method!r}")
-
-    basis = schur_basis(n)
-    u = basis.matrix
+    u = schur_basis(n).matrix
     blocks, _ = _extract_blocks(u @ rho @ u.conj().T, n)
     return AccessibleDensityMatrix(n, blocks)
-
-
-def _permutation_matrix(perm, n: int) -> np.ndarray:
-    dim = 2 ** n
-    p = np.zeros((dim, dim))
-    for idx in range(dim):
-        bits = [(idx >> (n - 1 - i)) & 1 for i in range(n)]
-        new_idx = 0
-        for i in range(n):
-            new_idx = (new_idx << 1) | bits[perm[i]]
-        p[new_idx, idx] = 1
-    return p
 
 
 def trace_hidden(state: FirstQuantizedState) -> AccessibleDensityMatrix:
@@ -380,24 +355,31 @@ def _permanents(mats: np.ndarray) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _probe_design(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Probe rotations A_i, the design matrix D and its pseudo-inverse.
+    """Probe rotations A_i, the real design matrix D over the block
+    parameters theta of :class:`accdm.schur._Layout`, and its pseudo-inverse.
 
-    tr(rho A^(x)n) = sum_j mult_j tr(rho_j R_j(A)) is linear in the block
-    entries: D[i, (j, a, b)] = mult_j R_j(A_i)[b, a], with the blocks in
-    sector order and each flattened row-major.  Seeded Haar-random unitaries,
-    twice as many as the C(n+3, 3) unknowns, keep D's condition number in
-    the hundreds up to N_MAX, and |tr(rho A^(x)n)| <= 1 for each of them.
+    tr(rho A^(x)n) = sum_j mult_j tr(rho_j R_j(A)) is linear in theta:
+    column i of the complex design holds each probe's expectation in the
+    unit block family ``layout.stack(e_i)``, and D stacks its real parts
+    over its imaginary parts.  Seeded Haar-random unitaries, twice as many
+    as the C(n+3, 3) unknowns, keep D's condition number in the hundreds up
+    to N_MAX, and |tr(rho A^(x)n)| <= 1 for each of them.
     """
-    count = 2 * accessible_param_count(n, 2)
+    layout = _layout(n)
+    count = accessible_param_count(n, 2)
     rng = np.random.default_rng([PROBE_SEED, n])
-    q, r = np.linalg.qr(rng.normal(size=(count, 2, 2))
-                        + 1j * rng.normal(size=(count, 2, 2)))
+    q, r = np.linalg.qr(rng.normal(size=(2 * count, 2, 2))
+                        + 1j * rng.normal(size=(2 * count, 2, 2)))
     diag = np.diagonal(r, axis1=-2, axis2=-1)
     probes = q * (diag / np.abs(diag))[..., None, :]
-    design = np.hstack([
-        su2_multiplicity(n, two_j)
-        * sector_rotation(probes, n, two_j).transpose(0, 2, 1).reshape(count, -1)
-        for two_j in occurring_two_j(n)])
+    units = np.array([layout.stack(e) for e in np.eye(count)])
+    # tr(B R) = sum_ab B_ab R_ba: row-major B against row-major R^T
+    expectations = sum(
+        mult * sector_rotation(probes, n, two_j).transpose(0, 2, 1).reshape(2 * count, -1)
+        @ units[:, s, :two_j + 1, :two_j + 1].reshape(count, -1).T
+        for s, (two_j, mult) in enumerate(zip(layout.sectors, layout.mult)))
+    design = np.vstack([expectations.real, expectations.imag])
+    del units, expectations  # so that pinv's workspace alone sets the peak memory
     solve = np.linalg.pinv(design)
     for array in (probes, design, solve):
         array.setflags(write=False)
@@ -430,19 +412,14 @@ def expression_to_accessible(expr: CreationOperatorExpression) -> AccessibleDens
     perms = _permanents(np.concatenate([
         gram[None], np.einsum("kplq,ipq->ikl", overlaps, probes)]))
     values = perms[1:] / perms[0]
-    theta = solve @ values
-    residual = float(np.abs(design @ theta - values).max())
+    target = np.concatenate([values.real, values.imag])
+    theta = solve @ target
+    # the misfit's real and imaginary halves, recombined per probe
+    residual = float(np.hypot(*(design @ theta - target).reshape(2, -1)).max())
     if residual > RESIDUAL_TOL:
         raise ValueError(f"hidden-mode trace failed: least-squares residual "
                          f"{residual:.3e} exceeds {RESIDUAL_TOL}")
-    blocks = {}
-    pos = 0
-    for two_j in occurring_two_j(n):
-        dim = two_j + 1
-        block = theta[pos:pos + dim * dim].reshape(dim, dim)
-        blocks[two_j] = (block + block.conj().T) / 2
-        pos += dim * dim
-    return AccessibleDensityMatrix(n, blocks)
+    return AccessibleDensityMatrix(n, _layout(n).blocks(theta))
 
 
 # ---------------------------------------------------------------------------

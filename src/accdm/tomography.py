@@ -24,7 +24,7 @@ from .measurement import (
     _OutcomeModel,
     _rank,
 )
-from .schur import N_MAX, accessible_param_count, su2_multiplicity
+from .schur import N_MAX, _Layout, accessible_param_count
 from .states import AccessibleDensityMatrix
 
 LOG_FLOOR = 1e-12
@@ -87,7 +87,7 @@ def log_likelihood(rho: AccessibleDensityMatrix, data: list[CountRecord]) -> flo
     dataset = _Dataset(data)
     if dataset.n != rho.n:
         raise ValueError(f"data is for {dataset.n} photons, state for {rho.n}")
-    p = dataset.model.probabilities(dataset.model.theta(rho.blocks))
+    p = dataset.model.probabilities(dataset.model.layout.theta(rho.blocks))
     return float((dataset.counts.ravel() * np.log(np.maximum(p, LOG_FLOOR))).sum())
 
 
@@ -95,17 +95,19 @@ def log_likelihood(rho: AccessibleDensityMatrix, data: list[CountRecord]) -> flo
 # Linear inversion
 # ---------------------------------------------------------------------------
 
-def _clip_and_normalize(blocks: dict[int, np.ndarray], n: int) -> dict[int, np.ndarray]:
-    clipped = {}
-    total = 0.0
-    for two_j, b in blocks.items():
-        vals, vecs = np.linalg.eigh((b + b.conj().T) / 2)
-        vals = np.clip(vals, 0.0, None)
-        clipped[two_j] = (vecs * vals) @ vecs.conj().T
-        total += su2_multiplicity(n, two_j) * vals.sum()
+def _clip_and_normalize(stack: np.ndarray, layout: _Layout) -> tuple[np.ndarray, np.ndarray]:
+    """Stacked blocks with negative eigenvalues set to zero, normalized to a
+    multiplicity-weighted trace of 1, and each slice's smallest eigenvalue
+    before the clip.  The zero padding adds only zero eigenvalues, which
+    change neither the clip, the trace nor a check for negative ones.
+    """
+    vals, vecs = np.linalg.eigh((stack + stack.conj().swapaxes(-1, -2)) / 2)
+    kept = np.clip(vals, 0.0, None)
+    total = layout.mult @ kept.sum(axis=1)
     if total <= 1e-12:
         raise ValueError("estimate degenerated to zero after positivity clipping")
-    return {tj: b / total for tj, b in clipped.items()}
+    clipped = (vecs * kept[:, None, :]) @ vecs.conj().swapaxes(-1, -2)
+    return clipped / total, vals[:, 0]
 
 
 def linear_inversion(data: list[CountRecord] | _Dataset) -> AccessibleDensityMatrix:
@@ -130,8 +132,9 @@ def linear_inversion(data: list[CountRecord] | _Dataset) -> AccessibleDensityMat
     rank, required = _rank(singular_values), accessible_param_count(dataset.n, 2)
     if rank < required:
         raise RankDeficiencyError(rank, required)
-    blocks = dataset.model.blocks(theta)
-    return AccessibleDensityMatrix(dataset.n, _clip_and_normalize(blocks, dataset.n))
+    layout = dataset.model.layout
+    clipped, _ = _clip_and_normalize(layout.stack(theta), layout)
+    return AccessibleDensityMatrix(dataset.n, layout.unpad(clipped))
 
 
 # ---------------------------------------------------------------------------
@@ -176,7 +179,7 @@ def _gap_bound(model: _OutcomeModel, counts: np.ndarray, p: np.ndarray) -> float
     weights = np.divide(counts, p, out=np.zeros_like(counts), where=counted)
     # the zero padding of the stacked blocks adds only zero eigenvalues,
     # and R is positive semidefinite
-    r_max = np.linalg.eigvalsh(model.stack(model.operator_theta(weights))).max()
+    r_max = np.linalg.eigvalsh(model.layout.stack(model.operator_theta(weights))).max()
     # tr(rho R) = sum_k n_k, so only round-off can put the difference below zero
     return max(float(r_max - counts.sum()), 0.0)
 
@@ -206,6 +209,7 @@ def mle_reconstruct(data: list[CountRecord], *, max_iters: int = 100_000,
     """
     dataset = _Dataset(data)
     model = dataset.model
+    layout = model.layout
 
     try:
         start = linear_inversion(dataset)
@@ -217,8 +221,8 @@ def mle_reconstruct(data: list[CountRecord], *, max_iters: int = 100_000,
     # eigenvalue by a positive factor, so round-off of either sign there can
     # grow until the iterate leaves the positive cone.  A trace of the
     # maximally mixed state keeps every eigenvalue far above round-off.
-    rho = model.pad({tj: (1 - START_MIX) * b + START_MIX * np.eye(tj + 1) / 2 ** dataset.n
-                     for tj, b in start.blocks.items()})
+    rho = layout.pad({tj: (1 - START_MIX) * b + START_MIX * np.eye(tj + 1) / 2 ** dataset.n
+                      for tj, b in start.blocks.items()})
 
     counts = dataset.counts.ravel()
     fractions = counts / max(counts.sum(), 1.0)
@@ -228,17 +232,17 @@ def mle_reconstruct(data: list[CountRecord], *, max_iters: int = 100_000,
 
     # probabilities are linear in the blocks, so the probabilities of every
     # convex step follow from those of its two ends
-    p = model.probabilities(model.stack_theta(rho))
+    p = model.probabilities(layout.stack_theta(rho))
     ll = ll_of(p)
     trace = [ll]
     converged = False
     iterations = 0
     d_start = 1.0
     for iterations in range(1, max_iters + 1):
-        r_op = model.stack(model.operator_theta(fractions / np.maximum(p, 1e-15)))
+        r_op = layout.stack(model.operator_theta(fractions / np.maximum(p, 1e-15)))
         direction = r_op @ rho @ r_op
-        theta_dir = model.stack_theta(direction)
-        total = model.trace(theta_dir)
+        theta_dir = layout.stack_theta(direction)
+        total = layout.trace(theta_dir)
         if total <= 1e-300:
             converged = True
             break
@@ -273,17 +277,16 @@ def mle_reconstruct(data: list[CountRecord], *, max_iters: int = 100_000,
             converged = True
             break
 
-    blocks = model.unpad(rho)
+    clipped, low = _clip_and_normalize(rho, layout)
     # rounding guard: tens of thousands of convex steps can leave block
     # eigenvalues a hair below zero
-    for two_j, b in blocks.items():
-        low = np.linalg.eigvalsh((b + b.conj().T) / 2).min()
-        if not low > -1e-8:
+    for two_j, eigenvalue in zip(layout.sectors, low):
+        if not eigenvalue > -1e-8:
             raise NumericalError(
                 f"iteration left the positive cone: block two_j={two_j} has "
-                f"eigenvalue {low:.3e}")
-    estimate = AccessibleDensityMatrix(dataset.n, _clip_and_normalize(blocks, dataset.n))
-    p_final = model.probabilities(model.theta(estimate.blocks))
+                f"eigenvalue {eigenvalue:.3e}")
+    estimate = AccessibleDensityMatrix(dataset.n, layout.unpad(clipped))
+    p_final = model.probabilities(layout.stack_theta(clipped))
     floored = int(((p_final < LOG_FLOOR) & (counts > 0)).sum())
     return ReconstructionResult(
         estimate=estimate,

@@ -101,6 +101,7 @@ def random_accessible_state(n, rng):
 
 
 def permutation_matrix(perm, n):
+    """Matrix permuting tensor factors: particle slot i receives slot perm[i]."""
     dim = 2 ** n
     p = np.zeros((dim, dim))
     for idx in range(dim):

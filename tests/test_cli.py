@@ -71,6 +71,45 @@ def test_dims_rejects_bad_arguments(capsys):
     assert run(["dims", "--n", "0"]) == 2
 
 
+@pytest.mark.parametrize("d", [cli.DIMS_D_MAX + 1, 3000])
+def test_dims_rejects_d_above_cap(capsys, d):
+    assert run(["dims", "--n", "2", "--d", d]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"--d between 1 and {cli.DIMS_D_MAX}" in captured.err
+
+
+def test_dims_at_caps_prints_every_number(capsys):
+    # d ** (2 n) at both caps stays within the digits str() of an int allows
+    start = time.perf_counter()
+    assert run(["dims", "--n", "2", "--d", cli.DIMS_D_MAX]) == 0
+    assert run(["dims", "--n", cli.DIMS_N_MAX, "--d", "1"]) == 0
+    out = capsys.readouterr().out
+    assert f"full-space parameters: {cli.DIMS_D_MAX ** 4}" in out
+    assert time.perf_counter() - start < 5
+
+
+@pytest.mark.parametrize("n, d", [(400, 4), (1000, 3), (1000, 100)])
+def test_dims_rejects_long_table(capsys, n, d):
+    start = time.perf_counter()
+    assert run(["dims", "--n", n, "--d", d]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"more than {cli.DIMS_ROWS_MAX} rows" in captured.err
+    assert time.perf_counter() - start < 5
+
+
+def test_dims_table_up_to_row_cap(capsys):
+    # n into at most 3 parts: round((n + 3)^2 / 12) rows, 9976 for n = 343
+    # and 10034 for n = 344
+    assert run(["dims", "--n", "343", "--d", "3"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1 + 9976 + 3
+    assert lines[1].split() == ["(343,)", str(math.comb(345, 2))]
+    assert run(["dims", "--n", "344", "--d", "3"]) == 2
+    assert capsys.readouterr().out == ""
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as err:
         run(["analyze"])  # missing required arguments
@@ -433,7 +472,8 @@ def test_reconstruct_leaving_positive_cone_exits_4(workdir, capsys, monkeypatch)
     counts.write_text(io.format_counts(sample_count_records()))
     assert run(["reconstruct", counts, "--out", workdir / "est.dm",
                 "--trace", workdir / "ll.txt"]) == 4
-    assert "positive cone" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "positive cone" in err and "two_j=1 " in err
     for name in ("est.dm", "est.dm.report.txt", "ll.txt"):
         assert not (workdir / name).exists()
 

@@ -81,25 +81,6 @@ def test_density_matrix_non_finite_entries(rows):
         io.parse_density_matrix("n_photons 1\nblock two_j 1 multiplicity 1\n" + rows)
 
 
-def test_state_round_trip():
-    from accdm.expressions import parse_operator_expression
-    from accdm.states import expand_and_symmetrize
-    state = expand_and_symmetrize(parse_operator_expression("(aH)(aV)(bV)"))
-    text = io.format_state(state)
-    back = io.parse_state(text)
-    assert back.n == 3
-    assert set(back.amplitudes) == set(state.amplitudes)
-    for key, amp in state.amplitudes.items():
-        assert abs(back.amplitudes[key] - amp) < 1e-15
-
-
-def test_state_format_rejects_garbage():
-    with pytest.raises(io.FormatError):
-        io.parse_state("amplitude H:a 1 0\n")
-    with pytest.raises(io.FormatError, match="not a valid state"):
-        io.parse_state("n_photons 1\namplitude H:a 5.0 0.0\n")
-
-
 def test_settings_round_trip():
     text = io.format_settings(TWELVE_SETTINGS)
     assert text.splitlines()[0] == "qwp_deg,hwp_deg"

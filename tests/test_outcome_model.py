@@ -174,7 +174,7 @@ def test_analytic_design_matches_probe_design(n):
     assert model.design.shape == (7 * (n + 1), count)
     # each basis element's parameter vector is a distinct unit vector, so
     # the design's columns are the probe columns in the layout's order
-    units = np.array([model.theta(blocks) for blocks in hermitian_basis(n)]).T
+    units = np.array([model.layout.theta(blocks) for blocks in hermitian_basis(n)]).T
     np.testing.assert_array_equal(units @ units.T, np.eye(count))
     np.testing.assert_array_equal(np.abs(units).sum(axis=0), np.ones(count))
     np.testing.assert_allclose(model.design @ units, oracle_design(settings, n),
@@ -187,13 +187,13 @@ def test_layout_round_trip(n):
     model = _OutcomeModel(random_settings(rng, 2), n)
     for _ in range(3):
         blocks = random_hermitian_blocks(n, rng)
-        theta = model.theta(blocks)
+        theta = model.layout.theta(blocks)
         assert theta.shape == (accessible_param_count(n, 2),)
-        back = model.blocks(theta)
+        back = model.layout.blocks(theta)
         assert sorted(back) == sorted(blocks)
         for two_j, block in blocks.items():
             np.testing.assert_array_equal(back[two_j], block)
-        np.testing.assert_array_equal(model.theta(back), theta)
+        np.testing.assert_array_equal(model.layout.theta(back), theta)
 
 
 @pytest.mark.parametrize("n", [1, 3, 5, 8])
@@ -205,7 +205,7 @@ def test_model_probabilities_match_einsum_oracle(n):
     for _ in range(3):
         rho = random_accessible_state(n, rng)
         expected = oracle_probabilities(rows, rho.blocks, n)
-        np.testing.assert_allclose(model.probabilities(model.theta(rho.blocks)),
+        np.testing.assert_allclose(model.probabilities(model.layout.theta(rho.blocks)),
                                    expected, rtol=0, atol=1e-13)
         np.testing.assert_allclose(model.distributions(rho).ravel(), expected,
                                    rtol=0, atol=1e-13)
@@ -220,7 +220,8 @@ def test_operator_is_weighted_sum_of_outcome_operators(n):
     rng = np.random.default_rng(850 + n)
     settings = random_settings(rng, 4)
     weights = rng.uniform(0, 3, size=len(settings) * (n + 1))
-    operator = _OutcomeModel(settings, n).operator(weights)
+    model = _OutcomeModel(settings, n)
+    operator = model.layout.blocks(model.operator_theta(weights))
     for two_j, m in oracle_rows(settings, n).items():
         expected = np.einsum("k,ka,kb->ab", weights, m.conj(), m)
         np.testing.assert_allclose(operator[two_j], expected, rtol=0, atol=1e-12)
@@ -264,7 +265,7 @@ def test_linear_inversion_rank_matches_model_rank(n):
     rho = random_accessible_state(n, np.random.default_rng(950 + n))
     for settings in span_rank_cases(n):
         model = _OutcomeModel(settings, n)
-        p = model.probabilities(model.theta(rho.blocks))
+        p = model.probabilities(model.layout.theta(rho.blocks))
         assert _rank(np.linalg.lstsq(model.design, p, rcond=None)[3]) == model.rank()
         records = [CountRecord(s.qwp_deg, s.hwp_deg, n - k, k, 1e4 * p[si * (n + 1) + k])
                    for si, s in enumerate(settings) for k in range(n + 1)]

@@ -20,6 +20,8 @@ from accdm.schur import (
     weyl_dimension,
 )
 
+from conftest import permutation_matrix
+
 
 # ---------------------------------------------------------------------------
 # Independent oracles
@@ -51,20 +53,6 @@ def count_ssyt(shape, d):
         return total
 
     return fill(0, {})
-
-
-def permutation_matrix(perm, n):
-    """Matrix permuting tensor factors: particle slot i receives slot perm[i]."""
-    dim = 2 ** n
-    p = np.zeros((dim, dim))
-    for idx in range(dim):
-        bits = [(idx >> (n - 1 - i)) & 1 for i in range(n)]
-        new_bits = [bits[perm[i]] for i in range(n)]
-        new_idx = 0
-        for b in new_bits:
-            new_idx = (new_idx << 1) | b
-        p[new_idx, idx] = 1
-    return p
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,9 @@ replaced, and the work one reconstruction does.
 
 The oracle below is the earlier ``mle_reconstruct`` loop: the iterate as a
 dict of blocks, R formed block by block, the normalization summed over
-sectors in Python.  The update rule, the backtracking schedule and the
-stopping rule are the same, so both must take the same steps.
+sectors in Python, and the final positivity clip done block by block.  The
+update rule, the backtracking schedule and the stopping rule are the same,
+so both must take the same steps.
 """
 
 import numpy as np
@@ -12,7 +13,7 @@ import pytest
 
 from accdm import measurement
 from accdm.measurement import CountRecord, WaveplateSetting, simulate_counts
-from accdm.schur import su2_multiplicity
+from accdm.schur import _layout, occurring_two_j, su2_multiplicity
 from accdm.states import AccessibleDensityMatrix
 from accdm.tomography import (
     LOG_FLOOR,
@@ -24,6 +25,20 @@ from accdm.tomography import (
 )
 
 from conftest import TWELVE_SETTINGS, random_accessible_state
+
+
+def oracle_clip_and_normalize(blocks, n):
+    """Per-block positivity clip and normalization; also each block's
+    smallest eigenvalue before the clip."""
+    clipped, low = {}, {}
+    total = 0.0
+    for two_j, b in blocks.items():
+        vals, vecs = np.linalg.eigh((b + b.conj().T) / 2)
+        low[two_j] = vals[0]
+        vals = np.clip(vals, 0.0, None)
+        clipped[two_j] = (vecs * vals) @ vecs.conj().T
+        total += su2_multiplicity(n, two_j) * vals.sum()
+    return {tj: b / total for tj, b in clipped.items()}, low
 
 
 def oracle_mle(records, *, max_iters, tol, dilution=1.0):
@@ -44,7 +59,7 @@ def oracle_mle(records, *, max_iters, tol, dilution=1.0):
     def ll_of(p):
         return float((counts * np.log(np.maximum(p, LOG_FLOOR))).sum())
 
-    p = model.probabilities(model.theta(blocks))
+    p = model.probabilities(model.layout.theta(blocks))
     ll = ll_of(p)
     trace = [ll]
     iterations = 0
@@ -52,13 +67,14 @@ def oracle_mle(records, *, max_iters, tol, dilution=1.0):
     for iterations in range(1, max_iters + 1):
         weights = counts / np.maximum(p, 1e-15) / max(total_counts, 1.0)
         direction = {tj: r_op @ blocks[tj] @ r_op
-                     for tj, r_op in model.operator(weights).items()}
+                     for tj, r_op in model.layout.blocks(
+                         model.operator_theta(weights)).items()}
         total = sum(su2_multiplicity(n, tj) * b.trace().real
                     for tj, b in direction.items())
         if total <= 1e-300:
             break
         direction = {tj: b / total for tj, b in direction.items()}
-        p_dir = model.probabilities(model.theta(direction))
+        p_dir = model.probabilities(model.layout.theta(direction))
         d = d_start
         accepted = False
         while d > 1e-12:
@@ -77,7 +93,7 @@ def oracle_mle(records, *, max_iters, tol, dilution=1.0):
         trace.append(ll)
         if gain < tol:
             break
-    estimate = AccessibleDensityMatrix(n, _clip_and_normalize(blocks, n))
+    estimate = AccessibleDensityMatrix(n, oracle_clip_and_normalize(blocks, n)[0])
     return estimate, iterations, np.array(trace)
 
 
@@ -141,13 +157,37 @@ def test_stacked_mle_keeps_padding_zero():
     settings = random_settings(rng, 30)
     rho = random_accessible_state(5, rng)
     dataset = _Dataset(simulate_counts(rho, settings, 1e4, seed=5))
-    model = dataset.model
-    stack = model.pad(rho.blocks)
-    r_op = model.stack(model.operator_theta(dataset.counts.ravel()))
+    model, layout = dataset.model, dataset.model.layout
+    stack = layout.pad(rho.blocks)
+    r_op = layout.stack(model.operator_theta(dataset.counts.ravel()))
     step = 0.3 * stack + 0.7 * (r_op @ stack @ r_op)
-    inside = model.pad({tj: np.ones((tj + 1, tj + 1)) for tj in rho.blocks}) != 0
+    inside = layout.pad({tj: np.ones((tj + 1, tj + 1)) for tj in rho.blocks}) != 0
     assert not step[~inside].any()
-    assert model.pad(model.unpad(step)).tobytes() == step.tobytes()
+    assert layout.pad(layout.unpad(step)).tobytes() == step.tobytes()
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_stacked_clip_matches_per_block_clip(n):
+    # random Hermitian blocks, each with a negative eigenvalue for the clip
+    # to remove and, when wider than 1, a positive one
+    rng = np.random.default_rng(1300 + n)
+    layout = _layout(n)
+    for _ in range(3):
+        blocks = {}
+        for two_j in occurring_two_j(n):
+            dim = two_j + 1
+            q, _ = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+            vals = rng.uniform(-1, 1, size=dim)
+            vals[0] = -rng.uniform(0.1, 1)
+            vals[1:2] = rng.uniform(0.1, 1)
+            blocks[two_j] = (q * vals) @ q.conj().T
+        expected, expected_low = oracle_clip_and_normalize(blocks, n)
+        clipped, low = _clip_and_normalize(layout.pad(blocks), layout)
+        got = layout.unpad(clipped)
+        for s, two_j in enumerate(layout.sectors):
+            np.testing.assert_allclose(got[two_j], expected[two_j], rtol=0, atol=1e-14)
+            assert expected_low[two_j] < 0
+            assert abs(low[s] - expected_low[two_j]) <= 1e-14
 
 
 def test_one_model_and_one_svd_per_reconstruction(monkeypatch, golden_state):

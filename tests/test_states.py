@@ -11,7 +11,14 @@ from accdm.expressions import (
     parse_operator_expression,
 )
 from accdm.measurement import WaveplateSetting, outcome_probabilities, waveplate_unitary
-from accdm.schur import N_MAX, occurring_two_j, schur_basis, su2_multiplicity
+from accdm.schur import (
+    N_MAX,
+    _layout,
+    occurring_two_j,
+    schur_basis,
+    sector_rotation,
+    su2_multiplicity,
+)
 from accdm.states import (
     AccessibleDensityMatrix,
     CoupledCoefficients,
@@ -296,6 +303,31 @@ def test_expression_to_accessible_rejects_inconsistent_fit(monkeypatch):
         expression_to_accessible(parse_operator_expression("(aH)(bV)(aV + bH)"))
 
 
+def row_major_probe_design(n, probes):
+    """The earlier complex design over the blocks flattened row-major:
+    column (j, a, b) holds mult_j R_j(A_i)[b, a]."""
+    return np.hstack([
+        su2_multiplicity(n, two_j)
+        * sector_rotation(probes, n, two_j).transpose(0, 2, 1).reshape(len(probes), -1)
+        for two_j in occurring_two_j(n)])
+
+
+@pytest.mark.parametrize("n", range(1, N_MAX + 1))
+def test_probe_design_matches_row_major_oracle(n):
+    # column i of the design is the oracle applied to the row-major
+    # flattening of the unit block family layout.stack(e_i), real parts
+    # stacked over imaginary parts
+    probes, design, _ = states._probe_design(n)
+    layout = _layout(n)
+    count = design.shape[1]
+    units = np.array([np.concatenate([b.ravel() for b in layout.blocks(e).values()])
+                      for e in np.eye(count)]).T
+    expectations = row_major_probe_design(n, probes) @ units
+    assert design.shape == (2 * len(probes), count)
+    np.testing.assert_allclose(design, np.vstack([expectations.real, expectations.imag]),
+                               rtol=0, atol=1e-12)
+
+
 def test_probe_design_is_well_conditioned():
     for n in range(1, N_MAX + 1):
         _, design, _ = states._probe_design(n)
@@ -339,8 +371,8 @@ def test_projection_methods_agree_on_random_states():
             a = rng.normal(size=(2 ** n, 2 ** n)) + 1j * rng.normal(size=(2 ** n, 2 ** n))
             rho = a @ a.conj().T
             rho /= rho.trace().real
-            via_schur = accessible_projection(rho, method="schur")
-            via_average = accessible_projection(rho, method="average")
+            via_schur = accessible_projection(rho)
+            via_average = accessible_projection(brute_force_twirl(rho, n))
             assert via_schur.allclose(via_average, atol=1e-10)
 
 
