@@ -1,7 +1,8 @@
 """Command-line front end: dims, analyze, simulate, reconstruct.
 
 Exit codes: 0 success, 2 usage, 3 input format or a file that cannot be
-read or written, 4 numerical (rank deficiency or non-convergence).  A
+read or written, 4 numerical (rank deficiency or non-convergence).  The
+commands raise; ``main`` alone turns an exception into exit 3 or 4.  A
 command that does not exit 0 leaves no output file behind.
 
 ``main`` may be called any number of times in one process; it builds its
@@ -19,7 +20,7 @@ import os
 import sys
 
 from . import io
-from .expressions import ParseError, parse_expression_file
+from .expressions import parse_expression_file
 from .measurement import (
     MAX_SHOTS,
     _OutcomeModel,
@@ -60,17 +61,20 @@ def _fail(code: int, message: str) -> int:
 
 
 def _read(path: str) -> str:
-    """Text of an input file; FormatError when it is not UTF-8."""
+    """Text of an input file; FormatError when it cannot be read or is not
+    UTF-8."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
             return handle.read()
     except UnicodeDecodeError as err:
         raise io.FormatError(f"{path} is not UTF-8 text: {err.reason} at byte "
                              f"{err.start}") from None
+    except OSError as err:
+        raise io.FormatError(f"cannot read {path}: {err}") from None
 
 
-def _write(outputs: dict[str, str]) -> int:
-    """Write every output file, or none of them and return exit 3.
+def _write(outputs: dict[str, str]) -> None:
+    """Write every output file, or none of them and raise FormatError.
 
     A path that names a directory or lies outside an existing directory is
     refused before anything is written; when a write fails anyway, the
@@ -79,10 +83,9 @@ def _write(outputs: dict[str, str]) -> int:
     for path in outputs:
         parent = os.path.dirname(path) or os.curdir
         if os.path.isdir(path):
-            return _fail(EXIT_FORMAT, f"cannot write {path}: is a directory")
+            raise io.FormatError(f"cannot write {path}: is a directory")
         if not os.path.isdir(parent):
-            return _fail(EXIT_FORMAT, f"cannot write {path}: {parent} is not "
-                                      f"a directory")
+            raise io.FormatError(f"cannot write {path}: {parent} is not a directory")
     written = []
     for path, text in outputs.items():
         try:
@@ -91,13 +94,13 @@ def _write(outputs: dict[str, str]) -> int:
             for done in written:
                 with contextlib.suppress(OSError):
                     os.unlink(done)
-            return _fail(EXIT_FORMAT, f"cannot write {path}: {err}")
+            raise io.FormatError(f"cannot write {path}: {err}") from None
         written.append(path)
-    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
-# Subcommands
+# Subcommands: each raises on failure and writes its files only once all
+# that it prints is computed; main maps the exception to an exit code
 # ---------------------------------------------------------------------------
 
 def cmd_dims(args) -> int:
@@ -127,37 +130,21 @@ def cmd_dims(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    try:
-        text = _read(args.expression)
-    except OSError as err:
-        return _fail(EXIT_FORMAT, f"cannot read {args.expression}: {err}")
-    except io.FormatError as err:
-        return _fail(EXIT_FORMAT, str(err))
+    text = _read(args.expression)
     if not text.strip():
         return _fail(EXIT_USAGE, f"expression file {args.expression} is empty")
-    try:
-        rho = expression_to_accessible(parse_expression_file(text))
-    except (ParseError, ValueError) as err:
-        return _fail(EXIT_FORMAT, str(err))
-    report = indistinguishability_report(rho, tol=args.verdict_tol)
-    code = _write({args.out: io.format_density_matrix(rho),
-                   args.out + ".report.txt": io.format_report(report)})
-    if code != EXIT_OK:
-        return code
+    rho = expression_to_accessible(parse_expression_file(text))
+    report = io.format_report(indistinguishability_report(rho, tol=args.verdict_tol))
+    _write({args.out: io.format_density_matrix(rho), args.out + ".report.txt": report})
     print(f"photons: {rho.n}")
-    print(io.format_report(report), end="")
+    print(report, end="")
     print(f"wrote {args.out} and {args.out}.report.txt")
     return EXIT_OK
 
 
 def cmd_simulate(args) -> int:
-    try:
-        rho = io.parse_density_matrix(_read(args.matrix))
-        settings = io.parse_settings(_read(args.settings))
-    except OSError as err:
-        return _fail(EXIT_FORMAT, str(err))
-    except io.FormatError as err:
-        return _fail(EXIT_FORMAT, str(err))
+    rho = io.parse_density_matrix(_read(args.matrix))
+    settings = io.parse_settings(_read(args.settings))
     # one outcome model serves the span rank and the simulation
     model = _OutcomeModel(settings, rho.n)
     rank = measurement_span_rank(settings, rho.n, model=model)
@@ -166,59 +153,42 @@ def cmd_simulate(args) -> int:
         print(f"warning: settings span only {rank} of {needed} dimensions; "
               f"reconstruction from this data will be rank-deficient",
               file=sys.stderr)
-    try:
-        records = simulate_counts(rho, settings, args.shots, args.seed, model=model)
-    except NumericalError as err:
-        return _fail(EXIT_NUMERICAL, str(err))
-    code = _write({args.out: io.format_counts(records)})
-    if code != EXIT_OK:
-        return code
+    records = simulate_counts(rho, settings, args.shots, args.seed, model=model)
+    _write({args.out: io.format_counts(records)})
     total = sum(r.count for r in records)
     print(f"wrote {len(records)} rows ({total:.0f} counts) to {args.out}")
     return EXIT_OK
 
 
 def cmd_reconstruct(args) -> int:
-    try:
-        records = io.parse_counts(_read(args.counts))
-        reference = (io.parse_density_matrix(_read(args.reference))
-                     if args.reference else None)
-    except OSError as err:
-        return _fail(EXIT_FORMAT, str(err))
-    except io.FormatError as err:
-        return _fail(EXIT_FORMAT, str(err))
+    records = io.parse_counts(_read(args.counts))
+    reference = (io.parse_density_matrix(_read(args.reference))
+                 if args.reference else None)
     counted = {r.n_h + r.n_v for r in records}
     if reference is not None and counted != {reference.n}:
-        return _fail(EXIT_FORMAT, f"reference has {reference.n} photons, counts "
-                                  f"have {', '.join(map(str, sorted(counted)))}")
-    try:
-        result = mle_reconstruct(records, max_iters=args.max_iters, tol=args.tol)
-    except (RankDeficiencyError, NumericalError) as err:
-        return _fail(EXIT_NUMERICAL, str(err))
-    except ValueError as err:
-        return _fail(EXIT_FORMAT, str(err))
-
+        raise io.FormatError(f"reference has {reference.n} photons, counts "
+                             f"have {', '.join(map(str, sorted(counted)))}")
+    result = mle_reconstruct(records, max_iters=args.max_iters, tol=args.tol)
     print(f"iterations: {result.iterations} (converged: {result.converged})")
     print(f"log-likelihood: {result.log_likelihood:.6f}")
     print(f"likelihood gap bound: {result.gap_bound:.6g}")
     if not result.converged:
-        return _fail(EXIT_NUMERICAL,
-                     f"not converged within {args.max_iters} iterations")
+        raise NumericalError(f"not converged within {args.max_iters} iterations")
 
-    report = indistinguishability_report(result.estimate, tol=args.verdict_tol)
+    report = io.format_report(
+        indistinguishability_report(result.estimate, tol=args.verdict_tol))
+    fid = fidelity(result.estimate, reference) if reference is not None else None
     outputs = {args.out: io.format_density_matrix(result.estimate),
-               args.out + ".report.txt": io.format_report(report)}
+               args.out + ".report.txt": report}
     if args.trace:
         outputs[args.trace] = io.format_ll_trace(result)
-    code = _write(outputs)
-    if code != EXIT_OK:
-        return code
+    _write(outputs)
     if result.floored_cells:
         print(f"warning: {result.floored_cells} outcome(s) had counts but "
               f"near-zero predicted probability", file=sys.stderr)
-    if reference is not None:
-        print(f"fidelity to reference: {fidelity(result.estimate, reference):.6f}")
-    print(io.format_report(report), end="")
+    if fid is not None:
+        print(f"fidelity to reference: {fid:.6f}")
+    print(report, end="")
     print(f"wrote {args.out} and {args.out}.report.txt")
     return EXIT_OK
 
@@ -311,7 +281,12 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (RankDeficiencyError, NumericalError) as err:
+        return _fail(EXIT_NUMERICAL, str(err))
+    except ValueError as err:  # FormatError and ParseError among them
+        return _fail(EXIT_FORMAT, str(err))
 
 
 if __name__ == "__main__":

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import re
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -71,54 +72,35 @@ class Definitions:
 # Lexer
 # ---------------------------------------------------------------------------
 
-_PUNCT = "()+-*/="
+# ASCII digits only: float() would also read other scripts' digits
+_TOKEN = re.compile(r"([0-9]+(?:\.[0-9]*)?(?:[eE][+-]?[0-9]+)?)|(\w+)|([()+\-*/=])|(\S)")
 
 
 @dataclass(frozen=True)
 class _Token:
-    kind: str   # one of _PUNCT, 'number', 'ident', 'end'
+    kind: str   # one of "()+-*/=", 'number', 'ident', 'end'
     text: str
     pos: int
 
 
 def _tokenize(text: str) -> list[_Token]:
     tokens = []
-    i = 0
-    while i < len(text):
-        c = text[i]
-        if c.isspace():
-            i += 1
-        elif c in _PUNCT:
-            tokens.append(_Token(c, c, i))
-            i += 1
-        elif c.isdigit():
-            j = i + 1
-            while j < len(text) and text[j].isdigit():
-                j += 1
-            if j < len(text) and text[j] == ".":
-                j += 1
-                while j < len(text) and text[j].isdigit():
-                    j += 1
-            if j < len(text) and text[j] in "eE":
-                k = j + 1
-                if k < len(text) and text[k] in "+-":
-                    k += 1
-                if k < len(text) and text[k].isdigit():
-                    j = k + 1
-                    while j < len(text) and text[j].isdigit():
-                        j += 1
-            tokens.append(_Token("number", text[i:j], i))
-            i = j
-        elif c.isalpha() or c == "_":
-            j = i + 1
-            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(_Token("ident", text[i:j], i))
-            i = j
-        else:
-            raise ParseError(f"unexpected character {c!r}", i)
+    for match in _TOKEN.finditer(text):
+        number, ident, punct, other = match.groups()
+        # an identifier starts with a letter or '_'
+        if other or ident and not (ident[0].isalpha() or ident[0] == "_"):
+            raise ParseError(f"unexpected character {match[0][0]!r}", match.start())
+        tokens.append(_Token("number" if number else punct or "ident", match[0],
+                             match.start()))
     tokens.append(_Token("end", "", len(text)))
     return tokens
+
+
+def _check_polarized(tok: _Token) -> None:
+    if len(tok.text) < 2 or tok.text[-1] not in "HV":
+        raise ParseError(
+            f"expected modeId followed by polarization H or V, found {tok.text!r}",
+            tok.pos)
 
 
 class _Parser:
@@ -206,35 +188,30 @@ class _Parser:
 
     # -- terms and factors --------------------------------------------------
 
-    def parse_mode_pol(self) -> tuple[str, str]:
-        tok = self.expect("ident")
-        if len(tok.text) < 2 or tok.text[-1] not in "HV":
-            raise ParseError(
-                f"expected modeId followed by polarization H or V, found {tok.text!r}",
-                tok.pos)
-        return tok.text[:-1], tok.text[-1]
-
-    def parse_term(self, sign: int) -> Term:
-        coef = complex(sign)
-        if self.starts_coefficient():
-            coef *= self.parse_coefficient()
-            self.expect("*")
-        mode, pol = self.parse_mode_pol()
-        return Term(coef, pol, mode)
-
-    def leading_sign(self) -> int:
-        if self.peek().kind in "+-":
-            return +1 if self.next().kind == "+" else -1
-        return +1
+    def signed_terms(self, check=lambda tok: None) -> list[tuple[complex, _Token]]:
+        """``[sign] [coef '*'] ident (('+'|'-') [coef '*'] ident)*``: each
+        identifier, passed to ``check`` as it is read, with its signed
+        coefficient."""
+        terms = []
+        sign = self.next().kind if self.peek().kind in "+-" else "+"
+        while True:
+            coef = complex(-1 if sign == "-" else 1)
+            if self.starts_coefficient():
+                coef *= self.parse_coefficient()
+                self.expect("*")
+            ident = self.expect("ident")
+            check(ident)
+            terms.append((coef, ident))
+            if self.peek().kind not in "+-":
+                return terms
+            sign = self.next().kind
 
     def parse_factor(self) -> tuple[Term, ...]:
         self.expect("(")
-        terms = [self.parse_term(self.leading_sign())]
-        while self.peek().kind in "+-":
-            sign = +1 if self.next().kind == "+" else -1
-            terms.append(self.parse_term(sign))
+        terms = tuple(Term(coef, tok.text[-1], tok.text[:-1])
+                      for coef, tok in self.signed_terms(_check_polarized))
         self.expect(")")
-        return tuple(terms)
+        return terms
 
     def parse_expression(self) -> tuple[tuple[Term, ...], ...]:
         factors = [self.parse_factor()]
@@ -244,26 +221,6 @@ class _Parser:
         if tok.kind != "end":
             raise ParseError(f"unexpected trailing input {tok.text!r}", tok.pos)
         return tuple(factors)
-
-    # -- definition right-hand sides ----------------------------------------
-
-    def parse_mode_combination(self) -> dict[str, complex]:
-        combo: dict[str, complex] = {}
-        sign = self.leading_sign()
-        while True:
-            coef = complex(sign)
-            if self.starts_coefficient():
-                coef *= self.parse_coefficient()
-                self.expect("*")
-            ident = self.expect("ident")
-            combo[ident.text] = combo.get(ident.text, 0) + coef
-            tok = self.peek()
-            if tok.kind == "end":
-                return combo
-            if tok.kind not in "+-":
-                raise ParseError(f"expected '+', '-' or end of line, found {tok.text!r}",
-                                 tok.pos)
-            sign = +1 if self.next().kind == "+" else -1
 
 
 # ---------------------------------------------------------------------------
@@ -320,7 +277,14 @@ def parse_definition_line(line: str, definitions: Definitions) -> None:
         pass
 
     parser = _Parser(rhs, definitions.constants)
-    combo = parser.parse_mode_combination()
+    terms = parser.signed_terms()
+    tok = parser.peek()
+    if tok.kind != "end":
+        raise ParseError(f"expected '+', '-' or end of line, found {tok.text!r}",
+                         tok.pos)
+    combo: dict[str, complex] = {}
+    for coef, ident in terms:
+        combo[ident.text] = combo.get(ident.text, 0) + coef
     resolved: dict[str, complex] = {}
     for ident, coef in combo.items():
         if ident == name:

@@ -42,30 +42,31 @@ def format_density_matrix(rho: AccessibleDensityMatrix) -> str:
 
 
 def parse_density_matrix(text: str) -> AccessibleDensityMatrix:
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith("n_photons"):
+    lines = (ln.strip() for ln in text.splitlines() if ln.strip())
+    first = next(lines, "")
+    header = first.split()
+    if len(header) != 2 or header[0] != "n_photons":
         raise FormatError("density matrix file must start with 'n_photons <N>'")
     try:
-        n = int(lines[0].split()[1])
-    except (IndexError, ValueError) as err:
-        raise FormatError(f"bad n_photons line: {lines[0]!r}") from err
+        n = int(header[1])
+    except ValueError as err:
+        raise FormatError(f"bad n_photons line: {first!r}") from err
     if not 1 <= n <= N_MAX:
         raise FormatError(f"n_photons must be between 1 and {N_MAX}, got {n}")
 
     blocks: dict[int, np.ndarray] = {}
-    i = 1
-    while i < len(lines):
-        parts = lines[i].split()
+    for line in lines:
+        parts = line.split()
         if parts[:2] != ["block", "two_j"] or len(parts) != 5:
             raise FormatError(f"expected 'block two_j <j2> multiplicity <m>', "
-                              f"got {lines[i]!r}")
+                              f"got {line!r}")
         if parts[3] != "multiplicity":
-            raise FormatError(f"bad block header: {lines[i]!r}")
+            raise FormatError(f"bad block header: {line!r}")
         try:
             two_j = int(parts[2])
             declared_mult = int(parts[4])
         except ValueError as err:
-            raise FormatError(f"bad block header: {lines[i]!r}") from err
+            raise FormatError(f"bad block header: {line!r}") from err
         if two_j in blocks:
             raise FormatError(f"block two_j={two_j} appears twice")
         if declared_mult != su2_multiplicity(n, two_j):
@@ -75,22 +76,20 @@ def parse_density_matrix(text: str) -> AccessibleDensityMatrix:
         dim = two_j + 1
         rows = []
         for k in range(dim):
-            i += 1
-            if i >= len(lines):
+            row = next(lines, None)
+            if row is None:
                 raise FormatError(f"block two_j={two_j}: missing matrix rows")
-            values = lines[i].split()
+            values = row.split()
             if len(values) != 2 * dim:
                 raise FormatError(
                     f"block two_j={two_j}, row {k}: expected {2 * dim} numbers, "
                     f"got {len(values)}")
             try:
-                numbers = [float(v) for v in values]
+                # alternating real and imaginary parts are complex128's layout
+                rows.append(np.array([float(v) for v in values]).view(complex))
             except ValueError as err:
-                raise FormatError(f"bad number in row {lines[i]!r}") from err
-            rows.append([complex(numbers[2 * c], numbers[2 * c + 1])
-                         for c in range(dim)])
+                raise FormatError(f"bad number in row {row!r}") from err
         blocks[two_j] = np.array(rows)
-        i += 1
     try:
         return AccessibleDensityMatrix(n, blocks)
     except ValueError as err:
@@ -101,61 +100,64 @@ def parse_density_matrix(text: str) -> AccessibleDensityMatrix:
 # Settings and counts tables
 # ---------------------------------------------------------------------------
 
+def _angle(deg: float) -> str:
+    """``:g`` where that reads back as the same float, else ``repr``."""
+    text = f"{deg:g}"
+    return text if float(text) == deg else repr(float(deg))
+
+
+def _table(text: str, header: str, name: str, row, key=lambda value: value) -> list:
+    """The values ``row(*cells)`` of the lines after ``header``, in order.
+
+    FormatError for a missing header, no rows, a wrong number of cells, a
+    row that ``row`` refuses with ValueError, or a repeated ``key(value)``.
+    """
+    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
+    if not lines or lines[0].replace(" ", "") != header:
+        raise FormatError(f"{name} file must start with header {header!r}")
+    if len(lines) == 1:
+        raise FormatError(f"{name} file has no rows")
+    values, seen = [], set()
+    for ln in lines[1:]:
+        cells = ln.split(",")
+        if len(cells) != header.count(",") + 1:
+            raise FormatError(f"expected {header.count(',') + 1} columns, got {ln!r}")
+        try:
+            value = row(*cells)
+        except ValueError as err:
+            raise FormatError(f"bad {name} row {ln!r}") from err
+        cell = key(value)
+        if cell in seen:
+            raise FormatError(f"repeated {name} row {ln!r}")
+        seen.add(cell)
+        values.append(value)
+    return values
+
+
 def format_settings(settings: list[WaveplateSetting]) -> str:
     lines = [SETTINGS_HEADER]
-    lines += [f"{s.qwp_deg:g},{s.hwp_deg:g}" for s in settings]
+    lines += [f"{_angle(s.qwp_deg)},{_angle(s.hwp_deg)}" for s in settings]
     return "\n".join(lines) + "\n"
 
 
 def parse_settings(text: str) -> list[WaveplateSetting]:
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0].replace(" ", "") != SETTINGS_HEADER:
-        raise FormatError(f"settings file must start with header {SETTINGS_HEADER!r}")
-    settings = []
-    for ln in lines[1:]:
-        parts = ln.split(",")
-        if len(parts) != 2:
-            raise FormatError(f"expected 'qwp_deg,hwp_deg', got {ln!r}")
-        try:
-            settings.append(WaveplateSetting(float(parts[0]), float(parts[1])))
-        except ValueError as err:
-            raise FormatError(f"bad settings row {ln!r}") from err
-    if not settings:
-        raise FormatError("settings file has no rows")
-    return settings
+    return _table(text, SETTINGS_HEADER, "settings",
+                  lambda qwp, hwp: WaveplateSetting(float(qwp), float(hwp)))
 
 
 def format_counts(records: list[CountRecord]) -> str:
     lines = [COUNTS_HEADER]
     for r in records:
         count = int(r.count) if float(r.count).is_integer() else r.count
-        lines.append(f"{r.qwp_deg:g},{r.hwp_deg:g},{r.n_h},{r.n_v},{count}")
+        lines.append(f"{_angle(r.qwp_deg)},{_angle(r.hwp_deg)},{r.n_h},{r.n_v},{count}")
     return "\n".join(lines) + "\n"
 
 
 def parse_counts(text: str) -> list[CountRecord]:
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0].replace(" ", "") != COUNTS_HEADER:
-        raise FormatError(f"counts file must start with header {COUNTS_HEADER!r}")
-    records = []
-    cells = set()
-    for ln in lines[1:]:
-        parts = ln.split(",")
-        if len(parts) != 5:
-            raise FormatError(f"expected 5 columns, got {ln!r}")
-        try:
-            record = CountRecord(float(parts[0]), float(parts[1]),
-                                 int(parts[2]), int(parts[3]), float(parts[4]))
-        except ValueError as err:
-            raise FormatError(f"bad counts row {ln!r}") from err
-        cell = (record.qwp_deg, record.hwp_deg, record.n_h, record.n_v)
-        if cell in cells:
-            raise FormatError(f"repeated counts row {ln!r}")
-        cells.add(cell)
-        records.append(record)
-    if not records:
-        raise FormatError("counts file has no rows")
-    return records
+    return _table(text, COUNTS_HEADER, "counts",
+                  lambda qwp, hwp, n_h, n_v, count: CountRecord(
+                      float(qwp), float(hwp), int(n_h), int(n_v), float(count)),
+                  key=lambda r: (r.qwp_deg, r.hwp_deg, r.n_h, r.n_v))
 
 
 # ---------------------------------------------------------------------------

@@ -302,6 +302,46 @@ def test_huge_integer_seed_and_iteration_cap_are_accepted(workdir, capsys):
     assert "Traceback" not in capsys.readouterr().err
 
 
+def test_close_settings_survive_simulate_and_reconstruct(workdir, capsys):
+    # 10.0000001 and 10.0000002 both read as 10 from a file that rounds to
+    # six significant digits, and reconstruct then refuses a repeated row
+    matrix = analyzed_matrix(workdir)
+    close = workdir / "close.csv"
+    close.write_text(io.format_settings(TWELVE_SETTINGS) + "10.0000001,0\n10.0000002,0\n")
+    counts = workdir / "counts.csv"
+    assert run(["simulate", matrix, "--settings", close, "--out", counts]) == 0
+    angles = {r.qwp_deg for r in io.parse_counts(counts.read_text())}
+    assert {10.0000001, 10.0000002} <= angles
+    assert run(["reconstruct", counts, "--out", workdir / "est.dm", "--tol", "1e-2"]) == 0
+
+
+def test_simulate_rejects_repeated_settings_row(workdir, capsys):
+    matrix = analyzed_matrix(workdir)
+    capsys.readouterr()
+    repeated = workdir / "repeated.csv"
+    repeated.write_text(io.format_settings(TWELVE_SETTINGS) + "15,12.25\n")
+    out = workdir / "counts.csv"
+    assert run(["simulate", matrix, "--settings", repeated, "--out", out]) == 3
+    assert "error: repeated settings row '15,12.25'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_library_value_error_exits_3_and_writes_nothing(workdir, capsys, monkeypatch):
+    def simulate_counts(*args, **kwargs):
+        raise ValueError("mean_shots out of range")
+
+    matrix = analyzed_matrix(workdir)
+    capsys.readouterr()
+    monkeypatch.setattr(cli, "simulate_counts", simulate_counts)
+    out = workdir / "counts.csv"
+    assert run(["simulate", matrix, "--settings", workdir / "settings.csv",
+                "--out", out]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == "error: mean_shots out of range\n"
+    assert "wrote" not in captured.out
+    assert not out.exists()
+
+
 def test_simulate_warns_on_rank_deficient_settings(workdir, capsys):
     matrix = analyzed_matrix(workdir)
     single = workdir / "one.csv"
@@ -583,6 +623,21 @@ def test_input_that_is_not_utf8_exits_3(workdir, capsys, command):
     capsys.readouterr()
     assert run(argv) == 3
     assert "is not UTF-8 text" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["analyze", "simulate", "reconstruct"])
+def test_missing_input_exits_3(workdir, capsys, command):
+    missing = workdir / "missing.txt"
+    out = workdir / "out.txt"
+    argv = {"analyze": ["analyze", missing, "--out", out],
+            "simulate": ["simulate", analyzed_matrix(workdir), "--settings", missing,
+                         "--out", out],
+            "reconstruct": ["reconstruct", missing, "--out", out]}[command]
+    capsys.readouterr()
+    assert run(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read {missing}: ") and "Traceback" not in err
     assert not out.exists()
 
 

@@ -139,3 +139,17 @@ def test_empty_file_rejected():
 def test_expression_requires_at_least_one_factor():
     with pytest.raises(ParseError):
         parse_operator_expression("")
+
+
+@pytest.mark.parametrize("text, position", [("(²*aH)", 1), ("(aH)(2²*aV)", 6),
+                                            ("(٣*aH)", 1), ("(aH + ½V)", 6)],
+                         ids=["superscript", "after-digit", "arabic-indic", "fraction"])
+def test_non_ascii_digit_is_a_parse_error_with_position(text, position):
+    with pytest.raises(ParseError, match="unexpected character") as err:
+        parse_expression_file(text)
+    assert err.value.position == position
+
+
+def test_non_ascii_letters_still_name_modes():
+    expr = parse_operator_expression("(αH + a²V)")
+    assert [t.mode for t in expr.factors[0]] == ["α", "a²"]

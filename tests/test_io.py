@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from accdm import io
-from accdm.measurement import CountRecord, simulate_counts
+from accdm.measurement import CountRecord, WaveplateSetting, simulate_counts
 from accdm.states import AccessibleDensityMatrix
 from accdm.tomography import indistinguishability_report
 
@@ -18,9 +19,11 @@ def test_density_matrix_round_trip(golden_state):
         assert back.allclose(rho, atol=1e-15)
 
 
-def test_density_matrix_bad_header():
+@pytest.mark.parametrize("header", ["photons 3", "n_photons 1 junk", "n_photonsX 1"],
+                         ids=["photons", "extra-field", "longer-keyword"])
+def test_density_matrix_bad_header(header):
     with pytest.raises(io.FormatError, match="n_photons"):
-        io.parse_density_matrix("photons 3\n")
+        io.parse_density_matrix(header + "\nblock two_j 1 multiplicity 1\n1 0 0 0\n0 0 0 0\n")
 
 
 def test_density_matrix_wrong_multiplicity(golden_state):
@@ -85,6 +88,39 @@ def test_settings_round_trip():
     text = io.format_settings(TWELVE_SETTINGS)
     assert text.splitlines()[0] == "qwp_deg,hwp_deg"
     assert io.parse_settings(text) == TWELVE_SETTINGS
+
+
+ANGLES = st.floats(allow_nan=False, allow_infinity=False)
+ROUND_TRIP = settings(derandomize=True, max_examples=300, deadline=None)
+
+
+@ROUND_TRIP
+@given(st.lists(st.builds(WaveplateSetting, ANGLES, ANGLES), min_size=1,
+                unique_by=lambda s: (s.qwp_deg, s.hwp_deg)))
+def test_settings_round_trip_any_finite_angle(settings_list):
+    assert io.parse_settings(io.format_settings(settings_list)) == settings_list
+
+
+@ROUND_TRIP
+@given(st.lists(st.builds(CountRecord, ANGLES, ANGLES, st.integers(0, 10),
+                          st.integers(0, 10), st.floats(0, 1e12)),
+                min_size=1, unique_by=lambda r: (r.qwp_deg, r.hwp_deg, r.n_h, r.n_v)))
+def test_counts_round_trip_any_finite_angle(records):
+    assert io.parse_counts(io.format_counts(records)) == records
+
+
+@pytest.mark.parametrize("angle, text", [(15.0, "15"), (12.25, "12.25"), (-0.0, "-0"),
+                                         (1e-5, "1e-05"), (33.3333333, "33.3333333"),
+                                         (10.0000001, "10.0000001"),
+                                         (123456789.0, "123456789.0")])
+def test_angle_text_is_g_where_that_reads_back(angle, text):
+    assert io.format_settings([WaveplateSetting(angle, 0.0)]).splitlines()[1] == f"{text},0"
+
+
+def test_settings_reject_repeated_row():
+    # -0 and 0 are the same angle
+    with pytest.raises(io.FormatError, match="repeated settings row '-0,15'"):
+        io.parse_settings("qwp_deg,hwp_deg\n0,15\n30,0\n-0,15\n")
 
 
 def test_settings_reject_garbage():
