@@ -17,18 +17,14 @@ from .expressions import (
 )
 from .measurement import (
     CountRecord,
-    PovmElement,
     WaveplateSetting,
     measurement_span_rank,
     outcome_probabilities,
-    povm_elements,
     simulate_counts,
     waveplate_unitary,
 )
 from .schur import (
     N_MAX,
-    SchurBasis,
-    SchurBasisVector,
     accessible_param_count,
     occurring_two_j,
     partitions,
@@ -40,16 +36,7 @@ from .schur import (
     two_j_to_partition,
     weyl_dimension,
 )
-from .states import (
-    AccessibleDensityMatrix,
-    CoupledCoefficients,
-    FirstQuantizedState,
-    accessible_projection,
-    coupled_to_accessible,
-    expand_and_symmetrize,
-    expression_to_accessible,
-    trace_hidden,
-)
+from .states import AccessibleDensityMatrix, expression_to_accessible
 from .tomography import (
     IndistinguishabilityReport,
     NumericalError,
@@ -65,25 +52,17 @@ from .tomography import (
 __all__ = [
     "AccessibleDensityMatrix",
     "CountRecord",
-    "CoupledCoefficients",
     "CreationOperatorExpression",
     "Definitions",
-    "FirstQuantizedState",
     "IndistinguishabilityReport",
     "N_MAX",
     "NumericalError",
     "ParseError",
-    "PovmElement",
     "RankDeficiencyError",
     "ReconstructionResult",
-    "SchurBasis",
-    "SchurBasisVector",
     "Term",
     "WaveplateSetting",
     "accessible_param_count",
-    "accessible_projection",
-    "coupled_to_accessible",
-    "expand_and_symmetrize",
     "expression_to_accessible",
     "fidelity",
     "indistinguishability_report",
@@ -97,14 +76,12 @@ __all__ = [
     "parse_expression_file",
     "parse_operator_expression",
     "partitions",
-    "povm_elements",
     "schur_basis",
     "sector_rotation",
     "simulate_counts",
     "su2_multiplicity",
     "symmetric_dimension",
     "symmetric_power",
-    "trace_hidden",
     "two_j_to_partition",
     "waveplate_unitary",
     "weyl_dimension",

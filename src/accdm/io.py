@@ -26,6 +26,14 @@ class FormatError(ValueError):
     """Malformed input file."""
 
 
+def _number(text: str, kind=float):
+    """``kind(text)`` for ASCII text without underscores.  float() and int()
+    also read other scripts' digits and ``1_0``; the formats hold neither."""
+    if not text.isascii() or "_" in text:
+        raise ValueError(f"not a number: {text!r}")
+    return kind(text)
+
+
 # ---------------------------------------------------------------------------
 # Density matrices
 # ---------------------------------------------------------------------------
@@ -48,7 +56,7 @@ def parse_density_matrix(text: str) -> AccessibleDensityMatrix:
     if len(header) != 2 or header[0] != "n_photons":
         raise FormatError("density matrix file must start with 'n_photons <N>'")
     try:
-        n = int(header[1])
+        n = _number(header[1], int)
     except ValueError as err:
         raise FormatError(f"bad n_photons line: {first!r}") from err
     if not 1 <= n <= N_MAX:
@@ -63,8 +71,8 @@ def parse_density_matrix(text: str) -> AccessibleDensityMatrix:
         if parts[3] != "multiplicity":
             raise FormatError(f"bad block header: {line!r}")
         try:
-            two_j = int(parts[2])
-            declared_mult = int(parts[4])
+            two_j = _number(parts[2], int)
+            declared_mult = _number(parts[4], int)
         except ValueError as err:
             raise FormatError(f"bad block header: {line!r}") from err
         if two_j in blocks:
@@ -86,7 +94,7 @@ def parse_density_matrix(text: str) -> AccessibleDensityMatrix:
                     f"got {len(values)}")
             try:
                 # alternating real and imaginary parts are complex128's layout
-                rows.append(np.array([float(v) for v in values]).view(complex))
+                rows.append(np.array([_number(v) for v in values]).view(complex))
             except ValueError as err:
                 raise FormatError(f"bad number in row {row!r}") from err
         blocks[two_j] = np.array(rows)
@@ -106,11 +114,14 @@ def _angle(deg: float) -> str:
     return text if float(text) == deg else repr(float(deg))
 
 
-def _table(text: str, header: str, name: str, row, key=lambda value: value) -> list:
-    """The values ``row(*cells)`` of the lines after ``header``, in order.
+def _table(text: str, header: str, name: str, row, kinds: tuple,
+           key=lambda value: value) -> list:
+    """The values ``row(*cells)`` of the lines after ``header``, in order,
+    each cell read by ``_number`` as the type of its column in ``kinds``.
 
     FormatError for a missing header, no rows, a wrong number of cells, a
-    row that ``row`` refuses with ValueError, or a repeated ``key(value)``.
+    cell that is not a number of its type, a row that ``row`` refuses with
+    ValueError, or a repeated ``key(value)``.
     """
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not lines or lines[0].replace(" ", "") != header:
@@ -120,10 +131,10 @@ def _table(text: str, header: str, name: str, row, key=lambda value: value) -> l
     values, seen = [], set()
     for ln in lines[1:]:
         cells = ln.split(",")
-        if len(cells) != header.count(",") + 1:
-            raise FormatError(f"expected {header.count(',') + 1} columns, got {ln!r}")
+        if len(cells) != len(kinds):
+            raise FormatError(f"expected {len(kinds)} columns, got {ln!r}")
         try:
-            value = row(*cells)
+            value = row(*map(_number, cells, kinds))
         except ValueError as err:
             raise FormatError(f"bad {name} row {ln!r}") from err
         cell = key(value)
@@ -141,8 +152,7 @@ def format_settings(settings: list[WaveplateSetting]) -> str:
 
 
 def parse_settings(text: str) -> list[WaveplateSetting]:
-    return _table(text, SETTINGS_HEADER, "settings",
-                  lambda qwp, hwp: WaveplateSetting(float(qwp), float(hwp)))
+    return _table(text, SETTINGS_HEADER, "settings", WaveplateSetting, (float, float))
 
 
 def format_counts(records: list[CountRecord]) -> str:
@@ -154,9 +164,8 @@ def format_counts(records: list[CountRecord]) -> str:
 
 
 def parse_counts(text: str) -> list[CountRecord]:
-    return _table(text, COUNTS_HEADER, "counts",
-                  lambda qwp, hwp, n_h, n_v, count: CountRecord(
-                      float(qwp), float(hwp), int(n_h), int(n_v), float(count)),
+    return _table(text, COUNTS_HEADER, "counts", CountRecord,
+                  (float, float, int, int, float),
                   key=lambda r: (r.qwp_deg, r.hwp_deg, r.n_h, r.n_v))
 
 

@@ -18,10 +18,11 @@ import numpy as np
 from .schur import N_MAX, _layout, sector_rotation
 from .states import AccessibleDensityMatrix
 
-POVM_TOL = 1e-10
 RANK_TOL = 1e-9
 # mean shots per setting: Generator.poisson rejects means above about 9.2e18
 MAX_SHOTS = 1e18
+# the step of numpy's PCG64.jumped, about 2**128 * (sqrt(5) - 1) / 2
+PCG64_JUMP = 0x9e3779b97f4a7c15f39cc0605cedc835
 
 
 @dataclass(frozen=True)
@@ -51,6 +52,8 @@ class CountRecord:
     count: float
 
     def __post_init__(self):
+        if not (math.isfinite(self.qwp_deg) and math.isfinite(self.hwp_deg)):
+            raise ValueError("waveplate angles must be finite")
         if not math.isfinite(self.count):
             raise ValueError("counts must be finite")
         if self.n_h < 0 or self.n_v < 0 or self.count < 0:
@@ -170,34 +173,6 @@ class _OutcomeModel:
         return _rank(np.linalg.svd(self.design, compute_uv=False))
 
 
-@dataclass(frozen=True)
-class PovmElement:
-    """Accessible block form of one outcome operator (N_H, N_V)."""
-
-    n: int
-    n_h: int
-    n_v: int
-    blocks: dict[int, np.ndarray]
-
-    def __post_init__(self):
-        if self.n_h + self.n_v != self.n:
-            raise ValueError("outcome must satisfy n_h + n_v = n")
-        for two_j, block in self.blocks.items():
-            eigs = np.linalg.eigvalsh(block)
-            if eigs.min() < -POVM_TOL or eigs.max() > 1 + POVM_TOL:
-                raise ValueError(
-                    f"block for two_j={two_j} violates 0 <= E <= 1: "
-                    f"eigenvalues in [{eigs.min()}, {eigs.max()}]")
-            block.setflags(write=False)
-
-
-def povm_elements(setting: WaveplateSetting, n: int) -> list[PovmElement]:
-    """The N+1 outcome operators of one setting, ordered (N,0), (N-1,1), ..., (0,N)."""
-    model = _OutcomeModel([setting], n)
-    return [PovmElement(n, n - k, k, model.layout.blocks(theta))
-            for k, theta in enumerate(model._operator_design)]
-
-
 def outcome_probabilities(rho: AccessibleDensityMatrix,
                           setting: WaveplateSetting) -> np.ndarray:
     """Probabilities of the N+1 outcomes, ordered (N,0) first.
@@ -213,15 +188,6 @@ def outcome_probabilities(rho: AccessibleDensityMatrix,
 # Poisson count simulation
 # ---------------------------------------------------------------------------
 
-def poisson_draw(rng: np.random.Generator, mean: float) -> int:
-    """One Poisson variate from ``rng``.
-
-    ``Generator.poisson`` raises ValueError for a negative or NaN mean and
-    for one above about 9.2e18.
-    """
-    return int(rng.poisson(mean))
-
-
 def simulate_counts(rho: AccessibleDensityMatrix,
                     settings: list[WaveplateSetting],
                     mean_shots: float,
@@ -229,11 +195,13 @@ def simulate_counts(rho: AccessibleDensityMatrix,
                     model: _OutcomeModel | None = None) -> list[CountRecord]:
     """Poisson count data for every (setting, outcome) pair.
 
-    Each pair owns a substream of one PCG64 stream seeded by ``seed``: the
-    pair (setting index si, outcome index k) draws from that stream jumped
-    ahead by ((si << 32) + k) * 2**64 steps, so substreams lie 2**64 draws
-    apart and a pair's count depends only on the seed, its indices and its
-    own mean, not on the other pairs or the evaluation order.  Results are
+    Each pair owns a substream of one PCG64 stream seeded by ``seed``: cell
+    c = si * (rho.n + 1) + k (setting index si, outcome index k) draws from
+    ``PCG64(seed).jumped(c)``, that stream advanced by c * PCG64_JUMP steps.
+    So a pair's count depends only on the seed, its indices and its own
+    mean, not on the other pairs or the evaluation order.  (Offsets that
+    are multiples of 2**64 would leave the low half of the 128-bit state
+    equal across substreams, and their draws correlated.)  Results are
     reproducible for a given numpy version.  ``mean_shots`` must lie in
     [0, MAX_SHOTS].  A caller that has built the outcome model of these
     settings for ``rho.n`` photons passes it as ``model``, to pay for it
@@ -253,8 +221,8 @@ def simulate_counts(rho: AccessibleDensityMatrix,
     for si, setting in enumerate(settings):
         for k in range(rho.n + 1):
             bits.state = seeded
-            bits.advance(((si << 32) + k) << 64)
-            count = poisson_draw(rng, mean_shots * p[si, k])
+            bits.advance((si * (rho.n + 1) + k) * PCG64_JUMP)
+            count = int(rng.poisson(mean_shots * p[si, k]))
             records.append(CountRecord(setting.qwp_deg, setting.hwp_deg,
                                        rho.n - k, k, count))
     return records

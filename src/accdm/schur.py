@@ -22,7 +22,8 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-#: Largest particle number for which the dense 2^N x 2^N basis is built.
+#: Largest photon number on every path: the ``.dm`` parser, the outcome
+#: model, the permanent path of ``accdm.states`` and the dense basis here.
 N_MAX = 10
 
 
@@ -83,13 +84,6 @@ def two_j_to_partition(n: int, two_j: int) -> tuple[int, int]:
     if su2_multiplicity(n, two_j) == 0:
         raise ValueError(f"two_j={two_j} does not occur for n={n}")
     return ((n + two_j) // 2, (n - two_j) // 2)
-
-
-def partition_to_two_j(partition: Sequence[int]) -> int:
-    """Inverse of :func:`two_j_to_partition` for at-most-two-row diagrams."""
-    lam = _validate_partition(partition, 2)
-    lam = lam + (0,) * (2 - len(lam))
-    return lam[0] - lam[1]
 
 
 def weyl_dimension(partition: Sequence[int], d: int) -> int:
@@ -221,7 +215,8 @@ def _couple_spin_half(vecs: dict[int, np.ndarray], two_jp: int, up: bool) -> dic
 def schur_basis(n: int) -> SchurBasis:
     """Build the Schur basis for n qubits by sequential coupling.
 
-    Raises ValueError outside 1 <= n <= N_MAX (dense storage cap).
+    Raises ValueError outside 1 <= n <= N_MAX, the photon-number cap of the
+    whole package.
     """
     if not 1 <= n <= N_MAX:
         raise ValueError(f"n must be between 1 and {N_MAX}, got {n}")

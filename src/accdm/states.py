@@ -226,18 +226,6 @@ class AccessibleDensityMatrix:
         return sum(self.multiplicity(tj) * (b @ b).trace().real
                    for tj, b in self.blocks.items())
 
-    def full_matrix(self) -> np.ndarray:
-        """Dense 2^n x 2^n matrix with each block repeated over its copies."""
-        basis = schur_basis(self.n)
-        dim = 2 ** self.n
-        assembled = np.zeros((dim, dim), dtype=complex)
-        for two_j, block in self.blocks.items():
-            for mu in range(1, self.multiplicity(two_j) + 1):
-                rows = basis.sector_rows(two_j, mu)
-                assembled[np.ix_(rows, rows)] = block
-        u = basis.matrix
-        return u.conj().T @ assembled @ u
-
     def allclose(self, other: "AccessibleDensityMatrix", atol: float = 1e-10) -> bool:
         return self.n == other.n and all(
             np.abs(self.blocks[tj] - other.blocks[tj]).max() <= atol
@@ -261,29 +249,6 @@ def _extract_blocks(rho_schur: np.ndarray, n: int) -> tuple[dict[int, np.ndarray
         acc /= mult
         blocks[two_j] = (acc + acc.conj().T) / 2
     return blocks, float(np.abs(remainder).max())
-
-
-def accessible_projection(rho: np.ndarray) -> AccessibleDensityMatrix:
-    """Project a visible density matrix onto the accessible operator space.
-
-    This is the S_N twirl (1/N!) sum_P P rho P^dag, expressed in block form:
-    the Schur-basis blocks, averaged over their multiplicity copies.  It
-    leaves rho unchanged whenever rho already commutes with all
-    permutations.
-    """
-    rho = np.asarray(rho, dtype=complex)
-    dim = rho.shape[0]
-    n = dim.bit_length() - 1
-    if rho.shape != (dim, dim) or 2 ** n != dim or not 1 <= n <= N_MAX:
-        raise ValueError(f"expected a 2^n x 2^n matrix with 1 <= n <= {N_MAX}")
-    if np.abs(rho - rho.conj().T).max() > NORM_TOL:
-        raise ValueError("input matrix is not Hermitian within tolerance")
-    if abs(rho.trace().real - 1.0) > NORM_TOL:
-        raise ValueError("input matrix does not have unit trace within tolerance")
-
-    u = schur_basis(n).matrix
-    blocks, _ = _extract_blocks(u @ rho @ u.conj().T, n)
-    return AccessibleDensityMatrix(n, blocks)
 
 
 def trace_hidden(state: FirstQuantizedState) -> AccessibleDensityMatrix:
@@ -420,55 +385,3 @@ def expression_to_accessible(expr: CreationOperatorExpression) -> AccessibleDens
         raise ValueError(f"hidden-mode trace failed: least-squares residual "
                          f"{residual:.3e} exceeds {RESIDUAL_TOL}")
     return AccessibleDensityMatrix(n, _layout(n).blocks(theta))
-
-
-# ---------------------------------------------------------------------------
-# Coupled-coefficient parameterization
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class CoupledCoefficients:
-    """Amplitudes C^j[m, m'] of the totally symmetric visible-hidden coupling.
-
-    Row index m runs over the 2j+1 visible weights (descending); column m'
-    runs over the su2_multiplicity(n, j) hidden partners.  Normalized so the
-    squared amplitudes sum to 1 (against unit-norm coupled kets).
-    """
-
-    n: int
-    tables: dict[int, np.ndarray]
-
-    def __post_init__(self):
-        expected = occurring_two_j(self.n)
-        if any(tj not in expected for tj in self.tables):
-            raise ValueError(f"tables keys must be a subset of {expected}")
-        total = 0.0
-        for two_j, table in self.tables.items():
-            shape = (two_j + 1, su2_multiplicity(self.n, two_j))
-            if table.shape != shape:
-                raise ValueError(f"table for two_j={two_j} must have shape {shape}")
-            total += float(np.sum(np.abs(table) ** 2))
-        if abs(total - 1.0) > NORM_TOL:
-            raise ValueError(f"coefficient norm {total} is not 1 within {NORM_TOL}")
-
-
-def coupled_to_accessible(coeffs: CoupledCoefficients) -> AccessibleDensityMatrix:
-    """Accessible density matrix of the state with the given coupled amplitudes.
-
-    Block j is proportional to C^j (C^j)^dag; the hidden-partner index is
-    summed out and the multiplicity-weighted trace is normalized to one.
-    """
-    total = sum(float(np.sum(np.abs(t) ** 2)) for t in coeffs.tables.values())
-    if total < 1e-30:
-        raise ValueError("all coupled coefficients are zero")
-    blocks = {}
-    for two_j in occurring_two_j(coeffs.n):
-        dim = two_j + 1
-        mult = su2_multiplicity(coeffs.n, two_j)
-        table = coeffs.tables.get(two_j)
-        if table is None:
-            blocks[two_j] = np.zeros((dim, dim), dtype=complex)
-        else:
-            gram = table @ table.conj().T
-            blocks[two_j] = (gram + gram.conj().T) / (2 * mult * total)
-    return AccessibleDensityMatrix(coeffs.n, blocks)

@@ -13,9 +13,9 @@ from itertools import permutations
 import numpy as np
 import pytest
 
-from accdm.measurement import CountRecord, WaveplateSetting
-from accdm.states import AccessibleDensityMatrix
-from accdm.schur import occurring_two_j, su2_multiplicity
+from accdm.measurement import CountRecord, WaveplateSetting, _OutcomeModel
+from accdm.states import AccessibleDensityMatrix, _extract_blocks
+from accdm.schur import occurring_two_j, schur_basis, su2_multiplicity
 
 # Expression file for the three-photon state whose third photon's hidden mode
 # has only 50% overlap with the mode of the other two.
@@ -120,6 +120,46 @@ def brute_force_twirl(rho, n):
         p = permutation_matrix(perm, n)
         acc += p @ rho @ p.T
     return acc / math.factorial(n)
+
+
+def full_matrix(n, blocks):
+    """Dense 2^n x 2^n operator of a block family, each block repeated over
+    its multiplicity copies in the Schur basis."""
+    basis = schur_basis(n)
+    dim = 2 ** n
+    assembled = np.zeros((dim, dim), dtype=complex)
+    for two_j, block in blocks.items():
+        for mu in range(1, su2_multiplicity(n, two_j) + 1):
+            rows = basis.sector_rows(two_j, mu)
+            assembled[np.ix_(rows, rows)] = block
+    u = basis.matrix
+    return u.conj().T @ assembled @ u
+
+
+def accessible_projection(rho):
+    """The S_N twirl (1/N!) sum_P P rho P^dag of a dense density matrix, in
+    block form: its Schur-basis blocks averaged over their multiplicity
+    copies.  Leaves rho unchanged when rho commutes with all permutations."""
+    rho = np.asarray(rho, dtype=complex)
+    dim = rho.shape[0]
+    n = dim.bit_length() - 1
+    if rho.shape != (dim, dim) or 2 ** n != dim or n < 1:
+        raise ValueError("expected a 2^n x 2^n matrix with n >= 1")
+    if np.abs(rho - rho.conj().T).max() > 1e-10:
+        raise ValueError("input matrix is not Hermitian within tolerance")
+    if abs(rho.trace().real - 1.0) > 1e-10:
+        raise ValueError("input matrix does not have unit trace within tolerance")
+    u = schur_basis(n).matrix
+    blocks, _ = _extract_blocks(u @ rho @ u.conj().T, n)
+    return AccessibleDensityMatrix(n, blocks)
+
+
+def outcome_operators(setting, n):
+    """Block families of the n+1 outcome operators of one setting, (n,0)
+    first: the operator view that the MLE and the gap bound use."""
+    model = _OutcomeModel([setting], n)
+    return [model.layout.blocks(theta)
+            for theta in model.operator_theta(np.eye(n + 1))]
 
 
 def convolution_oracle(polarizations, unitary):

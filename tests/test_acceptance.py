@@ -15,7 +15,6 @@ from accdm.measurement import (
     WaveplateSetting,
     measurement_span_rank,
     outcome_probabilities,
-    povm_elements,
     simulate_counts,
     waveplate_unitary,
 )
@@ -27,20 +26,18 @@ from accdm.schur import (
     su2_multiplicity,
     weyl_dimension,
 )
-from accdm.states import (
-    AccessibleDensityMatrix,
-    accessible_projection,
-    expand_and_symmetrize,
-    trace_hidden,
-)
+from accdm.states import AccessibleDensityMatrix, expand_and_symmetrize, trace_hidden
 from accdm.tomography import fidelity, indistinguishability_report, mle_reconstruct
 
 from conftest import (
     HALF_OVERLAP_TEXT,
     TWELVE_SETTINGS,
+    accessible_projection,
     brute_force_twirl,
+    full_matrix,
     half_overlap_blocks,
     noon_state,
+    outcome_operators,
     permutation_matrix,
     random_accessible_state,
     sample_count_records,
@@ -99,7 +96,7 @@ def test_criterion_3_full_state_golden():
 
 def test_criterion_4_span_rank():
     start = time.perf_counter()
-    n_elements = sum(len(povm_elements(s, 3)) for s in TWELVE_SETTINGS)
+    n_elements = sum(len(outcome_operators(s, 3)) for s in TWELVE_SETTINGS)
     assert n_elements == 48
     rank = measurement_span_rank(TWELVE_SETTINGS, 3)
     assert rank == 20
@@ -167,7 +164,7 @@ def test_criterion_8_property_suites():
         rho = a @ a.conj().T
         rho /= rho.trace().real
         acc = accessible_projection(rho)
-        twice = accessible_projection(acc.full_matrix())
+        twice = accessible_projection(full_matrix(n, acc.blocks))
         assert acc.allclose(twice, atol=1e-10)
         total = sum(su2_multiplicity(n, tj) * b.trace().real
                     for tj, b in acc.blocks.items())
@@ -196,7 +193,7 @@ def test_criterion_8_property_suites():
         u_full = np.array([[1.0]])
         for _ in range(n):
             u_full = np.kron(u_full, u)
-        rho_full = rho.full_matrix()
+        rho_full = full_matrix(n, rho.blocks)
         for k in range(n + 1):
             proj = np.diag([1.0 if bin(i).count("1") == k else 0.0
                             for i in range(2 ** n)]).astype(complex)
@@ -219,18 +216,11 @@ def test_criterion_8_property_suites():
                 assert np.abs(pm @ q @ pm.T - q).max() <= 1e-12
 
     # outcome (2,1) at zero angles is the projector onto the single-V strings
-    element = povm_elements(WaveplateSetting(0.0, 0.0), 3)[1]
+    element = outcome_operators(WaveplateSetting(0.0, 0.0), 3)[1]
     proj = np.zeros((8, 8), dtype=complex)
     for idx in (0b001, 0b010, 0b100):
         proj[idx, idx] = 1.0
-    basis = schur_basis(3)
-    assembled = np.zeros((8, 8), dtype=complex)
-    for two_j, block in element.blocks.items():
-        for mu in range(1, su2_multiplicity(3, two_j) + 1):
-            rows = basis.sector_rows(two_j, mu)
-            assembled[np.ix_(rows, rows)] = block
-    full = basis.matrix.conj().T @ assembled @ basis.matrix
-    assert np.abs(full - proj).max() <= 1e-12
+    assert np.abs(full_matrix(3, element) - proj).max() <= 1e-12
 
     print("criterion 8 PASS: twirl, symmetrization, block pairing, basis, "
           "and outcome-operator identities")

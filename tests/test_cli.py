@@ -479,6 +479,22 @@ def test_reconstruct_rejects_non_finite_count(workdir, capsys, value):
     assert not (workdir / "est.dm.report.txt").exists()
 
 
+@pytest.mark.parametrize("angle", ["nan", "inf", "-inf"])
+def test_reconstruct_rejects_non_finite_angle(workdir, capsys, angle):
+    # two such rows are not equal to each other when the angle is nan, so the
+    # repeated-row check alone would let them through
+    row = f"{angle},0,3,0,5"
+    counts = workdir / "counts.csv"
+    counts.write_text(io.format_counts(sample_count_records()) + f"{row}\n{row}\n")
+    out = workdir / "est.dm"
+    assert run(["reconstruct", counts, "--out", out]) == 3
+    captured = capsys.readouterr()
+    assert f"bad counts row {row!r}" in captured.err
+    assert "verdict" not in captured.out
+    assert not out.exists()
+    assert not (workdir / "est.dm.report.txt").exists()
+
+
 def test_console_script_subprocess(workdir):
     import subprocess
     result = subprocess.run(

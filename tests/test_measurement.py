@@ -10,32 +10,21 @@ from accdm.measurement import (
     measurement_span_rank,
     outcome_probabilities,
     outcome_two_m,
-    poisson_draw,
-    povm_elements,
     simulate_counts,
     waveplate_unitary,
 )
-from accdm.schur import occurring_two_j, schur_basis, sector_rotation, su2_multiplicity
-from accdm.states import AccessibleDensityMatrix, accessible_projection
+from accdm.schur import occurring_two_j, sector_rotation
+from accdm.states import AccessibleDensityMatrix
 
 from conftest import (
     TWELVE_SETTINGS,
+    accessible_projection,
     brute_force_twirl,
+    full_matrix,
     noon_state,
+    outcome_operators,
     random_accessible_state,
 )
-
-
-def assemble_full(blocks, n):
-    basis = schur_basis(n)
-    dim = 2 ** n
-    out = np.zeros((dim, dim), dtype=complex)
-    for two_j, block in blocks.items():
-        for mu in range(1, su2_multiplicity(n, two_j) + 1):
-            rows = basis.sector_rows(two_j, mu)
-            out[np.ix_(rows, rows)] = block
-    u = basis.matrix
-    return u.conj().T @ out @ u
 
 
 def pure_string_state(n, bits):
@@ -85,32 +74,29 @@ def test_waveplate_unitarity_and_period():
 
 
 # ---------------------------------------------------------------------------
-# POVM elements
+# Outcome operators
 # ---------------------------------------------------------------------------
 
 def test_straight_through_all_h_outcome_is_top_weight_projector():
-    elements = povm_elements(WaveplateSetting(0.0, 0.0), 3)
-    top = elements[0]
-    assert (top.n_h, top.n_v) == (3, 0)
-    np.testing.assert_allclose(top.blocks[3], np.diag([1, 0, 0, 0]), atol=1e-12)
-    np.testing.assert_allclose(top.blocks[1], np.zeros((2, 2)), atol=1e-12)
+    top = outcome_operators(WaveplateSetting(0.0, 0.0), 3)[0]
+    np.testing.assert_allclose(top[3], np.diag([1, 0, 0, 0]), atol=1e-12)
+    np.testing.assert_allclose(top[1], np.zeros((2, 2)), atol=1e-12)
 
 
 def test_straight_through_two_one_outcome_blocks():
-    element = povm_elements(WaveplateSetting(0.0, 0.0), 3)[1]
-    assert (element.n_h, element.n_v) == (2, 1)
-    np.testing.assert_allclose(element.blocks[3], np.diag([0, 1, 0, 0]), atol=1e-12)
-    np.testing.assert_allclose(element.blocks[1], np.diag([1, 0]), atol=1e-12)
+    element = outcome_operators(WaveplateSetting(0.0, 0.0), 3)[1]
+    np.testing.assert_allclose(element[3], np.diag([0, 1, 0, 0]), atol=1e-12)
+    np.testing.assert_allclose(element[1], np.diag([1, 0]), atol=1e-12)
 
 
 def test_two_one_outcome_equals_projector_onto_single_v_strings():
     # |HHV><HHV| + |HVH><HVH| + |VHH><VHH| commutes with permutations, so its
     # accessible form is exact: compare full matrices entrywise.
-    element = povm_elements(WaveplateSetting(0.0, 0.0), 3)[1]
+    element = outcome_operators(WaveplateSetting(0.0, 0.0), 3)[1]
     proj = np.zeros((8, 8), dtype=complex)
     for idx in (0b001, 0b010, 0b100):
         proj[idx, idx] = 1.0
-    np.testing.assert_allclose(assemble_full(element.blocks, 3), proj, atol=1e-12)
+    np.testing.assert_allclose(full_matrix(3, element), proj, atol=1e-12)
     np.testing.assert_allclose(brute_force_twirl(proj, 3), proj, atol=1e-12)
 
 
@@ -119,12 +105,12 @@ def test_povm_completeness_and_positivity_random_settings(n):
     rng = np.random.default_rng(n)
     for _ in range(40):
         setting = WaveplateSetting(rng.uniform(0, 180), rng.uniform(0, 180))
-        elements = povm_elements(setting, n)
+        elements = outcome_operators(setting, n)
         for two_j in occurring_two_j(n):
-            total = sum(e.blocks[two_j] for e in elements)
+            total = sum(e[two_j] for e in elements)
             np.testing.assert_allclose(total, np.eye(two_j + 1), atol=1e-10)
             for e in elements:
-                eigs = np.linalg.eigvalsh(e.blocks[two_j])
+                eigs = np.linalg.eigvalsh(e[two_j])
                 assert eigs.min() > -1e-10 and eigs.max() < 1 + 1e-10
 
 
@@ -177,7 +163,7 @@ def test_block_pairing_matches_full_space_brute_force(n):
         u_full = np.array([[1.0]])
         for _ in range(n):
             u_full = np.kron(u_full, u)
-        rho_full = rho.full_matrix()
+        rho_full = full_matrix(n, rho.blocks)
         for k in range(n + 1):
             proj = np.zeros((2 ** n, 2 ** n), dtype=complex)
             for idx in range(2 ** n):
@@ -206,7 +192,7 @@ def test_collective_rotation_covariance():
         u_full = np.array([[1.0]])
         for _ in range(n):
             u_full = np.kron(u_full, u)
-        rotated = accessible_projection(u_full @ rho.full_matrix() @ u_full.conj().T)
+        rotated = accessible_projection(u_full @ full_matrix(n, rho.blocks) @ u_full.conj().T)
         for two_j, block in rho.blocks.items():
             w = sector_rotation(u, n, two_j)
             np.testing.assert_allclose(rotated.blocks[two_j], w @ block @ w.conj().T,
@@ -224,18 +210,24 @@ def test_outcome_count_follows_photon_number():
 # Poisson sampling and count simulation
 # ---------------------------------------------------------------------------
 
-def test_poisson_draw_moments():
-    rng = np.random.default_rng(100)
-    for mean in (0.5, 5.0, 29.9, 100.0, 3600.0):
-        draws = np.array([poisson_draw(rng, mean) for _ in range(20000)])
-        se = math.sqrt(mean / draws.size)
-        assert abs(draws.mean() - mean) < 5 * se
-        assert abs(draws.var() / mean - 1.0) < 0.08
+def count_table(records, n):
+    return np.array([r.count for r in records]).reshape(-1, n + 1)
 
 
-def test_poisson_zero_mean():
-    rng = np.random.default_rng(0)
-    assert poisson_draw(rng, 0.0) == 0
+def test_simulate_counts_substreams_are_poisson(golden_state):
+    # copies of one setting draw from 2000 substreams of one seed: each
+    # outcome's sample mean and variance lie within 5 standard errors of
+    # shots * p, as for independent Poisson draws
+    copies, shots = 2000, 40.0
+    setting = TWELVE_SETTINGS[1]
+    counts = count_table(simulate_counts(golden_state, [setting] * copies, shots,
+                                         seed=100), 3)
+    for k, mean in enumerate(shots * outcome_probabilities(golden_state, setting)):
+        column = counts[:, k]
+        assert abs(column.mean() - mean) < 5 * math.sqrt(mean / copies)
+        # Var(sample variance) = (mean + 2 mean^2) / copies for Poisson draws
+        assert abs(column.var(ddof=1) - mean) < 5 * math.sqrt(
+            (mean + 2 * mean ** 2) / copies)
 
 
 def test_simulate_counts_deterministic(golden_state):
@@ -244,10 +236,6 @@ def test_simulate_counts_deterministic(golden_state):
     assert a == b
     c = simulate_counts(golden_state, TWELVE_SETTINGS, 1e4, seed=43)
     assert a != c
-
-
-def count_table(records, n):
-    return np.array([r.count for r in records]).reshape(-1, n + 1)
 
 
 ANGLE_PAIRS = st.lists(st.tuples(st.floats(0, 180), st.floats(0, 180)),
@@ -274,10 +262,9 @@ def test_simulate_counts_cells_are_substreams(n, seed, other, angles, appended, 
     keep = np.arange(len(chosen)) != j
     np.testing.assert_array_equal(other_cells[keep], base[keep])
 
-    # the documented stream: PCG64(seed) jumped ahead by ((si << 32) + k) << 64
+    # the documented stream: PCG64(seed).jumped(si * (n + 1) + k)
     si, k = len(chosen) - 1, n
-    bits = np.random.PCG64(seed)
-    bits.advance(((si << 32) + k) << 64)
+    bits = np.random.PCG64(seed).jumped(si * (n + 1) + k)
     mean = 1e4 * outcome_probabilities(rho, chosen[si])[k]
     assert base[si, k] == np.random.Generator(bits).poisson(mean)
 

@@ -24,7 +24,6 @@ from accdm.measurement import (
     measurement_span_rank,
     outcome_probabilities,
     outcome_two_m,
-    povm_elements,
     simulate_counts,
     waveplate_unitary,
 )
@@ -41,7 +40,12 @@ from accdm.tomography import (
     mle_reconstruct,
 )
 
-from conftest import TWELVE_SETTINGS, random_accessible_state, sample_count_records
+from conftest import (
+    TWELVE_SETTINGS,
+    outcome_operators,
+    random_accessible_state,
+    sample_count_records,
+)
 
 
 def random_settings(rng, count):
@@ -113,9 +117,9 @@ def flatten_blocks(blocks, n):
 
 
 def oracle_span_rank(settings, n):
-    rows = [flatten_blocks(element.blocks, n)
+    rows = [flatten_blocks(element, n)
             for setting in settings
-            for element in povm_elements(setting, n)]
+            for element in outcome_operators(setting, n)]
     sv = np.linalg.svd(np.array(rows), compute_uv=False)
     return int((sv > 1e-9 * sv[0]).sum())
 

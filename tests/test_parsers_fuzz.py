@@ -1,9 +1,11 @@
 """Generated text fed to the three input-file parsers: each returns a value
 or raises FormatError, never another exception."""
 
-from hypothesis import given, settings, strategies as st
+import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from accdm import io
+from accdm.cli import main
 from accdm.schur import su2_multiplicity
 from accdm.states import AccessibleDensityMatrix
 
@@ -71,6 +73,19 @@ def density_matrix_templates(draw):
 VALID_DENSITY_MATRICES = st.integers(1, 4).map(
     lambda n: io.format_density_matrix(AccessibleDensityMatrix.maximally_mixed(n)))
 
+# numbers that float() and int() read but the formats refuse: non-ASCII
+# digits (U+0663 and U+0661 are Arabic-Indic three and one) and underscores
+ONE_PHOTON = io.format_density_matrix(AccessibleDensityMatrix.maximally_mixed(1))
+NOT_ASCII_NUMBERS = {
+    "settings-arabic-digit": ("settings.csv", "qwp_deg,hwp_deg\n\u0663,0\n"),
+    "settings-underscore": ("settings.csv", "qwp_deg,hwp_deg\n15,1_0\n"),
+    "counts-arabic-digit": ("counts.csv", io.COUNTS_HEADER + "\n\u0663,0,1,0,5\n"),
+    "matrix-photons-arabic-digit": (
+        "rho.dm", ONE_PHOTON.replace("n_photons 1", "n_photons \u0661")),
+    "matrix-entry-underscore": (
+        "rho.dm", ONE_PHOTON.replace("5.00000000000000000e-01", "0.5_0", 1)),
+}
+
 
 @st.composite
 def table_templates(draw, header, columns):
@@ -96,6 +111,8 @@ def returns_or_format_error(parse, text):
 @given(st.one_of(density_matrix_templates(),
                  VALID_DENSITY_MATRICES.flatmap(
                      lambda text: mutated(text, " ", lambda line: line.startswith("block")))))
+@example(NOT_ASCII_NUMBERS["matrix-photons-arabic-digit"][1])
+@example(NOT_ASCII_NUMBERS["matrix-entry-underscore"][1])
 def test_parse_density_matrix_fuzz(text):
     returns_or_format_error(io.parse_density_matrix, text)
 
@@ -103,6 +120,8 @@ def test_parse_density_matrix_fuzz(text):
 @FUZZ
 @given(st.one_of(table_templates(io.SETTINGS_HEADER, 2),
                  mutated(io.format_settings(TWELVE_SETTINGS), ",")))
+@example(NOT_ASCII_NUMBERS["settings-arabic-digit"][1])
+@example(NOT_ASCII_NUMBERS["settings-underscore"][1])
 def test_parse_settings_fuzz(text):
     returns_or_format_error(io.parse_settings, text)
 
@@ -110,6 +129,27 @@ def test_parse_settings_fuzz(text):
 @FUZZ
 @given(st.one_of(table_templates(io.COUNTS_HEADER, 5),
                  mutated(io.format_counts(sample_count_records()), ",")))
+@example(NOT_ASCII_NUMBERS["counts-arabic-digit"][1])
 def test_parse_counts_fuzz(text):
     returns_or_format_error(io.parse_counts, text)
 
+
+
+@pytest.mark.parametrize("name", list(NOT_ASCII_NUMBERS))
+def test_numbers_outside_ascii_exit_3(tmp_path, capsys, name):
+    files = {"rho.dm": ONE_PHOTON,
+             "settings.csv": io.format_settings(TWELVE_SETTINGS),
+             "counts.csv": io.format_counts(sample_count_records())}
+    bad, text = NOT_ASCII_NUMBERS[name]
+    files[bad] = text
+    for file, content in files.items():
+        (tmp_path / file).write_text(content)
+    out = tmp_path / "out"
+    if bad == "counts.csv":
+        argv = ["reconstruct", tmp_path / "counts.csv", "--out", out]
+    else:
+        argv = ["simulate", tmp_path / "rho.dm", "--settings",
+                tmp_path / "settings.csv", "--out", out]
+    assert main([str(a) for a in argv]) == 3
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()

@@ -9,7 +9,6 @@ from accdm.schur import (
     N_MAX,
     accessible_param_count,
     occurring_two_j,
-    partition_to_two_j,
     partitions,
     schur_basis,
     sector_rotation,
@@ -166,7 +165,7 @@ def test_two_j_partition_bijection():
         for tj in occurring_two_j(n):
             lam = two_j_to_partition(n, tj)
             assert sum(lam) == n
-            assert partition_to_two_j(lam) == tj
+            assert lam[0] - lam[1] == tj
 
 
 # ---------------------------------------------------------------------------

@@ -21,10 +21,7 @@ from accdm.schur import (
 )
 from accdm.states import (
     AccessibleDensityMatrix,
-    CoupledCoefficients,
     FirstQuantizedState,
-    accessible_projection,
-    coupled_to_accessible,
     expand_and_symmetrize,
     expression_to_accessible,
     trace_hidden,
@@ -32,8 +29,10 @@ from accdm.states import (
 
 from conftest import (
     HALF_OVERLAP_TEXT,
+    accessible_projection,
     brute_force_twirl,
     convolution_oracle,
+    full_matrix,
     half_overlap_blocks,
     random_accessible_state,
 )
@@ -342,7 +341,7 @@ def test_projection_idempotent_on_accessible_input():
     rng = np.random.default_rng(2)
     for n in (2, 3, 4):
         rho = random_accessible_state(n, rng)
-        again = accessible_projection(rho.full_matrix())
+        again = accessible_projection(full_matrix(n, rho.blocks))
         assert rho.allclose(again, atol=1e-10)
 
 
@@ -353,7 +352,7 @@ def test_projection_of_hv_product_state():
     np.testing.assert_allclose(acc.blocks[2], np.diag([0, 0.5, 0]), atol=1e-12)
     np.testing.assert_allclose(acc.blocks[0], [[0.5]], atol=1e-12)
     oracle = brute_force_twirl(rho, 2)
-    np.testing.assert_allclose(acc.full_matrix(), oracle, atol=1e-12)
+    np.testing.assert_allclose(full_matrix(2, acc.blocks), oracle, atol=1e-12)
 
 
 def test_projection_fixes_maximally_mixed():
@@ -402,32 +401,11 @@ def test_projection_preserves_trace_and_positivity():
 
 
 # ---------------------------------------------------------------------------
-# Coupled-coefficient parameterization
+# Coupled coefficients: C^j[m, m'] couples visible weight m of sector j to
+# hidden partner m', with the squared amplitudes summing to 1
 # ---------------------------------------------------------------------------
 
-def test_coupled_pure_hh_block():
-    tables = {2: np.array([[1.0], [0.0], [0.0]], dtype=complex),
-              0: np.zeros((1, 1), dtype=complex)}
-    acc = coupled_to_accessible(CoupledCoefficients(2, tables))
-    np.testing.assert_allclose(acc.blocks[2], np.diag([1.0, 0, 0]), atol=1e-12)
-    np.testing.assert_allclose(acc.blocks[0], [[0.0]], atol=1e-12)
-
-
-def test_coupled_pure_singlet():
-    tables = {2: np.zeros((3, 1), dtype=complex),
-              0: np.array([[1.0]], dtype=complex)}
-    acc = coupled_to_accessible(CoupledCoefficients(2, tables))
-    np.testing.assert_allclose(acc.blocks[0], [[1.0]], atol=1e-12)
-
-
-def test_coupled_all_zero_rejected():
-    tables = {2: np.zeros((3, 1), dtype=complex),
-              0: np.zeros((1, 1), dtype=complex)}
-    with pytest.raises(ValueError):
-        CoupledCoefficients(2, tables)
-
-
-def coupled_reference_state(n, coeffs):
+def coupled_reference_state(n, tables):
     """Explicit totally symmetric state realizing the coupled amplitudes.
 
     Hidden modes are a pair of labels u, v forming a second qubit per
@@ -437,7 +415,7 @@ def coupled_reference_state(n, coeffs):
     """
     basis = schur_basis(n)
     amps = {}
-    for two_j, table in coeffs.tables.items():
+    for two_j, table in tables.items():
         mult = su2_multiplicity(n, two_j)
         assert table.shape[1] <= two_j + 1, "hidden qubit realization too small"
         for mi in range(two_j + 1):
@@ -460,7 +438,23 @@ def coupled_reference_state(n, coeffs):
     return FirstQuantizedState(n, amps)
 
 
+def test_coupled_pure_hh_block():
+    tables = {2: np.array([[1.0], [0.0], [0.0]], dtype=complex),
+              0: np.zeros((1, 1), dtype=complex)}
+    acc = trace_hidden(coupled_reference_state(2, tables))
+    np.testing.assert_allclose(acc.blocks[2], np.diag([1.0, 0, 0]), atol=1e-12)
+    np.testing.assert_allclose(acc.blocks[0], [[0.0]], atol=1e-12)
+
+
+def test_coupled_pure_singlet():
+    tables = {2: np.zeros((3, 1), dtype=complex),
+              0: np.array([[1.0]], dtype=complex)}
+    acc = trace_hidden(coupled_reference_state(2, tables))
+    np.testing.assert_allclose(acc.blocks[0], [[1.0]], atol=1e-12)
+
+
 def test_coupled_matches_explicit_construction():
+    # tracing out the hidden partners leaves block j = C^j C^j^dag / mult_j
     rng = np.random.default_rng(17)
     for _ in range(5):
         tables = {}
@@ -471,10 +465,10 @@ def test_coupled_matches_explicit_construction():
             tables[two_j] = t
             total += float(np.sum(np.abs(t) ** 2))
         tables = {tj: t / math.sqrt(total) for tj, t in tables.items()}
-        coeffs = CoupledCoefficients(3, tables)
-        direct = coupled_to_accessible(coeffs)
-        via_trace = trace_hidden(coupled_reference_state(3, coeffs))
-        assert direct.allclose(via_trace, atol=1e-10)
+        closed_form = AccessibleDensityMatrix(3, {
+            tj: t @ t.conj().T / su2_multiplicity(3, tj) for tj, t in tables.items()})
+        via_trace = trace_hidden(coupled_reference_state(3, tables))
+        assert closed_form.allclose(via_trace, atol=1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -503,5 +497,5 @@ def test_full_matrix_round_trip():
     rng = np.random.default_rng(4)
     for n in (2, 3):
         rho = random_accessible_state(n, rng)
-        back = accessible_projection(rho.full_matrix())
+        back = accessible_projection(full_matrix(n, rho.blocks))
         assert rho.allclose(back, atol=1e-10)

@@ -9,7 +9,7 @@ from accdm.measurement import (
     outcome_probabilities,
     simulate_counts,
 )
-from accdm.states import AccessibleDensityMatrix, accessible_projection
+from accdm.states import AccessibleDensityMatrix
 from accdm.schur import occurring_two_j, sector_rotation
 from accdm.tomography import (
     RankDeficiencyError,
@@ -23,6 +23,8 @@ from accdm.measurement import waveplate_unitary
 
 from conftest import (
     TWELVE_SETTINGS,
+    accessible_projection,
+    full_matrix,
     half_overlap_blocks,
     noon_state,
     random_accessible_state,
@@ -273,8 +275,8 @@ def test_fidelity_matches_full_space_oracle():
     for n in (2, 3):
         rho = random_accessible_state(n, rng)
         sigma = random_accessible_state(n, rng)
-        root = sqrtm(rho.full_matrix())
-        inner = root @ sigma.full_matrix() @ root
+        root = sqrtm(full_matrix(n, rho.blocks))
+        inner = root @ full_matrix(n, sigma.blocks) @ root
         vals = np.linalg.eigvalsh((inner + inner.conj().T) / 2)
         full = np.sqrt(np.clip(vals, 0, None)).sum() ** 2
         assert abs(fidelity(rho, sigma) - full) < 1e-10
