@@ -230,6 +230,16 @@ def test_simulate_counts_substreams_are_poisson(golden_state):
             (mean + 2 * mean ** 2) / copies)
 
 
+def test_poisson_zero_mean():
+    # |HHH> straight through: the outcomes with a V photon have mean zero
+    # and draw no counts at any shot number or seed
+    rho = pure_string_state(3, "000")
+    for seed in range(20):
+        records = simulate_counts(rho, [WaveplateSetting(0.0, 0.0)], 1e4, seed)
+        assert [r.count for r in records][1:] == [0, 0, 0]
+        assert records[0].count > 0
+
+
 def test_simulate_counts_deterministic(golden_state):
     a = simulate_counts(golden_state, TWELVE_SETTINGS, 1e4, seed=42)
     b = simulate_counts(golden_state, TWELVE_SETTINGS, 1e4, seed=42)
