@@ -22,7 +22,7 @@ import cmath
 import math
 import re
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 NORM_TOL = 1e-12
 
@@ -76,8 +76,7 @@ class Definitions:
 _TOKEN = re.compile(r"([0-9]+(?:\.[0-9]*)?(?:[eE][+-]?[0-9]+)?)|(\w+)|([()+\-*/=])|(\S)")
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str   # one of "()+-*/=", 'number', 'ident', 'end'
     text: str
     pos: int
@@ -92,7 +91,9 @@ def _tokenize(text: str) -> list[_Token]:
             raise ParseError(f"unexpected character {match[0][0]!r}", match.start())
         tokens.append(_Token("number" if number else punct or "ident", match[0],
                              match.start()))
-    tokens.append(_Token("end", "", len(text)))
+    # two end tokens, so that peek(1) needs no bounds check: next() never
+    # moves past the first
+    tokens += [_Token("end", "", len(text))] * 2
     return tokens
 
 
@@ -110,7 +111,7 @@ class _Parser:
         self.constants = constants
 
     def peek(self, ahead: int = 0) -> _Token:
-        return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
+        return self.tokens[self.pos + ahead]
 
     def next(self) -> _Token:
         tok = self.tokens[self.pos]

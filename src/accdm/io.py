@@ -8,6 +8,7 @@ once; repetition across multiplicity copies is implicit.
 
 from __future__ import annotations
 
+import math
 import os
 import tempfile
 
@@ -34,6 +35,13 @@ def _number(text: str, kind=float):
     return kind(text)
 
 
+def _finite(text: str) -> float:
+    value = _number(text)
+    if not math.isfinite(value):
+        raise ValueError(f"not a finite number: {text!r}")
+    return value
+
+
 # ---------------------------------------------------------------------------
 # Density matrices
 # ---------------------------------------------------------------------------
@@ -44,7 +52,8 @@ def format_density_matrix(rho: AccessibleDensityMatrix) -> str:
         block = rho.blocks[two_j]
         mult = su2_multiplicity(rho.n, two_j)
         lines.append(f"block two_j {two_j} multiplicity {mult}")
-        for row in block:
+        # Python complex, not numpy scalars: the same text at a third less cost
+        for row in block.tolist():
             lines.append(" ".join(f"{z.real:.17e} {z.imag:.17e}" for z in row))
     return "\n".join(lines) + "\n"
 
@@ -173,6 +182,10 @@ def parse_counts(text: str) -> list[CountRecord]:
 # Reports and diagnostics
 # ---------------------------------------------------------------------------
 
+_REPORT_FIELDS = {"symmetric_population": _finite, "purity": _finite,
+                  "verdict": str, "tolerance": _finite}
+
+
 def format_report(report: IndistinguishabilityReport) -> str:
     return (f"symmetric_population {report.symmetric_population:.6f}\n"
             f"purity {report.purity:.6f}\n"
@@ -181,19 +194,24 @@ def format_report(report: IndistinguishabilityReport) -> str:
 
 
 def parse_report(text: str) -> IndistinguishabilityReport:
+    """FormatError for a line that is not ``<field> <value>`` with a known
+    field given once and, for the numbers, a finite value; or a missing field."""
     fields = {}
     for ln in text.splitlines():
-        if ln.strip():
-            key, _, value = ln.partition(" ")
-            fields[key] = value.strip()
-    try:
-        return IndistinguishabilityReport(
-            symmetric_population=float(fields["symmetric_population"]),
-            purity=float(fields["purity"]),
-            verdict=fields["verdict"],
-            tolerance=float(fields["tolerance"]))
-    except (KeyError, ValueError) as err:
-        raise FormatError(f"malformed report file: {err}") from err
+        parts = ln.split()
+        if not parts:
+            continue
+        try:
+            key, value = parts
+            if key in fields:
+                raise ValueError(f"repeated field {key!r}")
+            fields[key] = _REPORT_FIELDS[key](value)
+        except (KeyError, ValueError) as err:
+            raise FormatError(f"bad report line {ln.strip()!r}") from err
+    missing = [key for key in _REPORT_FIELDS if key not in fields]
+    if missing:
+        raise FormatError(f"report file lacks {', '.join(missing)}")
+    return IndistinguishabilityReport(**fields)
 
 
 def format_ll_trace(result: ReconstructionResult) -> str:
@@ -203,11 +221,17 @@ def format_ll_trace(result: ReconstructionResult) -> str:
 
 def parse_ll_trace(text: str) -> np.ndarray:
     values = []
-    for i, ln in enumerate(ln for ln in text.splitlines() if ln.strip()):
+    for ln in text.splitlines():
         parts = ln.split()
-        if len(parts) != 2 or int(parts[0]) != i:
-            raise FormatError(f"malformed trace line {ln!r}")
-        values.append(float(parts[1]))
+        if not parts:
+            continue
+        try:
+            index, value = parts
+            if _number(index, int) != len(values):
+                raise ValueError(f"expected index {len(values)}")
+            values.append(_finite(value))
+        except ValueError as err:
+            raise FormatError(f"malformed trace line {ln!r}") from err
     return np.array(values)
 
 

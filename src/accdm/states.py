@@ -359,8 +359,12 @@ def expression_to_accessible(expr: CreationOperatorExpression) -> AccessibleDens
     perm[<v_k|A (x) 1|v_l>] / perm[<v_k|v_l>] in the normalized state.
     That expectation is linear in the blocks, so evaluating it at the fixed
     probe set of :func:`_probe_design` and solving the least-squares system
-    recovers them.  Agrees with ``trace_hidden(expand_and_symmetrize(expr))``
-    without the n!-term expansion.
+    recovers them.  The probe matrices <v_k|A (x) 1|v_l> =
+    sum_pq A_pq <v_k|p><q|v_l> of all P probes come from one matrix
+    product: the probes flattened to (P, 4) against the overlaps
+    <v_k|p><q|v_l> flattened to (4, n*n).  Agrees with
+    ``trace_hidden(expand_and_symmetrize(expr))`` without the n!-term
+    expansion.
 
     Raises ValueError when a factor's terms cancel, when there are more than
     N_MAX factors, or when the fit leaves a residual above RESIDUAL_TOL.
@@ -374,8 +378,9 @@ def expression_to_accessible(expr: CreationOperatorExpression) -> AccessibleDens
     probes, design, solve = _probe_design(n)
     overlaps = np.einsum("kpm,lqm->kplq", vectors.conj(), vectors)
     gram = np.einsum("kplp->kl", overlaps)
-    perms = _permanents(np.concatenate([
-        gram[None], np.einsum("kplq,ipq->ikl", overlaps, probes)]))
+    probed = (probes.reshape(len(probes), 4)
+              @ overlaps.transpose(1, 3, 0, 2).reshape(4, n * n))
+    perms = _permanents(np.concatenate([gram[None], probed.reshape(-1, n, n)]))
     values = perms[1:] / perms[0]
     target = np.concatenate([values.real, values.imag])
     theta = solve @ target

@@ -1,22 +1,68 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from accdm import io
 from accdm.measurement import CountRecord, WaveplateSetting, simulate_counts
+from accdm.schur import su2_multiplicity
 from accdm.states import AccessibleDensityMatrix
-from accdm.tomography import indistinguishability_report
+from accdm.tomography import IndistinguishabilityReport, indistinguishability_report
 
 from conftest import TWELVE_SETTINGS, random_accessible_state
 
 
+def with_signed_zeros_and_subnormals(rho, rng):
+    """``rho`` with each block's diagonal imaginary parts set to -0.0 and,
+    in blocks of dimension 2 and up, the coherences of row and column 0 set
+    to -0.0 except entry (0, 1), a subnormal imaginary part, and its
+    conjugate: a direct sum of principal submatrices, so still PSD."""
+    blocks = {}
+    for two_j, block in rho.blocks.items():
+        block = block.copy()
+        block.imag[np.diag_indices(two_j + 1)] = -0.0
+        if two_j:
+            block[0, 1:] = block[1:, 0] = -0.0
+            block[0, 1] = complex(-0.0, float(rng.uniform(1.0, 9.0)) * 1e-310)
+            block[1, 0] = block[0, 1].conjugate()
+        blocks[two_j] = block
+    return AccessibleDensityMatrix(rho.n, blocks)
+
+
+def states_of_every_size(seed):
+    rng = np.random.default_rng(seed)
+    for n in range(1, 11):
+        rho = random_accessible_state(n, rng)
+        yield rho
+        yield with_signed_zeros_and_subnormals(rho, rng)
+
+
 def test_density_matrix_round_trip(golden_state):
-    rng = np.random.default_rng(2)
-    for rho in [golden_state] + [random_accessible_state(n, rng) for n in (1, 2, 3, 4)]:
-        text = io.format_density_matrix(rho)
-        back = io.parse_density_matrix(text)
+    # 17 significant digits read back as the same double
+    for rho in [golden_state, *states_of_every_size(2)]:
+        back = io.parse_density_matrix(io.format_density_matrix(rho))
         assert back.n == rho.n
-        assert back.allclose(rho, atol=1e-15)
+        assert sorted(back.blocks) == sorted(rho.blocks)
+        for two_j, block in rho.blocks.items():
+            assert np.array_equal(back.blocks[two_j], block)
+
+
+def numpy_scalar_text(rho):
+    """The matrix text formatted one numpy scalar at a time."""
+    lines = [f"n_photons {rho.n}"]
+    for two_j in sorted(rho.blocks, reverse=True):
+        mult = su2_multiplicity(rho.n, two_j)
+        lines.append(f"block two_j {two_j} multiplicity {mult}")
+        for row in rho.blocks[two_j]:
+            lines.append(" ".join(f"{z.real:.17e} {z.imag:.17e}" for z in row))
+    return "\n".join(lines) + "\n"
+
+
+def test_density_matrix_text_matches_numpy_scalar_oracle(golden_state):
+    for rho in [golden_state, *states_of_every_size(3)]:
+        assert io.format_density_matrix(rho) == numpy_scalar_text(rho)
+    assert "-0.00000000000000000e+00" in io.format_density_matrix(rho)
 
 
 @pytest.mark.parametrize("header", ["photons 3", "n_photons 1 junk", "n_photonsX 1"],
@@ -175,6 +221,28 @@ def test_report_format_round_trip(golden_state):
     assert back.verdict == report.verdict
     assert abs(back.symmetric_population - report.symmetric_population) < 1e-6
     assert abs(back.purity - report.purity) < 1e-6
+
+
+VERDICTS = ["indistinguishable", "hidden-differences-detected", "inconclusive"]
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(FINITE, FINITE, st.sampled_from(VERDICTS), FINITE)
+def test_report_round_trip_any_finite_values(population, purity, verdict, tolerance):
+    report = IndistinguishabilityReport(population, purity, verdict, tolerance)
+    text = io.format_report(report)
+    assert io.parse_report(text) == IndistinguishabilityReport(
+        float(f"{population:.6f}"), float(f"{purity:.6f}"), verdict,
+        float(f"{tolerance:g}"))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.lists(FINITE, max_size=20))
+def test_ll_trace_round_trip_any_finite_values(values):
+    text = io.format_ll_trace(SimpleNamespace(ll_trace=values))
+    np.testing.assert_array_equal(io.parse_ll_trace(text),
+                                  [float(f"{v:.12f}") for v in values])
 
 
 def test_ll_trace_round_trip(golden_state):

@@ -1,6 +1,9 @@
-"""Generated text fed to the three input-file parsers: each returns a value
-or raises FormatError, never another exception."""
+"""Generated text fed to the file parsers of ``accdm.io``: each returns a
+value or raises FormatError, never another exception."""
 
+from types import SimpleNamespace
+
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -8,6 +11,7 @@ from accdm import io
 from accdm.cli import main
 from accdm.schur import su2_multiplicity
 from accdm.states import AccessibleDensityMatrix
+from accdm.tomography import IndistinguishabilityReport
 
 from conftest import TWELVE_SETTINGS, sample_count_records
 
@@ -133,6 +137,83 @@ def test_parse_settings_fuzz(text):
 def test_parse_counts_fuzz(text):
     returns_or_format_error(io.parse_counts, text)
 
+
+# the report and trace readers take numbers as the input files do, and
+# finite ones only (U+0660 is Arabic-Indic zero)
+REPORT = io.format_report(IndistinguishabilityReport(0.727273, 0.5, "inconclusive", 1e-3))
+TRACE = io.format_ll_trace(SimpleNamespace(ll_trace=[-1234.5, -1230.25, -1230.0]))
+
+
+def report_with(line, replace=True):
+    """REPORT with ``line`` in place of the line of its field, or added."""
+    key = line.split()[0]
+    kept = [ln for ln in REPORT.splitlines() if not (replace and ln.split()[0] == key)]
+    return "\n".join(kept + [line]) + "\n"
+
+
+BAD_REPORTS = {
+    "tolerance-underscore": report_with("tolerance 1_0"),
+    "population-nan": report_with("symmetric_population nan"),
+    "purity-inf": report_with("purity inf"),
+    "repeated-field": report_with("verdict inconclusive", replace=False),
+    "unknown-field": report_with("symmetric 1.0"),
+    "no-value": report_with("purity"),
+}
+BAD_TRACES = {
+    "index-not-a-number": "x 1.0\n",
+    "index-arabic-digit": "\u0660 1.5\n",
+    "value-underscore": "0 1_5\n",
+    "value-nan": "0 -12.5\n1 nan\n",
+    "index-skipped": "0 -12.5\n2 -12.0\n",
+    "three-fields": "0 -12.5 1\n",
+}
+
+
+def report_templates():
+    fields = st.sampled_from(
+        ["symmetric_population", "purity", "verdict", "tolerance", "x"])
+    line = st.tuples(fields, st.one_of(NUMBERS, TOKENS)).map(" ".join)
+    return st.lists(st.one_of(line, fields), max_size=6).map(
+        lambda lines: "".join(ln + "\n" for ln in lines))
+
+
+def trace_templates():
+    index = st.one_of(st.integers(-1, 4).map(str), TOKENS)
+    line = st.tuples(index, NUMBERS).map(" ".join)
+    return st.lists(line, max_size=5).map(lambda lines: "".join(ln + "\n" for ln in lines))
+
+
+@FUZZ
+@given(st.one_of(report_templates(), mutated(REPORT, " ")))
+@example(BAD_REPORTS["tolerance-underscore"])
+@example(BAD_REPORTS["population-nan"])
+def test_parse_report_fuzz(text):
+    returns_or_format_error(io.parse_report, text)
+
+
+@FUZZ
+@given(st.one_of(trace_templates(), mutated(TRACE, " ")))
+@example(BAD_TRACES["index-not-a-number"])
+@example(BAD_TRACES["index-arabic-digit"])
+@example(BAD_TRACES["value-underscore"])
+def test_parse_ll_trace_fuzz(text):
+    returns_or_format_error(io.parse_ll_trace, text)
+
+
+@pytest.mark.parametrize("name", list(BAD_REPORTS))
+def test_parse_report_rejects_bad_line(name):
+    assert io.parse_report(REPORT) == IndistinguishabilityReport(
+        0.727273, 0.5, "inconclusive", 1e-3)
+    with pytest.raises(io.FormatError, match="bad report line"):
+        io.parse_report(BAD_REPORTS[name])
+
+
+@pytest.mark.parametrize("name", list(BAD_TRACES))
+def test_parse_ll_trace_rejects_bad_line(name):
+    np.testing.assert_array_equal(io.parse_ll_trace(TRACE),
+                                  [-1234.5, -1230.25, -1230.0])
+    with pytest.raises(io.FormatError, match="malformed trace line"):
+        io.parse_ll_trace(BAD_TRACES[name])
 
 
 @pytest.mark.parametrize("name", list(NOT_ASCII_NUMBERS))

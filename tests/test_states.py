@@ -272,6 +272,36 @@ def test_expression_to_accessible_matches_expansion_with_derived_modes():
         assert expression_to_accessible(expr).allclose(expected, atol=1e-10)
 
 
+def benchmark_expression_file(rng, modes, overlap=None):
+    """Expression file with photon k in hidden mode ``modes[k]``, drawn as
+    the benchmark draws them: (x_k*mH + exp(i*pi*phi_k)*mV) with x_k
+    log-uniform in [1/4, 4] and phi_k uniform in [-1, 1], and
+    c = o*a + sqrt(1 - o^2)*b with o uniform in ``overlap``."""
+    lines = []
+    if overlap is not None:
+        o = float(rng.uniform(*overlap))
+        lines.append(f"c = {o!r}*a + {math.sqrt(1 - o * o)!r}*b")
+    factors = []
+    for k, mode in enumerate(modes):
+        x = float(np.exp(rng.uniform(-math.log(4), math.log(4))))
+        lines.append(f"w{k} = exp(i*{float(rng.uniform(-1.0, 1.0))!r}*pi)")
+        factors.append(f"({x!r}*{mode}H + w{k}*{mode}V)")
+    return "\n".join(lines + ["".join(factors)]) + "\n"
+
+
+@pytest.mark.parametrize("modes, overlap", [
+    ("aaaabbb", None),
+    ("abcabca", None),
+    ("aaaccc", (0.2, 0.95)),
+    ("aaaaaaac", (0.7, 1.0)),
+], ids=["n7-two-groups", "n7-three-groups", "n6-derived", "n8-seven-in-a-one-in-c"])
+def test_expression_to_accessible_matches_expansion_at_benchmark_sizes(modes, overlap):
+    rng = np.random.default_rng([41, len(modes)])
+    expr = parse_expression_file(benchmark_expression_file(rng, modes, overlap))
+    expected = trace_hidden(expand_and_symmetrize(expr))
+    assert expression_to_accessible(expr).allclose(expected, atol=1e-12)
+
+
 @pytest.mark.parametrize("n", [9, 10])
 def test_expression_to_accessible_distinct_modes_beyond_expansion(n):
     rng = np.random.default_rng(n)
