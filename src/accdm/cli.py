@@ -197,12 +197,13 @@ def cmd_reconstruct(args) -> int:
 # Argument parsing
 # ---------------------------------------------------------------------------
 
-def _number(convert, low: float, *, strict: bool = False, high: float = math.inf):
-    """argparse type: a finite number at least ``low`` (above it if strict)
-    and at most ``high``."""
+def _number(kind, low: float = -math.inf, *, strict: bool = False,
+            high: float = math.inf):
+    """argparse type: a number as the input files write it (``io._number``),
+    finite, at least ``low`` (above it if strict) and at most ``high``."""
     def parse(text: str):
         try:
-            value = convert(text)
+            value = io._number(text, kind)
         except ValueError:
             raise argparse.ArgumentTypeError(f"invalid number: {text!r}") from None
         # an int is finite, and math.isfinite overflows beyond float range
@@ -228,8 +229,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_dims = sub.add_parser("dims", help="multiplicity and dimension tables")
-    p_dims.add_argument("--n", type=int, required=True, help="photon number")
-    p_dims.add_argument("--d", type=int, default=2, help="levels per particle")
+    p_dims.add_argument("--n", type=_number(int), required=True, help="photon number")
+    p_dims.add_argument("--d", type=_number(int), default=2, help="levels per particle")
     p_dims.set_defaults(func=cmd_dims)
 
     p_analyze = sub.add_parser(

@@ -22,7 +22,7 @@ import cmath
 import math
 import re
 from dataclasses import dataclass, field
-from typing import Mapping, NamedTuple
+from typing import NamedTuple
 
 NORM_TOL = 1e-12
 
@@ -47,7 +47,6 @@ class CreationOperatorExpression:
     """Product of factors, each a sum of single-operator terms."""
 
     factors: tuple[tuple[Term, ...], ...]
-    prefactor: complex = 1.0 + 0.0j
 
     def __post_init__(self):
         if not self.factors:
@@ -105,10 +104,15 @@ def _check_polarized(tok: _Token) -> None:
 
 
 class _Parser:
-    def __init__(self, text: str, constants: Mapping[str, complex]):
+    def __init__(self, text: str, definitions: Definitions):
         self.tokens = _tokenize(text)
         self.pos = 0
-        self.constants = constants
+        self.definitions = definitions
+
+    def primitives(self, mode: str) -> dict[str, complex]:
+        """A derived mode's expansion over primitive modes; ``{mode: 1}`` for
+        any other mode."""
+        return self.definitions.modes.get(mode, {mode: 1.0 + 0.0j})
 
     def peek(self, ahead: int = 0) -> _Token:
         return self.tokens[self.pos + ahead]
@@ -155,9 +159,9 @@ class _Parser:
             return self._parse_exp()
         if tok.kind == "ident":
             self.next()
-            if tok.text not in self.constants:
+            if tok.text not in self.definitions.constants:
                 raise ParseError(f"unknown constant {tok.text!r}", tok.pos)
-            return self.constants[tok.text]
+            return self.definitions.constants[tok.text]
         raise ParseError(f"expected a coefficient, found {tok.text!r}", tok.pos)
 
     def _parse_exp(self) -> complex:
@@ -185,7 +189,9 @@ class _Parser:
         if pi_tok.text != "pi":
             raise ParseError("expected 'pi' inside exp(...)", pi_tok.pos)
         self.expect(")")
-        return cmath.exp(1j * cmath.pi * numerator / denominator)
+        phase = 1j * cmath.pi * numerator / denominator
+        # cmath.exp raises for some non-finite phases; parse_factor refuses NaN
+        return cmath.exp(phase) if cmath.isfinite(phase) else complex(math.nan, math.nan)
 
     # -- terms and factors --------------------------------------------------
 
@@ -208,11 +214,18 @@ class _Parser:
             sign = self.next().kind
 
     def parse_factor(self) -> tuple[Term, ...]:
+        """One factor; derived modes expanded, primitive ones kept as read."""
         self.expect("(")
-        terms = tuple(Term(coef, tok.text[-1], tok.text[:-1])
-                      for coef, tok in self.signed_terms(_check_polarized))
+        terms = []
+        for coef, tok in self.signed_terms(_check_polarized):
+            mode = tok.text[:-1]
+            for prim, gamma in self.primitives(mode).items():
+                value = coef if prim == mode else coef * gamma
+                if not cmath.isfinite(value):
+                    raise ParseError(f"coefficient of {tok.text!r} is not finite", tok.pos)
+                terms.append(Term(value, tok.text[-1], prim))
         self.expect(")")
-        return terms
+        return tuple(terms)
 
     def parse_expression(self) -> tuple[tuple[Term, ...], ...]:
         factors = [self.parse_factor()]
@@ -228,31 +241,13 @@ class _Parser:
 # Public entry points
 # ---------------------------------------------------------------------------
 
-def _substitute_modes(factors, definitions: Definitions):
-    out = []
-    for factor in factors:
-        new_terms: list[Term] = []
-        for term in factor:
-            expansion = definitions.modes.get(term.mode)
-            if expansion is None:
-                new_terms.append(term)
-            else:
-                new_terms.extend(
-                    Term(term.coefficient * gamma, term.polarization, prim)
-                    for prim, gamma in expansion.items())
-        out.append(tuple(new_terms))
-    return tuple(out)
-
-
 def parse_operator_expression(
     text: str,
     definitions: Definitions | None = None,
 ) -> CreationOperatorExpression:
-    """Parse an expression and substitute derived modes by their expansions."""
-    definitions = definitions or Definitions()
-    parser = _Parser(text, definitions.constants)
-    factors = parser.parse_expression()
-    return CreationOperatorExpression(_substitute_modes(factors, definitions))
+    """Parse an expression, each derived mode expanded as it is read."""
+    parser = _Parser(text, definitions or Definitions())
+    return CreationOperatorExpression(parser.parse_expression())
 
 
 def parse_definition_line(line: str, definitions: Definitions) -> None:
@@ -268,7 +263,7 @@ def parse_definition_line(line: str, definitions: Definitions) -> None:
         raise ParseError(f"invalid definition name {name!r}", 0)
     rhs = line[eq + 1:]
 
-    parser = _Parser(rhs, definitions.constants)
+    parser = _Parser(rhs, definitions)
     try:
         value = parser.parse_coefficient()
         if parser.peek().kind == "end":
@@ -277,7 +272,7 @@ def parse_definition_line(line: str, definitions: Definitions) -> None:
     except ParseError:
         pass
 
-    parser = _Parser(rhs, definitions.constants)
+    parser = _Parser(rhs, definitions)
     terms = parser.signed_terms()
     tok = parser.peek()
     if tok.kind != "end":
@@ -290,8 +285,7 @@ def parse_definition_line(line: str, definitions: Definitions) -> None:
     for ident, coef in combo.items():
         if ident == name:
             raise ParseError(f"mode {name!r} defined in terms of itself", eq + 1)
-        expansion = definitions.modes.get(ident, {ident: 1.0 + 0.0j})
-        for prim, gamma in expansion.items():
+        for prim, gamma in parser.primitives(ident).items():
             resolved[prim] = resolved.get(prim, 0) + coef * gamma
     # hypot of the parts neither overflows, as a sum of squares does, nor
     # raises, as abs() of a complex can for a NaN

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -111,7 +110,9 @@ class _OutcomeModel:
     Probabilities are linear in the blocks, p = sum_j mult_j tr(B_j Pi_kj),
     so one real design matrix over the block parameters theta of
     :class:`accdm.schur._Layout` serves span rank, simulation, linear
-    inversion and maximum likelihood.
+    inversion and maximum likelihood.  Row k of ``_operator_design`` is the
+    theta of outcome operator Pi_k, from the layout; by the layout's inner
+    product, the design is ``_operator_design * scale``.
     """
 
     def __init__(self, settings: list[WaveplateSetting], n: int):
@@ -123,28 +124,20 @@ class _OutcomeModel:
             np.array([s.qwp_deg for s in settings], dtype=float),
             np.array([s.hwp_deg for s in settings], dtype=float))
         # one row m per (setting, outcome) and sector, zero-padded to n+1
-        # entries; the outcome's block is conj(m) m^T, and upper-triangle
-        # entry (a, b) of B adds entry_scale * Re(B_ab m_a conj(m_b)) to its
-        # probability.  Outcome N_V reads the row of its weight, if inside.
+        # entries; the outcome's block is conj(m) m^T.  Outcome N_V reads
+        # the row of its weight, if inside.
         two_m = outcome_two_m(n, np.arange(n + 1))
         rows = np.zeros((len(settings), n + 1) + layout.shape[:2], dtype=complex)
         for s, two_j in enumerate(layout.sectors):
             inside = np.abs(two_m) <= two_j
             w = sector_rotation(unitaries, n, two_j)
             rows[:, inside, s, :two_j + 1] = w[:, (two_j - two_m[inside]) // 2]
-        rows = rows.reshape((-1,) + layout.shape[:2])
-        terms = (layout.entry_scale * rows[:, layout.sector, layout.row]
-                 * rows[:, layout.sector, layout.col].conj())
-        self.design = np.hstack([terms.real, -terms[:, layout.off].imag])
+        self._operator_design = layout.outer_theta(rows.reshape((-1,) + layout.shape[:2]))
+        self.design = self._operator_design * layout.scale
 
     def probabilities(self, theta: np.ndarray) -> np.ndarray:
         """Flat outcome probabilities, row-major over (setting, outcome)."""
         return self.design @ theta
-
-    @cached_property
-    def _operator_design(self) -> np.ndarray:
-        # row k is the parameter vector of outcome operator Pi_k
-        return self.design / self.layout.scale
 
     def operator_theta(self, weights: np.ndarray) -> np.ndarray:
         """Parameter vector of sum_k w_k Pi_k, one weight per (setting,

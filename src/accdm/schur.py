@@ -326,8 +326,8 @@ def sector_rotation(u: np.ndarray, n: int, two_j: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 class _Layout:
-    """The real-vector form of accessible block families of n photons;
-    ``_layout(n)`` builds it once per n.
+    """The real-vector form of accessible block families of n photons, the
+    only code that knows its order; ``_layout(n)`` builds it once per n.
 
     The parameter vector ``theta`` holds the real parts of every block's
     upper triangle, row by row and sectors in ``occurring_two_j`` order,
@@ -335,7 +335,9 @@ class _Layout:
     C(n+3, 3) entries.  The blocks are also held stacked: one zero-padded
     complex array of shape (sectors, n+1, n+1), block two_j in the
     top-left corner of its slice.  ``gather`` and ``scatter`` map between
-    theta and the float view of that array, raveled.
+    theta and the float view of that array, raveled.  Hermitian families
+    have the inner product sum_j mult_j tr(A_j B_j) = scale @ (theta_A *
+    theta_B), and ``trace_weights`` is scale times the identity's theta.
     """
 
     def __init__(self, n: int):
@@ -350,28 +352,27 @@ class _Layout:
             row.append(a)
             col.append(b)
         # sector and position of each upper-triangle entry, in theta order
-        self.sector, self.row, self.col = (np.concatenate(x) for x in (sector, row, col))
-        self.off = self.row != self.col
-        # sum_j mult_j tr(A_j B_j) = sum_i scale_i theta_A,i theta_B,i for
-        # Hermitian families A and B: an off-diagonal entry appears twice
-        self.entry_scale = self.mult[self.sector] * np.where(self.off, 2, 1)
-        self.scale = np.concatenate([self.entry_scale, self.entry_scale[self.off]])
-        # theta @ trace_weights is sum_j mult_j tr B_j
-        self.trace_weights = np.concatenate([np.where(self.off, 0, self.entry_scale),
-                                             np.zeros(self.off.sum())])
+        self._sector, self._row, self._col = (np.concatenate(x) for x in (sector, row, col))
+        self._off = self._row != self._col
+        # an off-diagonal entry appears twice in the inner product
+        entry_scale = self.mult[self._sector] * np.where(self._off, 2, 1)
+        self.scale = np.concatenate([entry_scale, entry_scale[self._off]])
         # float positions: 2 * complex position for the real part, + 1 for
         # the imaginary part; the lower triangle holds the conjugate
-        upper = 2 * ((self.sector * (n + 1) + self.row) * (n + 1) + self.col)
-        lower = 2 * ((self.sector * (n + 1) + self.col) * (n + 1) + self.row)
-        self.gather = np.concatenate([upper, upper[self.off] + 1])
+        upper = 2 * ((self._sector * (n + 1) + self._row) * (n + 1) + self._col)
+        lower = 2 * ((self._sector * (n + 1) + self._col) * (n + 1) + self._row)
+        self.gather = np.concatenate([upper, upper[self._off] + 1])
         count, imag = upper.size, np.arange(upper.size, self.scale.size)
-        self.scatter = np.concatenate([upper, lower, upper[self.off] + 1,
-                                       lower[self.off] + 1])
+        self.scatter = np.concatenate([upper, lower, upper[self._off] + 1,
+                                       lower[self._off] + 1])
         self.source = np.concatenate([np.arange(count), np.arange(count), imag, imag])
         self.sign = np.concatenate([np.ones(2 * count + imag.size), -np.ones(imag.size)])
-        for array in (self.mult, self.sector, self.row, self.col, self.off,
-                      self.entry_scale, self.scale, self.trace_weights,
-                      self.gather, self.scatter, self.source, self.sign):
+        # theta @ trace_weights is sum_j mult_j tr B_j
+        self.trace_weights = self.scale * self.theta(
+            {tj: np.eye(tj + 1) for tj in self.sectors})
+        for array in (self.mult, self._sector, self._row, self._col, self._off,
+                      self.scale, self.trace_weights, self.gather, self.scatter,
+                      self.source, self.sign):
             array.setflags(write=False)
 
     def stack(self, theta: np.ndarray) -> np.ndarray:
@@ -399,6 +400,13 @@ class _Layout:
     def theta(self, blocks: dict[int, np.ndarray]) -> np.ndarray:
         """Real parameter vector of a Hermitian block family."""
         return self.stack_theta(self.pad(blocks))
+
+    def outer_theta(self, rows: np.ndarray) -> np.ndarray:
+        """Real parameter vectors of the families conj(m) m^T of rows m,
+        shape (..., sectors, n+1) in, (..., C(n+3, 3)) out."""
+        outer = (rows[..., self._sector, self._row].conj()
+                 * rows[..., self._sector, self._col])
+        return np.concatenate([outer.real, outer[..., self._off].imag], axis=-1)
 
     def blocks(self, theta: np.ndarray) -> dict[int, np.ndarray]:
         """Hermitian block family of a real parameter vector."""

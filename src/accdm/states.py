@@ -136,7 +136,7 @@ def expand_and_symmetrize(expr: CreationOperatorExpression) -> FirstQuantizedSta
             accumulate(i + 1, coef * term.coefficient,
                        labels + ((term.polarization, term.mode),))
 
-    accumulate(0, expr.prefactor, ())
+    accumulate(0, 1.0 + 0.0j, ())
 
     # exact-zero cleanup, relative so that uniformly small coefficients survive
     scale = max((abs(c) for c in monomials.values()), default=0.0)
@@ -280,10 +280,15 @@ def _photon_vectors(expr: CreationOperatorExpression) -> np.ndarray:
     column = {mode: i for i, mode in enumerate(modes)}
     vectors = np.zeros((expr.n, 2, len(modes)), dtype=complex)
     for k, factor in enumerate(expr.factors):
-        for term in factor:
-            vectors[k, "HV".index(term.polarization), column[term.mode]] += term.coefficient
+        # divided by a power of two near its largest part, exactly, so that
+        # neither the norm nor the cancellation test underflows or overflows
+        largest = max(max(abs(t.coefficient.real), abs(t.coefficient.imag)) for t in factor)
+        scale = math.ldexp(1.0, math.frexp(largest)[1] - 1)
+        scaled = [t.coefficient / scale for t in factor]
+        for term, coefficient in zip(factor, scaled):
+            vectors[k, "HV".index(term.polarization), column[term.mode]] += coefficient
         norm = np.linalg.norm(vectors[k])
-        if norm <= CANCEL_TOL * sum(abs(term.coefficient) for term in factor):
+        if norm <= CANCEL_TOL * sum(map(abs, scaled)):
             raise ValueError(f"expression expands to zero: the terms of factor "
                              f"{k + 1} cancel")
         vectors[k] /= norm
@@ -372,8 +377,6 @@ def expression_to_accessible(expr: CreationOperatorExpression) -> AccessibleDens
     n = expr.n
     if n > N_MAX:
         raise ValueError(f"expression has {n} factors, cap is {N_MAX}")
-    if expr.prefactor == 0:
-        raise ValueError("expression expands to zero: all terms cancel")
     vectors = _photon_vectors(expr)
     probes, design, solve = _probe_design(n)
     overlaps = np.einsum("kpm,lqm->kplq", vectors.conj(), vectors)
@@ -386,7 +389,7 @@ def expression_to_accessible(expr: CreationOperatorExpression) -> AccessibleDens
     theta = solve @ target
     # the misfit's real and imaginary halves, recombined per probe
     residual = float(np.hypot(*(design @ theta - target).reshape(2, -1)).max())
-    if residual > RESIDUAL_TOL:
+    if not residual <= RESIDUAL_TOL:
         raise ValueError(f"hidden-mode trace failed: least-squares residual "
                          f"{residual:.3e} exceeds {RESIDUAL_TOL}")
     return AccessibleDensityMatrix(n, _layout(n).blocks(theta))

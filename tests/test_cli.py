@@ -1,6 +1,7 @@
 import math
 import sys
 import time
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -169,6 +170,34 @@ def test_analyze_unrepresentable_state_is_format_error(workdir, capsys, text):
     assert not (workdir / "x.dm.report.txt").exists()
 
 
+@pytest.mark.parametrize("text", ["(1e400*aH)(aV)\n", "(exp(i*1e400*pi)*aH)(aV)\n",
+                                  "x = 1e400\n(x*aH)(aV)\n"],
+                         ids=["infinite", "nan-phase", "infinite-constant"])
+def test_analyze_non_finite_coefficient_is_format_error(workdir, capsys, text):
+    expr = workdir / "bad.expr"
+    expr.write_text(text)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run(["analyze", expr, "--out", workdir / "x.dm"]) == 3
+    assert caught == []
+    err = capsys.readouterr().err
+    assert "is not finite (at position" in err
+    assert not (workdir / "x.dm").exists()
+
+
+@pytest.mark.parametrize("scale", ["1e200", "1e-200", "1e-310"])
+def test_analyze_factor_scale_does_not_change_the_state(workdir, capsys, scale):
+    blocks = []
+    for text in ["(aH + aV)(aV)\n", f"({scale}*aH + {scale}*aV)(aV)\n"]:
+        (workdir / "state.expr").write_text(text)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run(["analyze", workdir / "state.expr", "--out", workdir / "x.dm"]) == 0
+        assert caught == []
+        blocks.append(io.parse_density_matrix((workdir / "x.dm").read_text()))
+    assert blocks[1].allclose(blocks[0], atol=1e-15)
+
+
 @pytest.mark.parametrize("value", ["-1", "0", "nan", "inf"])
 def test_analyze_rejects_bad_verdict_tolerance(workdir, capsys, value):
     out = workdir / "x.dm"
@@ -288,6 +317,27 @@ def test_simulate_rejects_negative_seed(workdir, capsys):
     expect_usage_error(["simulate", matrix, "--settings", workdir / "settings.csv",
                         "--seed", "-1", "--out", out], capsys, "--seed")
     assert not out.exists()
+
+
+# U+0663 and U+0661 are Arabic-Indic three and one: int() and float() read
+# them and 1_0, the file formats do not
+@pytest.mark.parametrize("argv", [
+    ["dims", "--n", "\u0663"], ["dims", "--n", "1_0"], ["dims", "--n", "3", "--d", "1_0"],
+    ["simulate", "rho.dm", "--settings", "s.csv", "--out", "c.csv", "--seed", "\u0661"],
+    ["simulate", "rho.dm", "--settings", "s.csv", "--out", "c.csv", "--shots", "1_0"],
+    ["reconstruct", "c.csv", "--out", "e.dm", "--tol", "1_0"],
+    ["reconstruct", "c.csv", "--out", "e.dm", "--max-iters", "\u0663"],
+    ["analyze", "s.expr", "--out", "x.dm", "--tol", "1_0"],
+], ids=["dims-n-arabic-digit", "dims-n-underscore", "dims-d-underscore",
+        "seed-arabic-digit", "shots-underscore", "reconstruct-tol-underscore",
+        "max-iters-arabic-digit", "analyze-tol-underscore"])
+def test_command_line_numbers_follow_the_file_number_rule(capsys, argv):
+    with pytest.raises(SystemExit) as err:
+        run(argv)
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert f"argument {argv[-2]}: invalid number" in captured.err
+    assert "Traceback" not in captured.err
 
 
 def test_huge_integer_seed_and_iteration_cap_are_accepted(workdir, capsys):

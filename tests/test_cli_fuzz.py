@@ -10,7 +10,7 @@ import io as textio
 import tempfile
 from pathlib import Path
 
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from accdm import io
 from accdm.cli import main
@@ -141,9 +141,23 @@ def files_under(path):
     return {p.relative_to(path) for p in path.rglob("*")}
 
 
+def analyze_example(text):
+    """An example: analyze of a given expression file, the other files valid."""
+    files = {name: variants[0].encode() for name, variants in INPUTS.items()}
+    return example(argv=["analyze", "@state.expr", "--out", "@new.out"],
+                   files={**files, "state.expr": text.encode()})
+
+
 @FUZZ
 @given(argv=command_lines(),
        files=st.fixed_dictionaries({name: contents(name) for name in INPUTS}))
+@analyze_example("(1e400*aH)(aV)\n")
+@analyze_example("(exp(i*1e400*pi)*aH)(aV)\n")
+@analyze_example("(1e-200*aH + 1e-200*aV)(aV)\n")
+@analyze_example("(1e200*aH + 1e200*aV)(aV)\n")
+@example(argv=["dims", "--n", "\u0663"], files={})
+@example(argv=["simulate", "@rho.dm", "--settings", "@settings.csv", "--out", "@new.out",
+               "--shots", "1_0"], files={})
 def test_cli_exits_cleanly_and_leaves_nothing_on_failure(argv, files):
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)

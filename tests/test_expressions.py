@@ -6,6 +6,7 @@ import pytest
 from accdm.expressions import (
     Definitions,
     ParseError,
+    Term,
     parse_definition_line,
     parse_expression_file,
     parse_operator_expression,
@@ -123,6 +124,33 @@ def test_chained_mode_definitions_resolve_to_primitives():
     parse_definition_line("d = 0.7071067811865476*c + 0.7071067811865476*e", defs)
     assert set(defs.modes["d"]) == {"a", "b", "e"}
     assert abs(defs.modes["d"]["a"] - 0.5) < 1e-12
+
+
+def test_chain_of_derived_modes_expands_to_primitive_terms():
+    # d = 0.6 c + 0.8 e = 0.36 a + 0.48 b + 0.8 e
+    expr = parse_expression_file("c = 0.6*a + 0.8*b\nd = 0.6*c + 0.8*e\n(dH)(cV)\n")
+    assert expr.factors == (
+        (Term(0.6 * 0.6, "H", "a"), Term(0.6 * 0.8, "H", "b"), Term(0.8, "H", "e")),
+        (Term(0.6, "V", "a"), Term(0.8, "V", "b")))
+
+
+# 1.0000000000004 is unit norm within NORM_TOL, and the largest float times
+# it overflows only when the derived mode is expanded
+NON_FINITE_COEFFICIENTS = {
+    "infinite": ("(1e400*aH)(aV)", 7),
+    "nan-phase": ("(exp(i*1e400*pi)*aH)", 17),
+    "overflowing-phase": ("(exp(i*1e300/1e-300*pi)*aH)", 24),
+    "infinite-constant": ("x = 1e400\n(aV)(x*aH)", 7),
+    "overflowing-expansion": ("c = 1.0000000000004*a\n(1.7976931348623157e308*cH)", 24),
+}
+
+
+@pytest.mark.parametrize("text, position", NON_FINITE_COEFFICIENTS.values(),
+                         ids=NON_FINITE_COEFFICIENTS.keys())
+def test_non_finite_coefficient_is_a_parse_error_with_position(text, position):
+    with pytest.raises(ParseError, match="is not finite") as err:
+        parse_expression_file(text)
+    assert err.value.position == position
 
 
 def test_self_referential_mode_rejected():

@@ -28,6 +28,8 @@ from accdm.measurement import (
     waveplate_unitary,
 )
 from accdm.schur import (
+    N_MAX,
+    _layout,
     accessible_param_count,
     occurring_two_j,
     sector_rotation,
@@ -198,6 +200,39 @@ def test_layout_round_trip(n):
         for two_j, block in blocks.items():
             np.testing.assert_array_equal(back[two_j], block)
         np.testing.assert_array_equal(model.layout.theta(back), theta)
+
+
+@pytest.mark.parametrize("n", range(1, N_MAX + 1))
+def test_outer_theta_is_theta_of_formed_blocks(n):
+    layout = _layout(n)
+    rng = np.random.default_rng(1100 + n)
+    size = (5,) + layout.shape[:2]
+    rows = rng.normal(size=size) + 1j * rng.normal(size=size)
+    expected = [layout.theta({tj: np.outer(m[s, :tj + 1].conj(), m[s, :tj + 1])
+                              for s, tj in enumerate(layout.sectors)})
+                for m in rows]
+    np.testing.assert_array_equal(layout.outer_theta(rows), expected)
+
+
+@pytest.mark.parametrize("n", range(1, N_MAX + 1))
+def test_trace_weights_are_the_weighted_diagonal(n):
+    # the real upper triangles row by row, then the off-diagonal imaginary
+    # parts: each diagonal entry weighs its sector's multiplicity
+    layout = _layout(n)
+    real, imag = [], []
+    for two_j in layout.sectors:
+        for a in range(two_j + 1):
+            real.append(su2_multiplicity(n, two_j))
+            real += [0] * (two_j - a)
+            imag += [0] * (two_j - a)
+    assert np.array_equal(layout.trace_weights, real + imag)
+
+
+@pytest.mark.parametrize("n", [1, 3, 6, 8])
+def test_design_is_operator_design_times_scale(n):
+    model = _OutcomeModel(random_settings(np.random.default_rng(1200 + n), 6), n)
+    np.testing.assert_array_equal(model._operator_design * model.layout.scale,
+                                  model.design)
 
 
 @pytest.mark.parametrize("n", [1, 3, 5, 8])

@@ -1,6 +1,8 @@
 """Generated text fed to the file parsers of ``accdm.io``: each returns a
-value or raises FormatError, never another exception."""
+value or raises FormatError, never another exception.  The expression
+parser returns finite coefficients or raises ParseError."""
 
+import cmath
 from types import SimpleNamespace
 
 import numpy as np
@@ -9,6 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from accdm import io
 from accdm.cli import main
+from accdm.expressions import ParseError, parse_expression_file
 from accdm.schur import su2_multiplicity
 from accdm.states import AccessibleDensityMatrix
 from accdm.tomography import IndistinguishabilityReport
@@ -136,6 +139,37 @@ def test_parse_settings_fuzz(text):
 @example(NOT_ASCII_NUMBERS["counts-arabic-digit"][1])
 def test_parse_counts_fuzz(text):
     returns_or_format_error(io.parse_counts, text)
+
+
+@st.composite
+def expression_templates(draw):
+    """A constant, a derived mode and factors, in any order, with
+    coefficients from NUMBERS: some are not finite, and some overflow only
+    once the derived mode c, of norm 1 within NORM_TOL, is expanded."""
+    coefficient = st.one_of(NUMBERS, NUMBERS.map(lambda x: x + "i"),
+                            NUMBERS.map(lambda x: f"exp(i*{x}*pi)"),
+                            st.sampled_from(["k", "1.7976931348623157e308"]))
+    term = st.tuples(coefficient, st.sampled_from(["aH", "bV", "cH", "cV"])).map("*".join)
+    factor = st.lists(term, min_size=1, max_size=3).map(
+        lambda terms: "(" + "".join(t if t[0] in "+-" else "+" + t for t in terms) + ")")
+    derived = st.one_of(st.sampled_from(["c = 0.6*a + 0.8i*b", "c = 1.0000000000004*a"]),
+                        coefficient.map(lambda x: f"c = {x}*a"))
+    lines = draw(st.permutations([f"k = {draw(coefficient)}", draw(derived),
+                                  "".join(draw(st.lists(factor, min_size=1, max_size=3)))]))
+    return "\n".join(lines[draw(st.integers(0, 2)):]) + "\n"
+
+
+@FUZZ
+@given(expression_templates())
+@example("(1e400*aH)(aV)\n")
+@example("(exp(i*1e400*pi)*aH)(aV)\n")
+@example("x = 1e400\n(x*aH)(aV)\n")
+def test_parse_expression_file_fuzz(text):
+    try:
+        expr = parse_expression_file(text)
+    except ParseError:
+        return
+    assert all(cmath.isfinite(t.coefficient) for factor in expr.factors for t in factor)
 
 
 # the report and trace readers take numbers as the input files do, and

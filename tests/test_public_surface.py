@@ -2,6 +2,7 @@
 or wraps: a change to either must be made on purpose."""
 
 import ast
+import dataclasses
 import importlib
 import re
 from pathlib import Path
@@ -30,6 +31,11 @@ EXPORTED = [
 def test_exported_names_are_pinned():
     assert sorted(accdm.__all__) == EXPORTED
     assert all(hasattr(accdm, name) for name in accdm.__all__)
+
+
+def test_expression_fields_are_pinned():
+    fields = dataclasses.fields(accdm.CreationOperatorExpression)
+    assert [field.name for field in fields] == ["factors"]
 
 
 def test_benchmark_hooks_resolve():

@@ -5,7 +5,9 @@ import pytest
 
 from accdm import states
 from accdm.expressions import (
+    CreationOperatorExpression,
     Definitions,
+    Term,
     parse_definition_line,
     parse_expression_file,
     parse_operator_expression,
@@ -91,8 +93,23 @@ def test_bosonic_weighting_favors_doubly_occupied_labels():
 def test_cancelling_factor_raises():
     with pytest.raises(ValueError, match="cancel"):
         expand_text("(aH + aV - aH - aV)")
-    with pytest.raises(ValueError, match="cancel"):
-        expression_to_accessible(parse_operator_expression("(aH + aV - aH - aV)(aH)"))
+    for text in ["(aH + aV - aH - aV)(aH)", "(1e-200*aH - 1e-200*aH)(aV)",
+                 "(1e200*aH + 1e200*aV - 1e200*aH - 1e200*aV)(aV)", "(0*aH)(aV)"]:
+        with pytest.raises(ValueError, match="the terms of factor 1 cancel"):
+            expression_to_accessible(parse_operator_expression(text))
+
+
+@pytest.mark.parametrize("scale", [1e200, 1e-200, 1e-310], ids=["1e200", "1e-200", "subnormal"])
+def test_factor_scale_does_not_change_the_state(scale):
+    # coefficients 1, -1 and i, so that the scaled ones are exact
+    plain = parse_operator_expression("(aH + aV)(bH - i*aV)(aH + i*bV - bH)")
+    expected = expression_to_accessible(plain)
+    for k in range(plain.n):
+        factors = list(plain.factors)
+        factors[k] = tuple(Term(t.coefficient * scale, t.polarization, t.mode)
+                           for t in factors[k])
+        rho = expression_to_accessible(CreationOperatorExpression(tuple(factors)))
+        assert rho.allclose(expected, atol=1e-15)
 
 
 def random_factor_text(rng, modes, n_terms):
@@ -329,6 +346,14 @@ def test_expression_to_accessible_rejects_inconsistent_fit(monkeypatch):
     monkeypatch.setattr(states, "_permanents",
                         lambda mats: rng.normal(size=len(mats)) + 2.0)
     with pytest.raises(ValueError, match="residual"):
+        expression_to_accessible(parse_operator_expression("(aH)(bV)(aV + bH)"))
+
+
+def test_expression_to_accessible_rejects_nan_fit(monkeypatch):
+    # a NaN residual is not below the tolerance
+    monkeypatch.setattr(states, "_permanents",
+                        lambda mats: np.r_[1.0, np.full(len(mats) - 1, np.nan)] + 0j)
+    with pytest.raises(ValueError, match="residual nan exceeds"):
         expression_to_accessible(parse_operator_expression("(aH)(bV)(aV + bH)"))
 
 
