@@ -11,9 +11,10 @@ Grammar (whitespace insignificant)::
 
 Mode-definition lines, ``modeId = coef*modeId (+ coef*modeId)*``, declare a
 derived mode as a unit-norm combination of primitive modes.  Constant
-definitions, ``name = coef``, declare named coefficients.  Any identifier
-never defined as derived is a primitive mode; primitive modes are mutually
-orthonormal by convention.
+definitions, ``name = coef``, declare named coefficients.  A name is defined
+at most once, and a derived mode's expansion may not reach the mode itself.
+Any identifier never defined as derived is a primitive mode; primitive
+modes are mutually orthonormal by convention.
 """
 
 from __future__ import annotations
@@ -27,12 +28,21 @@ from typing import NamedTuple
 NORM_TOL = 1e-12
 
 
-class ParseError(ValueError):
-    """Syntax or semantic error, carrying the character position."""
+# the line boundaries of str.splitlines
+_LINE_BREAK = re.compile(r"\r\n|[\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]")
 
-    def __init__(self, message: str, position: int):
-        super().__init__(f"{message} (at position {position})")
+
+class ParseError(ValueError):
+    """Syntax or semantic error at character offset ``position`` of the
+    parsed ``text``, which is ``line`` and ``column`` there (both from 1)."""
+
+    def __init__(self, message: str, position: int, text: str = ""):
+        breaks = [m.end() for m in _LINE_BREAK.finditer(text, 0, position)]
         self.position = position
+        self.line = len(breaks) + 1
+        self.column = position - (breaks[-1] if breaks else 0) + 1
+        super().__init__(f"{message} (at position {position}, line {self.line}, "
+                         f"column {self.column})")
 
 
 @dataclass(frozen=True)
@@ -81,33 +91,41 @@ class _Token(NamedTuple):
     pos: int
 
 
-def _tokenize(text: str) -> list[_Token]:
+def _tokenize(text: str, start: int, end: int) -> list[_Token]:
+    """Tokens of text[start:end], at their offsets in ``text``."""
     tokens = []
-    for match in _TOKEN.finditer(text):
+    for match in _TOKEN.finditer(text, start, end):
         number, ident, punct, other = match.groups()
         # an identifier starts with a letter or '_'
         if other or ident and not (ident[0].isalpha() or ident[0] == "_"):
-            raise ParseError(f"unexpected character {match[0][0]!r}", match.start())
+            raise ParseError(f"unexpected character {match[0][0]!r}", match.start(), text)
         tokens.append(_Token("number" if number else punct or "ident", match[0],
                              match.start()))
-    # two end tokens, so that peek(1) needs no bounds check: next() never
-    # moves past the first
-    tokens += [_Token("end", "", len(text))] * 2
     return tokens
 
 
-def _check_polarized(tok: _Token) -> None:
-    if len(tok.text) < 2 or tok.text[-1] not in "HV":
-        raise ParseError(
-            f"expected modeId followed by polarization H or V, found {tok.text!r}",
-            tok.pos)
-
-
 class _Parser:
-    def __init__(self, text: str, definitions: Definitions):
-        self.tokens = _tokenize(text)
+    def __init__(self, text: str, definitions: Definitions,
+                 spans: list[tuple[int, int]] | None = None):
+        """A parser of the tokens in the (start, end) ``spans`` of ``text``,
+        by default all of it; positions count in ``text``."""
+        self.text = text
+        spans = spans or [(0, len(text))]
+        self.tokens = [tok for start, end in spans for tok in _tokenize(text, start, end)]
+        # two end tokens, so that peek(1) needs no bounds check: next() never
+        # moves past the first
+        self.tokens += [_Token("end", "", spans[-1][1])] * 2
         self.pos = 0
         self.definitions = definitions
+
+    def error(self, message: str, position: int) -> ParseError:
+        return ParseError(message, position, self.text)
+
+    def check_polarized(self, tok: _Token) -> None:
+        if len(tok.text) < 2 or tok.text[-1] not in "HV":
+            raise self.error(
+                f"expected modeId followed by polarization H or V, found {tok.text!r}",
+                tok.pos)
 
     def primitives(self, mode: str) -> dict[str, complex]:
         """A derived mode's expansion over primitive modes; ``{mode: 1}`` for
@@ -126,7 +144,7 @@ class _Parser:
     def expect(self, kind: str) -> _Token:
         tok = self.peek()
         if tok.kind != kind:
-            raise ParseError(f"expected {kind!r}, found {tok.text or 'end of input'!r}",
+            raise self.error(f"expected {kind!r}, found {tok.text or 'end of input'!r}",
                              tok.pos)
         return self.next()
 
@@ -160,16 +178,16 @@ class _Parser:
         if tok.kind == "ident":
             self.next()
             if tok.text not in self.definitions.constants:
-                raise ParseError(f"unknown constant {tok.text!r}", tok.pos)
+                raise self.error(f"unknown constant {tok.text!r}", tok.pos)
             return self.definitions.constants[tok.text]
-        raise ParseError(f"expected a coefficient, found {tok.text!r}", tok.pos)
+        raise self.error(f"expected a coefficient, found {tok.text!r}", tok.pos)
 
     def _parse_exp(self) -> complex:
         self.expect("ident")          # 'exp'
         self.expect("(")
         unit = self.expect("ident")
         if unit.text != "i":
-            raise ParseError("expected 'i' inside exp(...)", unit.pos)
+            raise self.error("expected 'i' inside exp(...)", unit.pos)
         self.expect("*")
         sign = 1
         if self.peek().kind == "-":
@@ -183,11 +201,11 @@ class _Parser:
             tok = self.expect("number")
             denominator = float(tok.text)
             if denominator == 0:
-                raise ParseError("division by zero in exp(...)", tok.pos)
+                raise self.error("division by zero in exp(...)", tok.pos)
         self.expect("*")
         pi_tok = self.expect("ident")
         if pi_tok.text != "pi":
-            raise ParseError("expected 'pi' inside exp(...)", pi_tok.pos)
+            raise self.error("expected 'pi' inside exp(...)", pi_tok.pos)
         self.expect(")")
         phase = 1j * cmath.pi * numerator / denominator
         # cmath.exp raises for some non-finite phases; parse_factor refuses NaN
@@ -217,12 +235,12 @@ class _Parser:
         """One factor; derived modes expanded, primitive ones kept as read."""
         self.expect("(")
         terms = []
-        for coef, tok in self.signed_terms(_check_polarized):
+        for coef, tok in self.signed_terms(self.check_polarized):
             mode = tok.text[:-1]
             for prim, gamma in self.primitives(mode).items():
                 value = coef if prim == mode else coef * gamma
                 if not cmath.isfinite(value):
-                    raise ParseError(f"coefficient of {tok.text!r} is not finite", tok.pos)
+                    raise self.error(f"coefficient of {tok.text!r} is not finite", tok.pos)
                 terms.append(Term(value, tok.text[-1], prim))
         self.expect(")")
         return tuple(terms)
@@ -233,7 +251,7 @@ class _Parser:
             factors.append(self.parse_factor())
         tok = self.peek()
         if tok.kind != "end":
-            raise ParseError(f"unexpected trailing input {tok.text!r}", tok.pos)
+            raise self.error(f"unexpected trailing input {tok.text!r}", tok.pos)
         return tuple(factors)
 
 
@@ -255,15 +273,26 @@ def parse_definition_line(line: str, definitions: Definitions) -> None:
 
     The right-hand side is first tried as a lone coefficient (constant
     definition); anything else is a derived-mode combination whose
-    coefficient vector must have unit norm.
+    coefficient vector must have unit norm.  A name already defined, and a
+    mode whose expansion reaches the mode itself, are refused.
     """
-    eq = line.index("=")
-    name = line[:eq].strip()
-    if not name.isidentifier():
-        raise ParseError(f"invalid definition name {name!r}", 0)
-    rhs = line[eq + 1:]
+    _define(line, 0, len(line), definitions)
 
-    parser = _Parser(rhs, definitions)
+
+def _define(text: str, start: int, end: int, definitions: Definitions) -> None:
+    """parse_definition_line of text[start:end], positions counting in
+    ``text``."""
+    eq = text.index("=", start, end)
+    head = text[start:eq]
+    name = head.strip()
+    at_name = start + len(head) - len(head.lstrip())
+    if not name.isidentifier():
+        raise ParseError(f"invalid definition name {name!r}", at_name, text)
+    if name in definitions.constants or name in definitions.modes:
+        raise ParseError(f"redefinition of {name!r}", at_name, text)
+    spans = [(eq + 1, end)]
+
+    parser = _Parser(text, definitions, spans)
     try:
         value = parser.parse_coefficient()
         if parser.peek().kind == "end":
@@ -272,27 +301,30 @@ def parse_definition_line(line: str, definitions: Definitions) -> None:
     except ParseError:
         pass
 
-    parser = _Parser(rhs, definitions)
+    parser = _Parser(text, definitions, spans)
     terms = parser.signed_terms()
     tok = parser.peek()
     if tok.kind != "end":
-        raise ParseError(f"expected '+', '-' or end of line, found {tok.text!r}",
-                         tok.pos)
+        raise parser.error(f"expected '+', '-' or end of line, found {tok.text!r}",
+                           tok.pos)
     combo: dict[str, complex] = {}
     for coef, ident in terms:
         combo[ident.text] = combo.get(ident.text, 0) + coef
     resolved: dict[str, complex] = {}
     for ident, coef in combo.items():
-        if ident == name:
-            raise ParseError(f"mode {name!r} defined in terms of itself", eq + 1)
-        for prim, gamma in parser.primitives(ident).items():
+        expansion = parser.primitives(ident)
+        if name in expansion:
+            through = "" if ident == name else f" through {ident!r}"
+            raise ParseError(f"mode {name!r} defined in terms of itself{through}",
+                             at_name, text)
+        for prim, gamma in expansion.items():
             resolved[prim] = resolved.get(prim, 0) + coef * gamma
     # hypot of the parts neither overflows, as a sum of squares does, nor
     # raises, as abs() of a complex can for a NaN
     norm = math.hypot(*(x for v in resolved.values() for x in (v.real, v.imag)))
     if not abs(norm * norm - 1.0) <= NORM_TOL:
         raise ParseError(
-            f"derived mode {name!r} has norm {norm:.12g}, expected 1", eq + 1)
+            f"derived mode {name!r} has norm {norm:.12g}, expected 1", eq + 1, text)
     definitions.modes[name] = resolved
 
 
@@ -300,19 +332,22 @@ def parse_expression_file(text: str) -> CreationOperatorExpression:
     """Parse a full expression file: definition lines, then the expression.
 
     Lines containing '=' are definitions (constants or derived modes);
-    '#' starts a comment; remaining lines are joined into the expression.
+    '#' starts a comment; remaining lines form the expression.  Error
+    positions count in ``text``.
     """
     definitions = Definitions()
-    expression_parts: list[str] = []
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+    body: list[tuple[int, int]] = []
+    start = 0
+    for line in text.splitlines(keepends=True):
+        code = line.split("#", 1)[0].rstrip()
+        span = (start, start + len(code))
+        start += len(line)
+        if not code.strip():
             continue
-        if "=" in line:
-            parse_definition_line(line, definitions)
+        if "=" in code:
+            _define(text, *span, definitions)
         else:
-            expression_parts.append(line)
-    body = " ".join(expression_parts)
+            body.append(span)
     if not body:
-        raise ParseError("no expression found in input", 0)
-    return parse_operator_expression(body, definitions)
+        raise ParseError("no expression found in input", 0, text)
+    return CreationOperatorExpression(_Parser(text, definitions, body).parse_expression())

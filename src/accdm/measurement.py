@@ -18,6 +18,9 @@ from .schur import N_MAX, _layout, sector_rotation
 from .states import AccessibleDensityMatrix
 
 RANK_TOL = 1e-9
+# a design certified by _full_rank has sigma_min / sigma_max above the square
+# root of this, a thousand times RANK_TOL
+FULL_RANK_MARGIN = (1e3 * RANK_TOL) ** 2
 # mean shots per setting: Generator.poisson rejects means above about 9.2e18
 MAX_SHOTS = 1e18
 # the step of numpy's PCG64.jumped, about 2**128 * (sqrt(5) - 1) / 2
@@ -103,6 +106,29 @@ def _rank(singular_values: np.ndarray) -> int:
     return int((singular_values > RANK_TOL * singular_values.max(initial=0.0)).sum())
 
 
+def _full_rank(design: np.ndarray) -> bool:
+    """True only when the design certainly has full column rank by _rank.
+
+    A floating-point Cholesky factorization of G - delta I, with G the Gram
+    matrix D^T D and delta = (FULL_RANK_MARGIN + (m + p + 2) eps) tr(G),
+    completes only if lambda_min(D^T D) > FULL_RANK_MARGIN tr(G) (Rump, BIT
+    46, 433 (2006); the m eps tr(G) share covers the rounding of G).  Since
+    tr(G) >= sigma_max^2, the design then has sigma_min / sigma_max above
+    1e3 RANK_TOL, and _rank of its singular values is p.  False says
+    nothing: the caller falls back to the singular values.
+    """
+    m, p = design.shape
+    if m < p:
+        return False
+    gram = design.T @ design
+    shift = (FULL_RANK_MARGIN + (m + p + 2) * np.finfo(float).eps) * np.trace(gram)
+    try:
+        np.linalg.cholesky(gram - shift * np.eye(p))
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
 class _OutcomeModel:
     """Linear map from accessible blocks to every outcome probability of a
     fixed list of settings.
@@ -162,7 +188,14 @@ class _OutcomeModel:
         return p
 
     def rank(self) -> int:
-        """Numerical rank of the design."""
+        """Numerical rank of the design, by _rank of its singular values.
+
+        A design that _full_rank certifies has rank p, its column count,
+        without an SVD; the singular values are computed only for the
+        others, which are rank-deficient or ill-conditioned.
+        """
+        if _full_rank(self.design):
+            return self.design.shape[1]
         return _rank(np.linalg.svd(self.design, compute_uv=False))
 
 
@@ -231,8 +264,11 @@ def measurement_span_rank(settings: list[WaveplateSetting], n: int, *,
 
     The rank of the design matrix, whose columns are the block coordinates
     of the outcome operators scaled by nonzero constants; at most
-    accessible_param_count(n, 2) dimensions are reachable.  A caller that
-    has built the outcome model of these settings passes it as ``model``.
+    accessible_param_count(n, 2) dimensions are reachable.  A full-rank
+    design is certified by a shifted Cholesky factorization of its Gram
+    matrix; an SVD runs only when that certificate fails (see
+    ``_OutcomeModel.rank``).  A caller that has built the outcome model of
+    these settings passes it as ``model``.
     """
     if not settings:
         raise ValueError("settings must be nonempty")

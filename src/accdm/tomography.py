@@ -22,6 +22,7 @@ from .measurement import (
     NumericalError,
     WaveplateSetting,
     _OutcomeModel,
+    _full_rank,
     _rank,
 )
 from .schur import N_MAX, _Layout, accessible_param_count
@@ -115,10 +116,13 @@ def linear_inversion(data: list[CountRecord] | _Dataset) -> AccessibleDensityMat
 
     Requires the observed settings to span the full accessible operator
     space; otherwise a RankDeficiencyError reporting the achieved rank is
-    raised.  The rank is read from the singular values of the observed
-    design that the least-squares solve computes, so the design is
-    factorized once.  A caller that has built a ``_Dataset`` passes it, to
-    pay for the outcome model only once.
+    raised.  One QR factorization of the observed design D with the
+    frequencies f appended gives R and Q^T f, and the fit solves
+    R theta = Q^T f.  The design's full rank is certified by a shifted
+    Cholesky factorization of D^T D (``measurement._full_rank``); only when
+    that fails is the rank read from the singular values of R, which are
+    those of D.  A caller that has built a ``_Dataset`` passes it, to pay
+    for the outcome model only once.
     """
     if isinstance(data, _Dataset):
         dataset = data
@@ -127,11 +131,16 @@ def linear_inversion(data: list[CountRecord] | _Dataset) -> AccessibleDensityMat
         if not dataset.observed.any():
             raise ValueError("all settings have zero total counts")
     rows = dataset.observed
-    theta, _, _, singular_values = np.linalg.lstsq(
-        dataset.model.design[rows], dataset.frequencies.ravel()[rows], rcond=None)
-    rank, required = _rank(singular_values), accessible_param_count(dataset.n, 2)
-    if rank < required:
-        raise RankDeficiencyError(rank, required)
+    design = dataset.model.design[rows]
+    required = accessible_param_count(dataset.n, 2)
+    r = np.linalg.qr(np.column_stack([design, dataset.frequencies.ravel()[rows]]),
+                     mode="r")
+    if not _full_rank(design):
+        rank = _rank(np.linalg.svd(r[:, :required], compute_uv=False))
+        if rank < required:
+            raise RankDeficiencyError(rank, required)
+    # R is upper triangular, so the LU factorization of solve pivots nowhere
+    theta = np.linalg.solve(r[:required, :required], r[:required, required])
     layout = dataset.model.layout
     clipped, _ = _clip_and_normalize(layout.stack(theta), layout)
     return AccessibleDensityMatrix(dataset.n, layout.unpad(clipped))

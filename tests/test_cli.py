@@ -159,6 +159,20 @@ def test_analyze_syntax_error_is_format_error(workdir, capsys):
     assert not (workdir / "x.dm").exists()
 
 
+@pytest.mark.parametrize("text, message", [
+    ("c = 0.6*a + 0.8*b\nc = 1.0*b\n(cH)(aV)\n", "redefinition of 'c'"),
+    ("d = 1.0*e\ne = 1.0*d\n(dH)(eV)\n", "'e' defined in terms of itself through 'd'"),
+], ids=["redefinition", "cycle"])
+def test_analyze_refuses_inconsistent_definitions(workdir, capsys, text, message):
+    expr = workdir / "bad.expr"
+    expr.write_text(text)
+    assert run(["analyze", expr, "--out", workdir / "x.dm"]) == 3
+    err = capsys.readouterr().err
+    assert f"{message} (at position " in err and ", line 2, column 1)" in err
+    assert not (workdir / "x.dm").exists()
+    assert not (workdir / "x.dm.report.txt").exists()
+
+
 @pytest.mark.parametrize("text", ["(aH + aV - aH - aV)(aH)\n", "(aH + bV)" * 11 + "\n"],
                          ids=["cancelling-factor", "eleven-factors"])
 def test_analyze_unrepresentable_state_is_format_error(workdir, capsys, text):

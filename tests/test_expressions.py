@@ -140,8 +140,8 @@ NON_FINITE_COEFFICIENTS = {
     "infinite": ("(1e400*aH)(aV)", 7),
     "nan-phase": ("(exp(i*1e400*pi)*aH)", 17),
     "overflowing-phase": ("(exp(i*1e300/1e-300*pi)*aH)", 24),
-    "infinite-constant": ("x = 1e400\n(aV)(x*aH)", 7),
-    "overflowing-expansion": ("c = 1.0000000000004*a\n(1.7976931348623157e308*cH)", 24),
+    "infinite-constant": ("x = 1e400\n(aV)(x*aH)", 17),
+    "overflowing-expansion": ("c = 1.0000000000004*a\n(1.7976931348623157e308*cH)", 46),
 }
 
 
@@ -157,6 +157,66 @@ def test_self_referential_mode_rejected():
     defs = Definitions()
     with pytest.raises(ParseError, match="itself"):
         parse_definition_line("c = 1.0*c", defs)
+
+
+@pytest.mark.parametrize("text", [
+    "c = 0.6*a + 0.8*b\nc = 1.0*b\n(cH)\n",
+    "k = 2\nk = 3\n(k*aH)\n",
+    "k = 2\nk = 1.0*a\n(kH)\n",
+    "c = 1.0*a\nc = 2\n(cH)\n",
+], ids=["mode", "constant", "constant-then-mode", "mode-then-constant"])
+def test_redefinition_rejected(text):
+    # the second definition would silently replace the first
+    name = text[0]
+    with pytest.raises(ParseError, match=f"redefinition of '{name}'") as err:
+        parse_expression_file(text)
+    assert (err.value.line, err.value.column) == (2, 1)
+
+
+@pytest.mark.parametrize("text, through", [
+    ("d = 1.0*e\ne = 1.0*d\n(dH)\n", "d"),
+    ("d = 0.6*e + 0.8*f\ng = 1.0*d\n  e = 0.6*a + 0.8*g\n(eH)\n", "g"),
+], ids=["two-modes", "three-modes"])
+def test_definition_cycle_rejected(text, through):
+    with pytest.raises(ParseError, match=f"'e' defined in terms of itself through "
+                                         f"'{through}'") as err:
+        parse_expression_file(text)
+    assert text[err.value.position] == "e"
+    assert err.value.column == text.split("\n")[err.value.line - 1].index("e") + 1
+
+
+# definitions above a body spread over several lines: positions, lines and
+# columns count in the file
+MULTILINE_ERRORS = {
+    "non-finite": ("x = 1e400  # too large\nc = 0.6*a + 0.8*b\n(aH)\n  (bV)(x*cH)\n",
+                   "is not finite", "cH", 4, 10),
+    "unknown-constant": ("c = 0.6*a + 0.8*b\n\n(aH)(bV)\n(k*cH)\n", "unknown constant",
+                         "k", 4, 2),
+    "bad-character": ("c = 0.6*a + 0.8*b\r\n(aH)\r\n(bV)(cH) $\r\n", "unexpected character",
+                      "$", 3, 10),
+    "trailing-input": ("(aH)\nc = 0.6*a + 0.8*b\n(cV))\n", "trailing input", ")\n", 3, 5),
+    "in-definition": ("(aH)\n# modes\nc = 0.6*a + 0.8*b +\n", "expected 'ident'",
+                      "\n", 3, 20),
+}
+
+
+@pytest.mark.parametrize("text, message, at, line, column", MULTILINE_ERRORS.values(),
+                         ids=MULTILINE_ERRORS.keys())
+def test_error_positions_count_in_the_file(text, message, at, line, column):
+    with pytest.raises(ParseError, match=message) as err:
+        parse_expression_file(text)
+    assert (err.value.line, err.value.column) == (line, column)
+    line_start = sum(len(x) for x in text.splitlines(keepends=True)[:line - 1])
+    assert err.value.position == line_start + column - 1
+    assert text.startswith(at, err.value.position)
+    assert f"(at position {err.value.position}, line {line}, column {column})" in str(err.value)
+
+
+def test_unclosed_factor_on_a_later_line_reports_its_end():
+    text = "c = 0.6*a + 0.8*b\n(aH)\n(bV\n\n# done\n"
+    with pytest.raises(ParseError, match="expected '\\)'") as err:
+        parse_expression_file(text)
+    assert (err.value.position, err.value.line, err.value.column) == (26, 3, 4)
 
 
 def test_empty_file_rejected():

@@ -275,45 +275,108 @@ def span_rank_cases(n):
     return [
         random_settings(rng, 1),
         random_settings(rng, 3),
+        # full rank up to N = 7; at N = 8 forty settings span only 160 of
+        # the 165 dimensions
         random_settings(rng, 40),
         # linear polarization analysis only: no circular information
         [WaveplateSetting(0.0, h) for h in np.linspace(0, 45, 12)],
         # one setting repeated
         random_settings(rng, 1) * 6,
         TWELVE_SETTINGS,
+        # the number of settings of the benchmark's N = 8 pipeline
+        random_settings(rng, 48),
     ]
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def svd_rank(design):
+    return _rank(np.linalg.svd(design, compute_uv=False))
+
+
+# up to N = 8, the benchmark pipeline's size, where cond(D) of random
+# settings reaches 1e4 to 1e6
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8])
 def test_span_rank_matches_flatten_oracle(n):
     full = accessible_param_count(n, 2)
     ranks = []
     for settings in span_rank_cases(n):
         rank = measurement_span_rank(settings, n)
         assert rank == oracle_span_rank(settings, n)
+        assert rank == svd_rank(_OutcomeModel(settings, n).design)
         ranks.append(rank)
-    assert ranks[2] == full
+    assert ranks[2] == (full if n < 8 else 160)
+    assert ranks[-1] == full
     assert min(ranks) < full
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def exact_records(settings, n, p):
+    return [CountRecord(s.qwp_deg, s.hwp_deg, n - k, k, 1e4 * p[si * (n + 1) + k])
+            for si, s in enumerate(settings) for k in range(n + 1)]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8])
 def test_linear_inversion_rank_matches_model_rank(n):
-    # linear inversion reads the span rank from the singular values of its
-    # least-squares solve, not from a separate SVD
+    # linear inversion certifies full rank or reads the rank from the
+    # singular values of its QR factor; either way it is the design's
     full = accessible_param_count(n, 2)
     rho = random_accessible_state(n, np.random.default_rng(950 + n))
     for settings in span_rank_cases(n):
         model = _OutcomeModel(settings, n)
-        p = model.probabilities(model.layout.theta(rho.blocks))
-        assert _rank(np.linalg.lstsq(model.design, p, rcond=None)[3]) == model.rank()
-        records = [CountRecord(s.qwp_deg, s.hwp_deg, n - k, k, 1e4 * p[si * (n + 1) + k])
-                   for si, s in enumerate(settings) for k in range(n + 1)]
+        assert model.rank() == svd_rank(model.design)
+        records = exact_records(settings, n, model.probabilities(model.layout.theta(rho.blocks)))
         if model.rank() < full:
             with pytest.raises(RankDeficiencyError) as err:
                 linear_inversion(records)
             assert (err.value.rank, err.value.required) == (model.rank(), full)
         else:
             assert linear_inversion(records).allclose(rho, atol=1e-8)
+
+
+@pytest.mark.parametrize("n", [3, 8])
+def test_linear_inversion_without_the_certificate(monkeypatch, n):
+    # a design the Cholesky certificate cannot prove full rank takes the
+    # rank from the singular values of R and solves the same system
+    rho = random_accessible_state(n, np.random.default_rng(960 + n))
+    settings = span_rank_cases(n)[-1]
+    model = _OutcomeModel(settings, n)
+    records = exact_records(settings, n, model.probabilities(model.layout.theta(rho.blocks)))
+    certified = linear_inversion(records)
+    calls = []
+    monkeypatch.setattr(tomography, "_full_rank", lambda design: calls.append(1) or False)
+    assert linear_inversion(records).allclose(certified, atol=1e-12)
+    with pytest.raises(RankDeficiencyError) as err:
+        linear_inversion(records[:-(n + 1) * (len(settings) - 2)])
+    assert err.value.rank == svd_rank(_OutcomeModel(settings[:2], n).design)
+    assert calls == [1, 1]
+
+
+def constructed_design(rng, m, p, singular_values):
+    """U diag(s) V^T with random orthonormal U (m x p) and V (p x p)."""
+    u = np.linalg.qr(rng.normal(size=(m, p)))[0]
+    v = np.linalg.qr(rng.normal(size=(p, p)))[0]
+    return (u * singular_values) @ v.T
+
+
+@pytest.mark.parametrize("p", [20, 165])
+@pytest.mark.parametrize("m_over_p", [1, 3])
+def test_full_rank_certificate_is_sound(p, m_over_p):
+    rng = np.random.default_rng(970 + p + m_over_p)
+    for exponent in range(3, 13):
+        ratio = 10.0 ** -exponent
+        spectra = [np.geomspace(1.0, ratio, p),             # spread evenly
+                   np.r_[np.ones(p - 1), ratio],            # one small value
+                   np.r_[np.geomspace(1.0, ratio, p - 2), 0.0, 0.0]]  # exact zeros
+        for s in spectra:
+            # rotated, and axis-aligned: there a Cholesky factorization of
+            # the unshifted Gram matrix would succeed whatever s_min is
+            for design in (constructed_design(rng, m_over_p * p, p, rng.permutation(s)),
+                           np.eye(m_over_p * p, p) * s):
+                certified = measurement._full_rank(design)
+                # never a false certificate
+                assert not (certified and svd_rank(design) < p)
+                if exponent <= 5 and s is spectra[0]:
+                    assert certified
+    # too few rows can never have full column rank
+    assert not measurement._full_rank(rng.normal(size=(p - 1, p)))
 
 
 # ---------------------------------------------------------------------------

@@ -190,32 +190,31 @@ def test_stacked_clip_matches_per_block_clip(n):
             assert abs(low[s] - expected_low[two_j]) <= 1e-14
 
 
-def test_one_model_and_one_svd_per_reconstruction(monkeypatch, golden_state):
-    # the one SVD of the observed design is the least-squares solve's: the
-    # span rank is read from its singular values
-    calls = {"model": 0, "svd": 0, "lstsq": 0}
+def test_one_model_and_one_qr_per_reconstruction(monkeypatch, golden_state):
+    # the 12-setting design at N = 3 is well conditioned, so the Cholesky
+    # certificate proves its full rank: the one factorization of the
+    # observed design is the QR of the linear-inversion solve
+    calls = {"model": 0, "qr": 0, "svd": 0, "lstsq": 0}
     original_init = measurement._OutcomeModel.__init__
-    original_svd = np.linalg.svd
-    original_lstsq = np.linalg.lstsq
 
     def counting_init(self, *args, **kwargs):
         calls["model"] += 1
         original_init(self, *args, **kwargs)
 
-    def counting_svd(*args, **kwargs):
-        calls["svd"] += 1
-        return original_svd(*args, **kwargs)
+    def counting(name):
+        original = getattr(np.linalg, name)
 
-    def counting_lstsq(*args, **kwargs):
-        calls["lstsq"] += 1
-        return original_lstsq(*args, **kwargs)
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return call
 
     records = simulate_counts(golden_state, TWELVE_SETTINGS, 1e4, seed=3)
     monkeypatch.setattr(measurement._OutcomeModel, "__init__", counting_init)
-    monkeypatch.setattr(np.linalg, "svd", counting_svd)
-    monkeypatch.setattr(np.linalg, "lstsq", counting_lstsq)
+    for name in ("qr", "svd", "lstsq"):
+        monkeypatch.setattr(np.linalg, name, counting(name))
     mle_reconstruct(records, max_iters=50)
-    assert calls == {"model": 1, "svd": 0, "lstsq": 1}
+    assert calls == {"model": 1, "qr": 1, "svd": 0, "lstsq": 0}
 
 
 def test_linear_inversion_of_dataset_matches_records(golden_state):
