@@ -259,15 +259,19 @@ def build_parser() -> argparse.ArgumentParser:
     p_rec.add_argument("--out", required=True, help="output matrix file")
     p_rec.add_argument("--reference", help="matrix file to compare against")
     p_rec.add_argument("--tol", type=_number(float, 0, strict=True), default=1e-10,
-                       help="stop when one iteration gains less log-likelihood "
+                       help="stop when the first R.rho.R step of an "
+                            "extrapolation cycle gains less log-likelihood "
                             "than this (a measure of slow progress, not a "
                             "certified distance to the maximum)")
     p_rec.add_argument("--max-iters", type=_number(int, 1), default=100_000,
-                       help="iteration cap")
+                       help="cap on R.rho.R steps, stabilizing ones included")
     p_rec.add_argument("--verdict-tol", type=_number(float, 0, strict=True),
                        default=1e-3,
                        help="indistinguishability verdict tolerance")
-    p_rec.add_argument("--trace", help="write the log-likelihood trace here")
+    p_rec.add_argument("--trace", help="write the log-likelihood of each accepted "
+                       "iterate here, one line each; extrapolated points and "
+                       "rejected stabilizing steps make the last index differ "
+                       "from the printed iteration count, below or above it")
     p_rec.set_defaults(func=cmd_reconstruct)
 
     return parser

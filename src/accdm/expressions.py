@@ -273,8 +273,9 @@ def parse_definition_line(line: str, definitions: Definitions) -> None:
 
     The right-hand side is first tried as a lone coefficient (constant
     definition); anything else is a derived-mode combination whose
-    coefficient vector must have unit norm.  A name already defined, and a
-    mode whose expansion reaches the mode itself, are refused.
+    coefficient vector must have unit norm.  A name already defined, a name
+    that an earlier derived mode holds as a primitive mode, and a mode whose
+    expansion reaches the mode itself, are refused.
     """
     _define(line, 0, len(line), definitions)
 
@@ -292,14 +293,23 @@ def _define(text: str, start: int, end: int, definitions: Definitions) -> None:
         raise ParseError(f"redefinition of {name!r}", at_name, text)
     spans = [(eq + 1, end)]
 
+    def check_not_primitive():
+        # an earlier derived mode keeps the name as a primitive mode
+        for mode, expansion in definitions.modes.items():
+            if name in expansion:
+                raise ParseError(f"{name!r} is already a primitive mode of {mode!r}",
+                                 at_name, text)
+
     parser = _Parser(text, definitions, spans)
     try:
         value = parser.parse_coefficient()
-        if parser.peek().kind == "end":
-            definitions.constants[name] = value
-            return
+        constant = parser.peek().kind == "end"
     except ParseError:
-        pass
+        constant = False
+    if constant:
+        check_not_primitive()
+        definitions.constants[name] = value
+        return
 
     parser = _Parser(text, definitions, spans)
     terms = parser.signed_terms()
@@ -319,6 +329,7 @@ def _define(text: str, start: int, end: int, definitions: Definitions) -> None:
                              at_name, text)
         for prim, gamma in expansion.items():
             resolved[prim] = resolved.get(prim, 0) + coef * gamma
+    check_not_primitive()
     # hypot of the parts neither overflows, as a sum of squares does, nor
     # raises, as abs() of a complex can for a NaN
     norm = math.hypot(*(x for v in resolved.values() for x in (v.real, v.imag)))

@@ -19,7 +19,7 @@ from typing import Iterator, Mapping
 
 import numpy as np
 
-from .expressions import CreationOperatorExpression
+from .expressions import CreationOperatorExpression, Term
 from .schur import (
     N_MAX,
     _layout,
@@ -126,6 +126,9 @@ def expand_and_symmetrize(expr: CreationOperatorExpression) -> FirstQuantizedSta
         raise ValueError(f"expression has {n} factors, cap is {N_MAX}")
 
     monomials: dict[tuple[Label, ...], complex] = {}
+    # a factor's overall scale does not change the state; removing it keeps
+    # the products of coefficients from underflowing or overflowing
+    scales = [_factor_scale(factor) for factor in expr.factors]
 
     def accumulate(i: int, coef: complex, labels: tuple[Label, ...]):
         if i == n:
@@ -133,7 +136,7 @@ def expand_and_symmetrize(expr: CreationOperatorExpression) -> FirstQuantizedSta
             monomials[key] = monomials.get(key, 0) + coef
             return
         for term in expr.factors[i]:
-            accumulate(i + 1, coef * term.coefficient,
+            accumulate(i + 1, coef * (term.coefficient / scales[i]),
                        labels + ((term.polarization, term.mode),))
 
     accumulate(0, 1.0 + 0.0j, ())
@@ -274,16 +277,21 @@ def trace_hidden(state: FirstQuantizedState) -> AccessibleDensityMatrix:
 # Hidden-mode trace from permanents
 # ---------------------------------------------------------------------------
 
+def _factor_scale(factor: tuple[Term, ...]) -> float:
+    """A power of two near the largest part of a factor's coefficients:
+    dividing by it is exact and brings that part into [1, 2)."""
+    largest = max(max(abs(t.coefficient.real), abs(t.coefficient.imag)) for t in factor)
+    return math.ldexp(1.0, math.frexp(largest)[1] - 1)
+
+
 def _photon_vectors(expr: CreationOperatorExpression) -> np.ndarray:
     """Unit vector of each factor over (polarization, primitive mode), shape (N, 2, M)."""
     modes = sorted({term.mode for factor in expr.factors for term in factor})
     column = {mode: i for i, mode in enumerate(modes)}
     vectors = np.zeros((expr.n, 2, len(modes)), dtype=complex)
     for k, factor in enumerate(expr.factors):
-        # divided by a power of two near its largest part, exactly, so that
         # neither the norm nor the cancellation test underflows or overflows
-        largest = max(max(abs(t.coefficient.real), abs(t.coefficient.imag)) for t in factor)
-        scale = math.ldexp(1.0, math.frexp(largest)[1] - 1)
+        scale = _factor_scale(factor)
         scaled = [t.coefficient / scale for t in factor]
         for term, coefficient in zip(factor, scaled):
             vectors[k, "HV".index(term.polarization), column[term.mode]] += coefficient

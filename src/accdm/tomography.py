@@ -1,13 +1,15 @@
 """Reconstruction of accessible density matrices from count data.
 
-Linear inversion seeds a diluted R.rho.R maximum-likelihood iteration that
+Linear inversion seeds a maximum-likelihood loop of R.rho.R steps that
 stays on the block manifold: every operator involved (state, outcome
 operators, the R update) is block-form with the repeated-copy structure, so
-the iteration never leaves the accessible space.  Convex dilution with
-backtracking makes every accepted step monotone in the log-likelihood.
-The iteration holds its blocks stacked in one zero-padded array of shape
-(sectors, N+1, N+1), so that each step is a few whole-array operations
-whatever the number of sectors.
+the loop never leaves the accessible space.  The loop holds the factor A of
+rho = A A^H and extrapolates it by SQUAREM, so every point it visits is a
+state; an extrapolated point or step is kept only if the log-likelihood
+does not drop, and a step that would drop it is diluted with backtracking.
+Blocks and factors are stacked in zero-padded arrays of shape (sectors,
+N+1, N+1), so that each step is a few whole-array operations whatever the
+number of sectors.
 """
 
 from __future__ import annotations
@@ -26,10 +28,15 @@ from .measurement import (
     _rank,
 )
 from .schur import N_MAX, _Layout, accessible_param_count
-from .states import AccessibleDensityMatrix
+from .states import PSD_TOL, AccessibleDensityMatrix
 
 LOG_FLOOR = 1e-12
 START_MIX = 1e-9
+# Largest |a| of the SQUAREM step length a, where a = -1 gives the second
+# plain step itself.  From a = -2.5 on, the extrapolation amplifies
+# round-off on three-photon data until two summation orders of the same
+# loop end 1e-9 apart.
+EXTRAPOLATION_CAP = 2.375
 
 
 class RankDeficiencyError(ValueError):
@@ -193,28 +200,64 @@ def _gap_bound(model: _OutcomeModel, counts: np.ndarray, p: np.ndarray) -> float
     return max(float(r_max - counts.sum()), 0.0)
 
 
+def _factor(stack: np.ndarray, layout: _Layout) -> np.ndarray:
+    """Stacked factor A with A A^H = stack, from one batched ``eigh``.
+
+    Eigenvalues down to -PSD_TOL count as round-off and are clipped to
+    zero; a lower one raises NumericalError naming its sector.  The zero
+    padding adds only zero eigenvalues, whose columns of A are zero.
+    """
+    vals, vecs = np.linalg.eigh(stack)
+    for two_j, low in zip(layout.sectors, vals[:, 0]):
+        if not low >= -PSD_TOL:
+            raise NumericalError(
+                f"iterate is outside the positive cone: block two_j={two_j} has "
+                f"eigenvalue {low:.3e}")
+    return vecs * np.sqrt(np.clip(vals, 0.0, None))[:, None, :]
+
+
+def _gram(a: np.ndarray) -> np.ndarray:
+    return a @ a.conj().swapaxes(-1, -2)
+
+
 def mle_reconstruct(data: list[CountRecord], *, max_iters: int = 100_000,
                     tol: float = 1e-10) -> ReconstructionResult:
-    """Maximize the log-likelihood over accessible states by diluted R.rho.R.
+    """Maximize the log-likelihood over accessible states by R.rho.R steps
+    on the factor of rho, extrapolated by SQUAREM.
 
-    Each iteration forms R = sum_k (n_k / p_k) Pi_k in block form, takes the
-    convex combination (1 - d) rho + d * normalize(R rho R) with d halved
-    from min(1, twice the last accepted d) until the log-likelihood does not
-    decrease, and stops when the gain drops below ``tol``.  Initialized from
-    clipped linear inversion (falling back to the maximally mixed state),
-    mixed with START_MIX of the maximally mixed state.
+    The iterate is a stacked factor A with rho = A A^H, so every point the
+    loop visits is a state.  One R.rho.R step forms R = sum_k (n_k / p_k)
+    Pi_k in block form and maps A to R A / sqrt(t), t the trace of R rho R
+    (Rehacek et al., PRA 75, 042108 (2007)).  The steps run in cycles
+    (Varadhan and Roland, Scand. J. Stat. 35, 335 (2008)):
 
-    The iterate is held stacked: the blocks zero-padded into one complex
-    array of shape (sectors, N+1, N+1), so R is one matvec and one scatter,
-    R rho R one batched matmul, and the normalization and the direction's
-    probabilities one gather and two dot products.  The padding stays
-    exactly zero through R rho R and convex steps.  The outcome model is
-    built once and shared with the linear-inversion start, which also
-    checks the span.
+    - two plain steps A0 -> A1 -> A2;
+    - the extrapolated point A0 - 2 a r + a^2 v, with r = A1 - A0,
+      v = A2 - 2 A1 + A0 and a = max(-|r| / |v|, -EXTRAPOLATION_CAP) in
+      the Frobenius norm of the stacked factor, a halved toward -1 until
+      the point's log-likelihood is at least that of A2 (no point once a
+      is within 1/16 of -1, where it is A2);
+    - after an extrapolated point, one stabilizing plain step, kept only
+      if it does not lower the log-likelihood.
+
+    A plain step that lowers the log-likelihood is diluted instead: the
+    convex combination (1 - d) rho + d R rho R / t with d halved from 1/2
+    until the log-likelihood does not decrease, factored again, and the
+    cycle ends there without extrapolation.  The loop stops when the first
+    plain step of a cycle gains less than ``tol``, or when no dilution
+    ascends.  ``iterations`` and ``max_iters`` count R.rho.R steps,
+    stabilizing ones included; ``ll_trace`` holds one log-likelihood per
+    accepted iterate (start, plain steps, extrapolated points, kept
+    stabilizing steps), so its length need not be ``iterations + 1``.
+
+    Initialized from clipped linear inversion (falling back to the maximally
+    mixed state), mixed with START_MIX of the maximally mixed state.  The
+    outcome model is built once and shared with the linear-inversion start,
+    which also checks the span.
 
     Raises RankDeficiencyError when the settings do not span the accessible
-    space, and NumericalError when the iterate breaks monotonicity or leaves
-    the positive cone.
+    space, and NumericalError when the start has a block eigenvalue below
+    -PSD_TOL.
     """
     dataset = _Dataset(data)
     model = dataset.model
@@ -226,76 +269,97 @@ def mle_reconstruct(data: list[CountRecord], *, max_iters: int = 100_000,
         raise
     except ValueError:
         start = AccessibleDensityMatrix.maximally_mixed(dataset.n)
-    # Clipping leaves exact zero eigenvalues, and R.rho.R scales each
-    # eigenvalue by a positive factor, so round-off of either sign there can
-    # grow until the iterate leaves the positive cone.  A trace of the
-    # maximally mixed state keeps every eigenvalue far above round-off.
-    rho = layout.pad({tj: (1 - START_MIX) * b + START_MIX * np.eye(tj + 1) / 2 ** dataset.n
-                      for tj, b in start.blocks.items()})
+    # Clipping leaves exact zero eigenvalues, which R.rho.R can never lift;
+    # a trace of the maximally mixed state keeps every eigenvalue positive.
+    a = _factor(layout.pad({tj: (1 - START_MIX) * b + START_MIX * np.eye(tj + 1) / 2 ** dataset.n
+                            for tj, b in start.blocks.items()}), layout)
 
     counts = dataset.counts.ravel()
     fractions = counts / max(counts.sum(), 1.0)
+    design, trace_weights = model.design, layout.trace_weights
 
     def ll_of(p: np.ndarray) -> float:
-        return float((counts * np.log(np.maximum(p, LOG_FLOOR))).sum())
+        return float(counts @ np.log(np.maximum(p, LOG_FLOOR)))
 
-    # probabilities are linear in the blocks, so the probabilities of every
-    # convex step follow from those of its two ends
-    p = model.probabilities(layout.stack_theta(rho))
-    ll = ll_of(p)
+    def state(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+        """a rescaled to a state a a^H of unit trace, its probabilities and
+        log-likelihood"""
+        theta = layout.stack_theta(_gram(a))
+        t = trace_weights @ theta
+        p = design @ theta / t
+        return a / math.sqrt(t), p, ll_of(p)
+
+    def r_step(a: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+        r_op = layout.stack(model.operator_theta(fractions / np.maximum(p, 1e-15)))
+        return state(r_op @ a)
+
+    def plain(a: np.ndarray, p: np.ndarray, ll: float):
+        """(a, p, ll, diluted) of one ascending step, None if none ascends."""
+        a1, p1, ll1 = r_step(a, p)
+        if ll1 >= ll:
+            return a1, p1, ll1, False
+        d = 0.5
+        while d > 1e-12:
+            # probabilities are linear in rho, so those of a convex step
+            # follow from those of its two ends
+            p_d = (1 - d) * p + d * p1
+            ll_d = ll_of(p_d)
+            if ll_d >= ll:
+                return _factor((1 - d) * _gram(a) + d * _gram(a1), layout), p_d, ll_d, True
+            d /= 2
+        return None
+
+    def extrapolated(a0: np.ndarray, a1: np.ndarray, a2: np.ndarray, ll2: float):
+        r = a1 - a0
+        v = a2 - a1 - r
+        norm_r, norm_v = math.sqrt(np.vdot(r, r).real), math.sqrt(np.vdot(v, v).real)
+        alpha = (-EXTRAPOLATION_CAP if norm_r >= EXTRAPOLATION_CAP * norm_v
+                 else -norm_r / norm_v)
+        while alpha < -1 - 1 / 16:
+            point = state(a0 - 2 * alpha * r + alpha * alpha * v)
+            if point[2] >= ll2:
+                return point
+            alpha = (alpha - 1) / 2
+        return None
+
+    a, p, ll = state(a)
     trace = [ll]
     converged = False
     iterations = 0
-    d_start = 1.0
-    for iterations in range(1, max_iters + 1):
-        r_op = layout.stack(model.operator_theta(fractions / np.maximum(p, 1e-15)))
-        direction = r_op @ rho @ r_op
-        theta_dir = layout.stack_theta(direction)
-        total = layout.trace(theta_dir)
-        if total <= 1e-300:
+    cycle = []      # the factors that this cycle's plain steps started from
+    while iterations < max_iters:
+        iterations += 1
+        step = plain(a, p, ll)
+        if step is None:
             converged = True
             break
-        direction /= total
-        theta_dir /= total
-        p_dir = model.probabilities(theta_dir)
-
-        # backtrack d from the last successful step size (cheaper near the
-        # optimum, where the full step keeps getting rejected)
-        d = d_start
-        accepted = False
-        while d > 1e-12:
-            p_cand = p_dir if d == 1.0 else (1 - d) * p + d * p_dir
-            ll_cand = ll_of(p_cand)
-            if ll_cand >= ll:
-                accepted = True
-                break
-            d /= 2
-        if not accepted:
-            converged = True
-            break
-        d_start = min(1.0, 2 * d)
-        gain = ll_cand - ll
-        if not gain >= 0:
-            raise NumericalError("accepted step decreased the log-likelihood")
-        # a full step takes the direction as it is: the same bits as the
-        # convex combination, without its arithmetic
-        rho = direction if d == 1.0 else (1 - d) * rho + d * direction
-        p, ll = p_cand, ll_cand
+        cycle.append(a)
+        gain = step[2] - ll
+        a, p, ll, diluted = step
         trace.append(ll)
-        if gain < tol:
+        if len(cycle) == 1 and gain < tol:
             converged = True
             break
+        if diluted:
+            cycle = []
+        if len(cycle) < 2 or iterations == max_iters:
+            continue
+        point = extrapolated(*cycle, a, ll)
+        cycle = []
+        if point is None:
+            continue
+        a, p, ll = point
+        trace.append(ll)
+        iterations += 1
+        stable = r_step(a, p)
+        if stable[2] >= ll:
+            a, p, ll = stable
+            trace.append(ll)
 
-    clipped, low = _clip_and_normalize(rho, layout)
-    # rounding guard: tens of thousands of convex steps can leave block
-    # eigenvalues a hair below zero
-    for two_j, eigenvalue in zip(layout.sectors, low):
-        if not eigenvalue > -1e-8:
-            raise NumericalError(
-                f"iteration left the positive cone: block two_j={two_j} has "
-                f"eigenvalue {eigenvalue:.3e}")
-    estimate = AccessibleDensityMatrix(dataset.n, layout.unpad(clipped))
-    p_final = model.probabilities(layout.stack_theta(clipped))
+    theta = layout.stack_theta(_gram(a))
+    theta /= layout.trace(theta)
+    estimate = AccessibleDensityMatrix(dataset.n, layout.blocks(theta))
+    p_final = model.probabilities(theta)
     floored = int(((p_final < LOG_FLOOR) & (counts > 0)).sum())
     return ReconstructionResult(
         estimate=estimate,

@@ -162,7 +162,8 @@ def test_analyze_syntax_error_is_format_error(workdir, capsys):
 @pytest.mark.parametrize("text, message", [
     ("c = 0.6*a + 0.8*b\nc = 1.0*b\n(cH)(aV)\n", "redefinition of 'c'"),
     ("d = 1.0*e\ne = 1.0*d\n(dH)(eV)\n", "'e' defined in terms of itself through 'd'"),
-], ids=["redefinition", "cycle"])
+    ("d = 0.6*e + 0.8*f\ne = 1.0*g\n(dH)(eV)\n", "'e' is already a primitive mode of 'd'"),
+], ids=["redefinition", "cycle", "primitive-redefined"])
 def test_analyze_refuses_inconsistent_definitions(workdir, capsys, text, message):
     expr = workdir / "bad.expr"
     expr.write_text(text)

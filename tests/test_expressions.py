@@ -185,6 +185,18 @@ def test_definition_cycle_rejected(text, through):
     assert err.value.column == text.split("\n")[err.value.line - 1].index("e") + 1
 
 
+@pytest.mark.parametrize("text", [
+    "d = 0.6*e + 0.8*f\ne = 1.0*g\n(dH)(eV)\n",
+    "d = 0.6*e + 0.8*f\ne = 2\n(dH)\n",
+], ids=["mode", "constant"])
+def test_primitive_mode_of_a_definition_cannot_be_defined_later(text):
+    # (dH)(eV) would read e as a primitive mode in one factor and as g in
+    # the other
+    with pytest.raises(ParseError, match="'e' is already a primitive mode of 'd'") as err:
+        parse_expression_file(text)
+    assert (err.value.line, err.value.column) == (2, 1)
+
+
 # definitions above a body spread over several lines: positions, lines and
 # columns count in the file
 MULTILINE_ERRORS = {

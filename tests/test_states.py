@@ -112,6 +112,16 @@ def test_factor_scale_does_not_change_the_state(scale):
         assert rho.allclose(expected, atol=1e-15)
 
 
+@pytest.mark.parametrize("text", ["(1e-200*aH)(1e-200*aV)", "(1e200*aH)(1e200*aV)",
+                                  "(aH)(aV)"], ids=["tiny", "huge", "plain"])
+def test_dense_expansion_matches_accessible_path_on_scaled_factors(text):
+    expr = parse_operator_expression(text)
+    dense = trace_hidden(expand_and_symmetrize(expr))
+    assert dense.allclose(expression_to_accessible(expr), atol=1e-15)
+    assert dense.allclose(expression_to_accessible(parse_operator_expression("(aH)(aV)")),
+                          atol=1e-15)
+
+
 def random_factor_text(rng, modes, n_terms):
     addends = []
     for _ in range(n_terms):
