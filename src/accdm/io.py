@@ -48,10 +48,8 @@ def _finite(text: str) -> float:
 
 def format_density_matrix(rho: AccessibleDensityMatrix) -> str:
     lines = [f"n_photons {rho.n}"]
-    for two_j in sorted(rho.blocks, reverse=True):
-        block = rho.blocks[two_j]
-        mult = su2_multiplicity(rho.n, two_j)
-        lines.append(f"block two_j {two_j} multiplicity {mult}")
+    for two_j, block in rho.blocks.items():
+        lines.append(f"block two_j {two_j} multiplicity {rho.multiplicity(two_j)}")
         # Python complex, not numpy scalars: the same text at a third less cost
         for row in block.tolist():
             lines.append(" ".join(f"{z.real:.17e} {z.imag:.17e}" for z in row))

@@ -177,7 +177,7 @@ class _OutcomeModel:
         when a probability is below -1e-12 or a row does not sum to 1
         within 1e-10.
         """
-        p = self.probabilities(self.layout.theta(rho.blocks)).reshape(-1, self.n + 1)
+        p = self.probabilities(self.layout.stack_theta(rho.stack)).reshape(-1, self.n + 1)
         if (p < -1e-12).any():
             raise NumericalError(f"probability {p.min()} below tolerance")
         p = np.clip(p, 0.0, None)

@@ -393,9 +393,8 @@ class _Layout:
         return stack
 
     def unpad(self, stack: np.ndarray) -> dict[int, np.ndarray]:
-        """Block family of a stacked form."""
-        return {tj: stack[s, :tj + 1, :tj + 1].copy()
-                for s, tj in enumerate(self.sectors)}
+        """Block family of a stacked form, as views into it."""
+        return {tj: stack[s, :tj + 1, :tj + 1] for s, tj in enumerate(self.sectors)}
 
     def theta(self, blocks: dict[int, np.ndarray]) -> np.ndarray:
         """Real parameter vector of a Hermitian block family."""

@@ -13,8 +13,9 @@ tracing out the hidden modes, is kept as the small-N reference.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
+from types import MappingProxyType
 from typing import Iterator, Mapping
 
 import numpy as np
@@ -175,64 +176,75 @@ def expand_and_symmetrize(expr: CreationOperatorExpression) -> FirstQuantizedSta
 # Accessible density matrices
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AccessibleDensityMatrix:
     """One Hermitian PSD block per j, rows/columns ordered m = j down to -j.
 
     The implied full matrix repeats block j across its su2_multiplicity(n, j)
     copies, so the normalization reads sum_j mult_j * trace(block_j) = 1.
+    The blocks are copied once into ``stack``, the read-only zero-padded
+    stack of :class:`accdm.schur._Layout`, which is validated as a whole;
+    ``blocks`` is a read-only view of it in ``occurring_two_j`` order.  A
+    state equals only itself: compare states with ``allclose``.
     """
 
     n: int
-    blocks: dict[int, np.ndarray]
+    blocks: Mapping[int, np.ndarray]
+    stack: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         expected = occurring_two_j(self.n)
         if sorted(self.blocks) != sorted(expected):
             raise ValueError(f"blocks must cover two_j in {expected}")
-        total = 0.0
-        for two_j, block in self.blocks.items():
-            dim = two_j + 1
-            if block.shape != (dim, dim):
-                raise ValueError(f"block for two_j={two_j} must be {dim}x{dim}")
-            if not np.isfinite(block).all():
-                raise ValueError(f"block for two_j={two_j} has non-finite entries")
-            if np.abs(block - block.conj().T).max() > HERMITICITY_TOL:
-                raise ValueError(f"block for two_j={two_j} is not Hermitian")
-            eigs = np.linalg.eigvalsh(block)
-            if eigs.min() < -PSD_TOL:
-                raise ValueError(
-                    f"block for two_j={two_j} has negative eigenvalue {eigs.min()}")
-            block.setflags(write=False)
-            total += su2_multiplicity(self.n, two_j) * block.trace().real
+        for two_j in expected:
+            if self.blocks[two_j].shape != (two_j + 1, two_j + 1):
+                raise ValueError(f"block for two_j={two_j} must be {two_j + 1}x{two_j + 1}")
+        layout = _layout(self.n)
+        stack = layout.pad(self.blocks)
+
+        def refuse(failed: np.ndarray, problem: str) -> None:
+            if failed.any():
+                raise ValueError(f"block for two_j={layout.sectors[failed.argmax()]} {problem}")
+
+        refuse(~np.isfinite(stack).all(axis=(1, 2)), "has non-finite entries")
+        refuse(np.abs(stack - stack.conj().swapaxes(-1, -2)).max(axis=(1, 2))
+               > HERMITICITY_TOL, "is not Hermitian")
+        # the zero padding adds only zero eigenvalues
+        low = np.linalg.eigvalsh(stack)[:, 0]
+        negative = low < -PSD_TOL
+        refuse(negative, f"has negative eigenvalue {low[negative.argmax()]}")
+        total = layout.mult @ np.trace(stack, axis1=1, axis2=2).real
         if abs(total - 1.0) > NORM_TOL:
             raise ValueError(f"multiplicity-weighted trace {total} is not 1")
+        stack.setflags(write=False)
+        object.__setattr__(self, "stack", stack)
+        object.__setattr__(self, "blocks", MappingProxyType(layout.unpad(stack)))
+
+    def __reduce__(self):
+        # a mapping proxy does not pickle; the blocks rebuild the state
+        return type(self), (self.n, dict(self.blocks))
 
     @classmethod
     def maximally_mixed(cls, n: int) -> "AccessibleDensityMatrix":
-        dim = 2 ** n
-        return cls(n, {tj: np.eye(tj + 1, dtype=complex) / dim
-                       for tj in occurring_two_j(n)})
+        return cls(n, {tj: np.eye(tj + 1) / 2 ** n for tj in occurring_two_j(n)})
 
     @property
     def param_count(self) -> int:
-        return sum((tj + 1) ** 2 for tj in self.blocks)
+        return accessible_param_count(self.n, 2)
 
     def multiplicity(self, two_j: int) -> int:
         return su2_multiplicity(self.n, two_j)
 
     def symmetric_population(self) -> float:
         """Population of the totally symmetric sector j = n/2."""
-        return self.blocks[self.n].trace().real
+        return self.stack[0].trace().real
 
     def purity(self) -> float:
-        return sum(self.multiplicity(tj) * (b @ b).trace().real
-                   for tj, b in self.blocks.items())
+        """sum_j mult_j tr(B_j^2), each block Hermitian."""
+        return float(_layout(self.n).mult @ (np.abs(self.stack) ** 2).sum(axis=(1, 2)))
 
     def allclose(self, other: "AccessibleDensityMatrix", atol: float = 1e-10) -> bool:
-        return self.n == other.n and all(
-            np.abs(self.blocks[tj] - other.blocks[tj]).max() <= atol
-            for tj in self.blocks)
+        return self.n == other.n and bool(np.abs(self.stack - other.stack).max() <= atol)
 
 
 def _extract_blocks(rho_schur: np.ndarray, n: int) -> tuple[dict[int, np.ndarray], float]:

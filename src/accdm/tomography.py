@@ -27,7 +27,7 @@ from .measurement import (
     _full_rank,
     _rank,
 )
-from .schur import N_MAX, _Layout, accessible_param_count
+from .schur import N_MAX, _Layout, _layout, accessible_param_count
 from .states import PSD_TOL, AccessibleDensityMatrix
 
 LOG_FLOOR = 1e-12
@@ -95,7 +95,7 @@ def log_likelihood(rho: AccessibleDensityMatrix, data: list[CountRecord]) -> flo
     dataset = _Dataset(data)
     if dataset.n != rho.n:
         raise ValueError(f"data is for {dataset.n} photons, state for {rho.n}")
-    p = dataset.model.probabilities(dataset.model.layout.theta(rho.blocks))
+    p = dataset.model.probabilities(dataset.model.layout.stack_theta(rho.stack))
     return float((dataset.counts.ravel() * np.log(np.maximum(p, LOG_FLOOR))).sum())
 
 
@@ -103,11 +103,10 @@ def log_likelihood(rho: AccessibleDensityMatrix, data: list[CountRecord]) -> flo
 # Linear inversion
 # ---------------------------------------------------------------------------
 
-def _clip_and_normalize(stack: np.ndarray, layout: _Layout) -> tuple[np.ndarray, np.ndarray]:
+def _clip_and_normalize(stack: np.ndarray, layout: _Layout) -> np.ndarray:
     """Stacked blocks with negative eigenvalues set to zero, normalized to a
-    multiplicity-weighted trace of 1, and each slice's smallest eigenvalue
-    before the clip.  The zero padding adds only zero eigenvalues, which
-    change neither the clip, the trace nor a check for negative ones.
+    multiplicity-weighted trace of 1.  The zero padding adds only zero
+    eigenvalues, which change neither the clip nor the trace.
     """
     vals, vecs = np.linalg.eigh((stack + stack.conj().swapaxes(-1, -2)) / 2)
     kept = np.clip(vals, 0.0, None)
@@ -115,7 +114,7 @@ def _clip_and_normalize(stack: np.ndarray, layout: _Layout) -> tuple[np.ndarray,
     if total <= 1e-12:
         raise ValueError("estimate degenerated to zero after positivity clipping")
     clipped = (vecs * kept[:, None, :]) @ vecs.conj().swapaxes(-1, -2)
-    return clipped / total, vals[:, 0]
+    return clipped / total
 
 
 def linear_inversion(data: list[CountRecord] | _Dataset) -> AccessibleDensityMatrix:
@@ -149,7 +148,7 @@ def linear_inversion(data: list[CountRecord] | _Dataset) -> AccessibleDensityMat
     # R is upper triangular, so the LU factorization of solve pivots nowhere
     theta = np.linalg.solve(r[:required, :required], r[:required, required])
     layout = dataset.model.layout
-    clipped, _ = _clip_and_normalize(layout.stack(theta), layout)
+    clipped = _clip_and_normalize(layout.stack(theta), layout)
     return AccessibleDensityMatrix(dataset.n, layout.unpad(clipped))
 
 
@@ -379,28 +378,20 @@ def mle_reconstruct(data: list[CountRecord], *, max_iters: int = 100_000,
 # Figures of merit
 # ---------------------------------------------------------------------------
 
-def _psd_sqrt(block: np.ndarray) -> np.ndarray:
-    vals, vecs = np.linalg.eigh(block)
-    if vals.min() < -1e-12:
-        raise ValueError(f"matrix has negative eigenvalue {vals.min()}")
-    vals = np.clip(vals, 0.0, None)
-    return (vecs * np.sqrt(vals)) @ vecs.conj().T
-
-
 def fidelity(rho: AccessibleDensityMatrix, sigma: AccessibleDensityMatrix) -> float:
-    """Uhlmann fidelity computed blockwise with multiplicity weights.
+    """Uhlmann fidelity of two accessible states, on their stacks.
 
     F = [sum_j mult_j trace sqrt(sqrt(B_j^rho) B_j^sigma sqrt(B_j^rho))]^2,
     which reduces to <psi|rho|psi> when sigma is pure within one block.
+    rho's eigenvalues are clipped at zero: a state's are at least -PSD_TOL.
     """
     if rho.n != sigma.n:
         raise ValueError(f"photon numbers differ: {rho.n} vs {sigma.n}")
-    acc = 0.0
-    for two_j, b_rho in rho.blocks.items():
-        root = _psd_sqrt(b_rho)
-        inner = root @ sigma.blocks[two_j] @ root
-        vals = np.linalg.eigvalsh((inner + inner.conj().T) / 2)
-        acc += rho.multiplicity(two_j) * np.sqrt(np.clip(vals, 0.0, None)).sum()
+    vals, vecs = np.linalg.eigh(rho.stack)
+    root = (vecs * np.sqrt(np.clip(vals, 0.0, None))[:, None, :]) @ vecs.conj().swapaxes(-1, -2)
+    inner = root @ sigma.stack @ root
+    vals = np.linalg.eigvalsh((inner + inner.conj().swapaxes(-1, -2)) / 2)
+    acc = _layout(rho.n).mult @ np.sqrt(np.clip(vals, 0.0, None)).sum(axis=1)
     return float(min(acc ** 2, 1.0))
 
 

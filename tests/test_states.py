@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -551,6 +552,57 @@ def test_adm_validation_catches_negative_block():
               0: np.zeros((1, 1), dtype=complex)}
     with pytest.raises(ValueError, match="negative eigenvalue"):
         AccessibleDensityMatrix(2, blocks)
+
+
+@pytest.mark.parametrize("n, two_j", [(3, 1), (4, 0)])
+@pytest.mark.parametrize("fault, message", [
+    pytest.param("non-finite", "has non-finite entries", id="non-finite"),
+    pytest.param("non-Hermitian", "is not Hermitian", id="non-Hermitian"),
+    pytest.param("negative", "has negative eigenvalue", id="negative"),
+    pytest.param("shape", "must be", id="shape"),
+])
+def test_adm_validation_names_the_failing_sector(n, two_j, fault, message):
+    # the faulty block is not the first sector, so a check that always
+    # named sector 0 would fail here
+    blocks = {tj: b.copy() for tj, b in AccessibleDensityMatrix.maximally_mixed(n).blocks.items()}
+    bad = blocks[two_j]
+    if fault == "non-finite":
+        bad[0, 0] = np.nan
+    elif fault == "non-Hermitian":
+        bad[-1, 0] += 1e-3j
+    elif fault == "negative":
+        blocks[two_j] = -bad
+    else:
+        blocks[two_j] = np.zeros((two_j + 2, two_j + 2), dtype=complex)
+    with pytest.raises(ValueError, match=f"block for two_j={two_j} {message}"):
+        AccessibleDensityMatrix(n, blocks)
+
+
+def test_adm_owns_its_data():
+    block = np.array([[0.75, 0.25], [0.25, 0.25]], dtype=complex)
+    blocks = {1: block}
+    rho = AccessibleDensityMatrix(1, blocks)
+    blocks[1] = np.zeros((2, 2), dtype=complex)
+    np.testing.assert_array_equal(rho.blocks[1], block)
+    np.testing.assert_array_equal(rho.stack, block[None])
+    assert rho.symmetric_population() == 1.0
+    # the caller's array stays writeable; the state's arrays and view do not
+    assert block.flags.writeable
+    assert not rho.stack.flags.writeable
+    assert not rho.blocks[1].flags.writeable
+    with pytest.raises(TypeError):
+        rho.blocks[1] = block
+    # a state equals only itself; allclose compares values
+    twin = AccessibleDensityMatrix(1, {1: block})
+    assert rho == rho and rho != twin and rho.allclose(twin, atol=0)
+    assert len({rho, twin}) == 2
+
+
+def test_adm_pickle_round_trip():
+    rho = random_accessible_state(4, np.random.default_rng(2))
+    back = pickle.loads(pickle.dumps(rho))
+    np.testing.assert_array_equal(back.stack, rho.stack)
+    assert not back.blocks[2].flags.writeable
 
 
 def test_adm_param_count():

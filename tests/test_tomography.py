@@ -237,6 +237,16 @@ def test_fidelity_of_state_with_itself():
         assert abs(fidelity(rho, rho) - 1.0) < 1e-10
 
 
+def test_fidelity_accepts_every_state():
+    # a block eigenvalue of -5e-11 is round-off within PSD_TOL: the
+    # constructor accepts it, and so must the fidelity
+    q, _ = np.linalg.qr(np.random.default_rng(9).normal(size=(3, 3)) + 0j)
+    rho = AccessibleDensityMatrix(2, {2: (q * [0.5 + 5e-11, 0.3, -5e-11]) @ q.conj().T,
+                                      0: np.array([[0.2]])})
+    assert np.linalg.eigvalsh(rho.blocks[2])[0] < -1e-11
+    assert abs(fidelity(rho, rho) - 1.0) < 1e-9
+
+
 def test_fidelity_half_overlap_to_noon(golden_state):
     f = fidelity(golden_state, noon_state(3))
     assert abs(f - 8 / 11) < 1e-10
