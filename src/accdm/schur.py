@@ -18,6 +18,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations_with_replacement
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -382,8 +383,9 @@ class _Layout:
         return flat.view(complex).reshape(self.shape)
 
     def stack_theta(self, stack: np.ndarray) -> np.ndarray:
-        """Real parameter vector of stacked Hermitian blocks (upper triangles)."""
-        return stack.reshape(-1).view(float)[self.gather]
+        """Real parameter vectors of stacked Hermitian blocks (upper
+        triangles), shape (..., sectors, n+1, n+1) in."""
+        return stack.reshape(stack.shape[:-3] + (-1,)).view(float)[..., self.gather]
 
     def pad(self, blocks: dict[int, np.ndarray]) -> np.ndarray:
         """Stacked form of a block family."""
@@ -417,3 +419,55 @@ class _Layout:
 
 
 _layout = lru_cache(maxsize=None)(_Layout)
+
+
+@lru_cache(maxsize=None)
+def _monomials(n: int) -> np.ndarray:
+    """Exponents of (u00, u01, u10, u11) in each monomial of degree n in a
+    2x2 matrix's entries, shape (C(n+3, 3), 4); degree 1 lists u00, u01,
+    u10, u11 in that order."""
+    exponents = np.array([[c.count(e) for e in range(4)]
+                          for c in combinations_with_replacement(range(4), n)])
+    exponents.setflags(write=False)
+    return exponents
+
+
+@lru_cache(maxsize=None)
+def _coefficient_map(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The real map from theta to the coefficients c of tr(rho u^(x)n) over
+    ``_monomials(n)``, Re c stacked over Im c, and its left inverse.
+
+    tr(rho u^(x)n) = sum_j mult_j tr(rho_j R_j(u)) has one coefficient per
+    entry of theta.  R_j = det(u)^m Sym^(2j)(u), m = (n - 2j)/2, expands
+    into the monomials of :func:`_symmetric_power_terms` times those of
+    det(u)^m = sum_i C(m, i) (-1)^i (u00 u11)^(m-i) (u01 u10)^i.  A
+    Hermitian rho has c(u01^a u10^b ...) = conj c(u01^b u10^a ...), so
+    half the rows repeat the other half, and coefficients that break
+    that symmetry leave a residual.
+    """
+    layout = _layout(n)
+    index = {tuple(e): i for i, e in enumerate(_monomials(n).tolist())}
+    # each monomial's real coefficient in each entry of each R_j
+    coefficients = np.zeros((len(index),) + layout.shape)
+    for s, two_j in enumerate(layout.sectors):
+        m = (n - two_j) // 2
+        _, positions, scatter = _symmetric_power_terms(two_j)
+        term, cell = np.nonzero(scatter)
+        powers = positions[:, term] % (two_j + 1)
+        for i in range(m + 1):
+            mono = [index[e] for e in zip(*(powers + [[m - i], [i], [i], [m - i]]).tolist())]
+            np.add.at(coefficients, (mono, s) + np.divmod(cell, two_j + 1),
+                      (-1) ** i * math.comb(m, i) * scatter[term, cell].real)
+    # tr(B R) = tr(B H) + i tr(B H') with the Hermitian H = (R + R^T)/2 and
+    # H' = i (R^T - R)/2, and by the layout's inner product
+    transposed = coefficients.swapaxes(-1, -2)
+    design = layout.scale / 2 * np.vstack([layout.stack_theta(coefficients + transposed + 0j),
+                                           layout.stack_theta(1j * (transposed - coefficients))])
+    # each row scaled to unit maximum; the rows of Im c that vanish for
+    # every Hermitian rho keep a scale of 1
+    scale = np.abs(design).max(axis=1)
+    scale[scale == 0] = 1.0
+    solve = np.linalg.pinv(design / scale[:, None]) / scale
+    design.setflags(write=False)
+    solve.setflags(write=False)
+    return design, solve

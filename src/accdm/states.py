@@ -3,11 +3,12 @@
 Maps creation-operator products to block-diagonal accessible density
 matrices: one Hermitian block per total angular momentum j, stored once,
 with the convention that the full 2^N matrix repeats each block across its
-multiplicity copies.  :func:`expression_to_accessible` gets the blocks from
-permanents of single-photon overlap matrices, at a cost that grows as 2^N
-rather than N! and linearly in the number of hidden modes.  The explicit
-route, expanding into a totally symmetric first-quantized state and then
-tracing out the hidden modes, is kept as the small-N reference.
+multiplicity copies.  :func:`expression_to_accessible` gets the blocks
+exactly from the coefficients of a permanent of single-photon overlaps,
+a polynomial in the entries of a collective rotation, at a cost that grows
+as 2^N rather than N!.  The explicit route, expanding into a totally
+symmetric first-quantized state and then tracing out the hidden modes, is
+kept as the small-N reference.
 """
 
 from __future__ import annotations
@@ -23,11 +24,12 @@ import numpy as np
 from .expressions import CreationOperatorExpression, Term
 from .schur import (
     N_MAX,
+    _coefficient_map,
     _layout,
+    _monomials,
     accessible_param_count,
     occurring_two_j,
     schur_basis,
-    sector_rotation,
     su2_multiplicity,
 )
 
@@ -38,7 +40,6 @@ PSD_TOL = 1e-10
 AMPLITUDE_CUTOFF = 1e-14
 CANCEL_TOL = 1e-14
 RESIDUAL_TOL = 1e-10
-PROBE_SEED = 20061208
 
 Label = tuple[str, str]          # (polarization, primitive mode)
 
@@ -197,7 +198,7 @@ class AccessibleDensityMatrix:
         if sorted(self.blocks) != sorted(expected):
             raise ValueError(f"blocks must cover two_j in {expected}")
         for two_j in expected:
-            if self.blocks[two_j].shape != (two_j + 1, two_j + 1):
+            if np.shape(self.blocks[two_j]) != (two_j + 1, two_j + 1):
                 raise ValueError(f"block for two_j={two_j} must be {two_j + 1}x{two_j + 1}")
         layout = _layout(self.n)
         stack = layout.pad(self.blocks)
@@ -328,86 +329,70 @@ def _glynn_signs(n: int) -> tuple[np.ndarray, np.ndarray]:
     return deltas, parity
 
 
-def _permanents(mats: np.ndarray) -> np.ndarray:
-    """Permanents of a stack of n x n matrices by Glynn's formula.
-
-    perm(M) = 2^-(n-1) sum_delta (prod_k delta_k) prod_l (sum_k delta_k M_kl),
-    accumulated one column l at a time to keep the intermediate at one
-    value per (matrix, delta).
-    """
-    n = mats.shape[-1]
-    deltas, parity = _glynn_signs(n)
-    products = mats[..., 0] @ deltas.T
-    for col in range(1, n):
-        products *= mats[..., col] @ deltas.T
-    return products @ parity / 2 ** (n - 1)
-
-
 @lru_cache(maxsize=None)
-def _probe_design(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Probe rotations A_i, the real design matrix D over the block
-    parameters theta of :class:`accdm.schur._Layout`, and its pseudo-inverse.
+def _predecessors(d: int) -> np.ndarray:
+    """Position in ``_monomials(d - 1)`` of each monomial of degree d divided
+    by each entry u_e, shape (C(d+3, 3), 4), or -1 where u_e does not
+    divide it."""
+    index = {tuple(e): i for i, e in enumerate(_monomials(d - 1).tolist())}
+    table = np.array([[index.get(tuple(e[:k] + [e[k] - 1] + e[k + 1:]), -1) for k in range(4)]
+                      for e in _monomials(d).tolist()])
+    table.setflags(write=False)
+    return table
 
-    tr(rho A^(x)n) = sum_j mult_j tr(rho_j R_j(A)) is linear in theta:
-    column i of the complex design holds each probe's expectation in the
-    unit block family ``layout.stack(e_i)``, and D stacks its real parts
-    over its imaginary parts.  Seeded Haar-random unitaries, twice as many
-    as the C(n+3, 3) unknowns, keep D's condition number in the hundreds up
-    to N_MAX, and |tr(rho A^(x)n)| <= 1 for each of them.
+
+def _permanent_coefficients(vectors: np.ndarray) -> np.ndarray:
+    """Coefficients over ``_monomials(n)`` of perm M(u), for unit vectors
+    v_k of shape (n, 2, modes) and M_kl(u) = <v_k|u (x) 1|v_l>, by Glynn's
+    formula: perm M = 2^-(n-1) sum_delta (prod_k delta_k) prod_l L_l with
+    L_l = sum_k delta_k M_kl.  The product of the linear forms L_l is
+    multiplied out one column l at a time: a monomial's new coefficient
+    is the dot product of its predecessors' (:func:`_predecessors`) with
+    the coefficients of L_l, one batched matmul over the sign vectors.
     """
-    layout = _layout(n)
-    count = accessible_param_count(n, 2)
-    rng = np.random.default_rng([PROBE_SEED, n])
-    q, r = np.linalg.qr(rng.normal(size=(2 * count, 2, 2))
-                        + 1j * rng.normal(size=(2 * count, 2, 2)))
-    diag = np.diagonal(r, axis1=-2, axis2=-1)
-    probes = q * (diag / np.abs(diag))[..., None, :]
-    units = np.array([layout.stack(e) for e in np.eye(count)])
-    # tr(B R) = sum_ab B_ab R_ba: row-major B against row-major R^T
-    expectations = sum(
-        mult * sector_rotation(probes, n, two_j).transpose(0, 2, 1).reshape(2 * count, -1)
-        @ units[:, s, :two_j + 1, :two_j + 1].reshape(count, -1).T
-        for s, (two_j, mult) in enumerate(zip(layout.sectors, layout.mult)))
-    design = np.vstack([expectations.real, expectations.imag])
-    del units, expectations  # so that pinv's workspace alone sets the peak memory
-    solve = np.linalg.pinv(design)
-    for array in (probes, design, solve):
-        array.setflags(write=False)
-    return probes, design, solve
+    n = len(vectors)
+    deltas, parity = _glynn_signs(n)
+    # the linear forms sum_k delta_k <v_k|p><q|v_l>, shape (signs, n, 4, 1)
+    mixed = (deltas @ vectors.conj().reshape(n, -1)).reshape(2 * len(deltas), -1)
+    columns = (mixed @ vectors.reshape(2 * n, -1).T).reshape(len(deltas), 2, n, 2)
+    columns = columns.transpose(0, 2, 1, 3).reshape(len(deltas), n, 4, 1)
+    # one row per sign vector; the last entry stays zero, for the
+    # predecessors at -1
+    products = np.zeros((len(deltas), math.comb(n + 3, 3) + 1, 1), dtype=complex)
+    products[:, :4] = columns[:, 0]
+    for col in range(1, n):
+        table = _predecessors(col + 1)
+        np.matmul(products[:, table, 0], columns[:, col], out=products[:, :len(table)])
+    return parity @ products[:, :-1, 0] / 2 ** (n - 1)
 
 
 def expression_to_accessible(expr: CreationOperatorExpression) -> AccessibleDensityMatrix:
     """Accessible density matrix of an operator product, hidden modes traced out.
 
     With v_k the unit vector of factor k over polarization x primitive
-    hidden mode, the collective operator A^(x)n has expectation
-    perm[<v_k|A (x) 1|v_l>] / perm[<v_k|v_l>] in the normalized state.
-    That expectation is linear in the blocks, so evaluating it at the fixed
-    probe set of :func:`_probe_design` and solving the least-squares system
-    recovers them.  The probe matrices <v_k|A (x) 1|v_l> =
-    sum_pq A_pq <v_k|p><q|v_l> of all P probes come from one matrix
-    product: the probes flattened to (P, 4) against the overlaps
-    <v_k|p><q|v_l> flattened to (4, n*n).  Agrees with
-    ``trace_hidden(expand_and_symmetrize(expr))`` without the n!-term
-    expansion.
+    hidden mode, tr(rho u^(x)n) = perm[<v_k|u (x) 1|v_l>] / perm[<v_k|v_l>]
+    is a homogeneous polynomial of degree n in u's entries.  Its C(n+3, 3)
+    coefficients, exact from :func:`_permanent_coefficients`, give theta
+    through the left inverse of :func:`accdm.schur._coefficient_map`.
+    Agrees with ``trace_hidden(expand_and_symmetrize(expr))`` without the
+    n!-term expansion, and draws no random number.
 
     Raises ValueError when a factor's terms cancel, when there are more than
-    N_MAX factors, or when the fit leaves a residual above RESIDUAL_TOL.
+    N_MAX factors, or when the coefficients leave a residual above
+    RESIDUAL_TOL, as non-finite ones do.
     """
     n = expr.n
     if n > N_MAX:
         raise ValueError(f"expression has {n} factors, cap is {N_MAX}")
-    vectors = _photon_vectors(expr)
-    probes, design, solve = _probe_design(n)
-    overlaps = np.einsum("kpm,lqm->kplq", vectors.conj(), vectors)
-    gram = np.einsum("kplp->kl", overlaps)
-    probed = (probes.reshape(len(probes), 4)
-              @ overlaps.transpose(1, 3, 0, 2).reshape(4, n * n))
-    perms = _permanents(np.concatenate([gram[None], probed.reshape(-1, n, n)]))
-    values = perms[1:] / perms[0]
-    target = np.concatenate([values.real, values.imag])
+    coefficients = _permanent_coefficients(_photon_vectors(expr))
+    # at u = 1 only the monomials in u00 and u11 remain, and they sum to
+    # perm[<v_k|v_l>], which is real
+    exponents = _monomials(n)
+    norm = coefficients[exponents[:, 1] + exponents[:, 2] == 0].sum().real
+    target = np.concatenate([coefficients.real, coefficients.imag]) / norm
+    design, solve = _coefficient_map(n)
     theta = solve @ target
-    # the misfit's real and imaginary halves, recombined per probe
+    # the misfit's real and imaginary halves, recombined per monomial
     residual = float(np.hypot(*(design @ theta - target).reshape(2, -1)).max())
     if not residual <= RESIDUAL_TOL:
         raise ValueError(f"hidden-mode trace failed: least-squares residual "

@@ -16,10 +16,11 @@ from accdm.expressions import (
 from accdm.measurement import WaveplateSetting, outcome_probabilities, waveplate_unitary
 from accdm.schur import (
     N_MAX,
+    _coefficient_map,
     _layout,
+    _monomials,
     occurring_two_j,
     schur_basis,
-    sector_rotation,
     su2_multiplicity,
 )
 from accdm.states import (
@@ -352,51 +353,55 @@ def test_expression_to_accessible_rejects_too_many_factors():
 
 
 def test_expression_to_accessible_rejects_inconsistent_fit(monkeypatch):
-    # permanents that no accessible state produces leave a residual
+    # coefficients that no accessible state produces leave a residual
     rng = np.random.default_rng(0)
-    monkeypatch.setattr(states, "_permanents",
-                        lambda mats: rng.normal(size=len(mats)) + 2.0)
+    monkeypatch.setattr(states, "_permanent_coefficients",
+                        lambda vectors: rng.normal(size=math.comb(len(vectors) + 3, 3)) + 2.0)
     with pytest.raises(ValueError, match="residual"):
         expression_to_accessible(parse_operator_expression("(aH)(bV)(aV + bH)"))
 
 
 def test_expression_to_accessible_rejects_nan_fit(monkeypatch):
     # a NaN residual is not below the tolerance
-    monkeypatch.setattr(states, "_permanents",
-                        lambda mats: np.r_[1.0, np.full(len(mats) - 1, np.nan)] + 0j)
+    monkeypatch.setattr(states, "_permanent_coefficients",
+                        lambda vectors: np.r_[1.0, np.full(math.comb(len(vectors) + 3, 3) - 1,
+                                                           np.nan)] + 0j)
     with pytest.raises(ValueError, match="residual nan exceeds"):
         expression_to_accessible(parse_operator_expression("(aH)(bV)(aV + bH)"))
 
 
-def row_major_probe_design(n, probes):
-    """The earlier complex design over the blocks flattened row-major:
-    column (j, a, b) holds mult_j R_j(A_i)[b, a]."""
-    return np.hstack([
-        su2_multiplicity(n, two_j)
-        * sector_rotation(probes, n, two_j).transpose(0, 2, 1).reshape(len(probes), -1)
-        for two_j in occurring_two_j(n)])
+def kron_power(a, n):
+    out = np.ones((1, 1), dtype=complex)
+    for _ in range(n):
+        out = np.kron(out, a)
+    return out
 
 
 @pytest.mark.parametrize("n", range(1, N_MAX + 1))
-def test_probe_design_matches_row_major_oracle(n):
-    # column i of the design is the oracle applied to the row-major
-    # flattening of the unit block family layout.stack(e_i), real parts
-    # stacked over imaginary parts
-    probes, design, _ = states._probe_design(n)
-    layout = _layout(n)
+def test_coefficient_map_matches_dense_expectation(n):
+    # the polynomial with the map's coefficients of a random Hermitian
+    # family, evaluated at a non-unitary A, is tr(rho A^(x)n) of the dense
+    # operator
+    rng = np.random.default_rng(900 + n)
+    design, _ = _coefficient_map(n)
     count = design.shape[1]
-    units = np.array([np.concatenate([b.ravel() for b in layout.blocks(e).values()])
-                      for e in np.eye(count)]).T
-    expectations = row_major_probe_design(n, probes) @ units
-    assert design.shape == (2 * len(probes), count)
-    np.testing.assert_allclose(design, np.vstack([expectations.real, expectations.imag]),
-                               rtol=0, atol=1e-12)
+    theta = rng.normal(size=count)
+    coefficients = design[:count] @ theta + 1j * design[count:] @ theta
+    a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    value = coefficients @ np.prod(a.reshape(4) ** _monomials(n), axis=1)
+    # tr(X Y) = sum_ab X_ab Y_ba
+    expected = (full_matrix(n, _layout(n).blocks(theta)) * kron_power(a, n).T).sum()
+    np.testing.assert_allclose(value, expected, rtol=1e-10, atol=0)
 
 
-def test_probe_design_is_well_conditioned():
+def test_coefficient_map_is_well_conditioned():
     for n in range(1, N_MAX + 1):
-        _, design, _ = states._probe_design(n)
-        assert np.linalg.cond(design) < 1e3
+        design, solve = _coefficient_map(n)
+        np.testing.assert_allclose(solve @ design, np.eye(design.shape[1]), rtol=0, atol=1e-12)
+        # each row scaled to unit maximum; the rows that are zero for
+        # every Hermitian family drop out
+        scale = np.abs(design).max(axis=1)
+        assert np.linalg.cond(design[scale > 0] / scale[scale > 0, None]) <= 50
 
 
 # ---------------------------------------------------------------------------
@@ -576,6 +581,14 @@ def test_adm_validation_names_the_failing_sector(n, two_j, fault, message):
         blocks[two_j] = np.zeros((two_j + 2, two_j + 2), dtype=complex)
     with pytest.raises(ValueError, match=f"block for two_j={two_j} {message}"):
         AccessibleDensityMatrix(n, blocks)
+
+
+def test_adm_accepts_nested_lists():
+    # a block is read as an array, as the layout's padding reads it
+    rho = AccessibleDensityMatrix(1, {1: [[1, 0], [0, 0]]})
+    assert rho.allclose(AccessibleDensityMatrix(1, {1: np.diag([1.0, 0.0])}), atol=0)
+    with pytest.raises(ValueError, match="block for two_j=0 must be 1x1"):
+        AccessibleDensityMatrix(2, {2: np.eye(3).tolist(), 0: [[0.0, 0.0]]})
 
 
 def test_adm_owns_its_data():
