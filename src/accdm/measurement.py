@@ -10,6 +10,7 @@ form: one Hermitian block per total angular momentum j.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,6 +59,10 @@ class CountRecord:
             raise ValueError("waveplate angles must be finite")
         if not math.isfinite(self.count):
             raise ValueError("counts must be finite")
+        try:
+            operator.index(self.n_h), operator.index(self.n_v)
+        except TypeError:
+            raise ValueError("photon numbers must be integers") from None
         if self.n_h < 0 or self.n_v < 0 or self.count < 0:
             raise ValueError("photon numbers and counts must be nonnegative")
 
@@ -106,27 +111,39 @@ def _rank(singular_values: np.ndarray) -> int:
     return int((singular_values > RANK_TOL * singular_values.max(initial=0.0)).sum())
 
 
-def _full_rank(design: np.ndarray) -> bool:
-    """True only when the design certainly has full column rank by _rank.
+def _full_rank(matrix: np.ndarray) -> bool:
+    """True only when the m x p matrix M surely has full column rank by _rank.
 
-    A floating-point Cholesky factorization of G - delta I, with G the Gram
-    matrix D^T D and delta = (FULL_RANK_MARGIN + (m + p + 2) eps) tr(G),
-    completes only if lambda_min(D^T D) > FULL_RANK_MARGIN tr(G) (Rump, BIT
-    46, 433 (2006); the m eps tr(G) share covers the rounding of G).  Since
-    tr(G) >= sigma_max^2, the design then has sigma_min / sigma_max above
-    1e3 RANK_TOL, and _rank of its singular values is p.  False says
+    A floating-point Cholesky factorization of G - delta I, with G = M^T M
+    and delta = (FULL_RANK_MARGIN + (m + p + 2) eps) tr(G), completes only
+    if lambda_min(G) > FULL_RANK_MARGIN tr(G) (Rump, BIT 46, 433 (2006); the
+    m eps tr(G) share covers the rounding of G).  Since tr(G) >= sigma_max^2,
+    M then has sigma_min > 1e3 RANK_TOL sigma_max, and _rank gives p.  M may
+    be the R factor of a Householder QR of a design D: the computed R is
+    that of D + E with |E|_F <= gamma |D|_F, gamma of order m p eps (Higham,
+    Accuracy and Stability of Numerical Algorithms, 2nd ed., Thm 19.4), so
+    by Weyl's inequality D has sigma_min > (1e3 RANK_TOL - 2 gamma) |D|_F,
+    above RANK_TOL sigma_max while gamma is far below 1e-6.  False says
     nothing: the caller falls back to the singular values.
     """
-    m, p = design.shape
+    m, p = matrix.shape
     if m < p:
         return False
-    gram = design.T @ design
+    gram = matrix.T @ matrix
     shift = (FULL_RANK_MARGIN + (m + p + 2) * np.finfo(float).eps) * np.trace(gram)
     try:
         np.linalg.cholesky(gram - shift * np.eye(p))
     except np.linalg.LinAlgError:
         return False
     return True
+
+
+def _column_rank(matrix: np.ndarray) -> int:
+    """Numerical column rank by _rank: p when _full_rank certifies the m x p
+    matrix, and otherwise read from its singular values."""
+    if _full_rank(matrix):
+        return matrix.shape[1]
+    return _rank(np.linalg.svd(matrix, compute_uv=False))
 
 
 class _OutcomeModel:
@@ -142,6 +159,8 @@ class _OutcomeModel:
     """
 
     def __init__(self, settings: list[WaveplateSetting], n: int):
+        if not settings:
+            raise ValueError("settings must be nonempty")
         if not 1 <= n <= N_MAX:
             raise ValueError(f"n must be between 1 and {N_MAX}")
         self.n = n
@@ -188,15 +207,8 @@ class _OutcomeModel:
         return p
 
     def rank(self) -> int:
-        """Numerical rank of the design, by _rank of its singular values.
-
-        A design that _full_rank certifies has rank p, its column count,
-        without an SVD; the singular values are computed only for the
-        others, which are rank-deficient or ill-conditioned.
-        """
-        if _full_rank(self.design):
-            return self.design.shape[1]
-        return _rank(np.linalg.svd(self.design, compute_uv=False))
+        """Numerical rank of the design, by ``_column_rank``."""
+        return _column_rank(self.design)
 
 
 def outcome_probabilities(rho: AccessibleDensityMatrix,
@@ -267,11 +279,7 @@ def measurement_span_rank(settings: list[WaveplateSetting], n: int, *,
     accessible_param_count(n, 2) dimensions are reachable.  A full-rank
     design is certified by a shifted Cholesky factorization of its Gram
     matrix; an SVD runs only when that certificate fails (see
-    ``_OutcomeModel.rank``).  A caller that has built the outcome model of
-    these settings passes it as ``model``.
+    ``_column_rank``).  A caller that has built the outcome model of these
+    settings passes it as ``model``.
     """
-    if not settings:
-        raise ValueError("settings must be nonempty")
-    if model is None:
-        model = _OutcomeModel(settings, n)
-    return model.rank()
+    return (_OutcomeModel(settings, n) if model is None else model).rank()

@@ -159,9 +159,6 @@ class SchurBasis:
         self._row = {(v.two_j, v.mu, v.two_m): i for i, v in enumerate(self.vectors)}
         self._cached_matrix: np.ndarray | None = None
 
-    def __len__(self) -> int:
-        return len(self.vectors)
-
     def row_index(self, two_j: int, mu: int, two_m: int) -> int:
         return self._row[(two_j, mu, two_m)]
 
@@ -240,7 +237,6 @@ def schur_basis(n: int) -> SchurBasis:
 
     vectors: list[SchurBasisVector] = []
     for two_j in occurring_two_j(n):
-        assert len(by_sector.get(two_j, [])) == su2_multiplicity(n, two_j)
         for mu, path in enumerate(by_sector[two_j], start=1):
             for two_m in range(two_j, -two_j - 1, -2):
                 amp = paths[path][two_m].astype(complex)

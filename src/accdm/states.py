@@ -75,7 +75,6 @@ class FirstQuantizedState:
                         f"amplitudes not symmetric under swapping slots {i},{i + 1}")
         self.n = n
         self.amplitudes = amps
-        self.modes = tuple(sorted({m for key in amps for _, m in key}))
 
     def visible_vectors(self) -> dict[tuple[str, ...], np.ndarray]:
         """Polarization amplitude vector (length 2^n) for each hidden string."""

@@ -24,8 +24,7 @@ from .measurement import (
     NumericalError,
     WaveplateSetting,
     _OutcomeModel,
-    _full_rank,
-    _rank,
+    _column_rank,
 )
 from .schur import N_MAX, _Layout, _layout, accessible_param_count
 from .states import PSD_TOL, AccessibleDensityMatrix
@@ -120,31 +119,21 @@ def _clip_and_normalize(stack: np.ndarray, layout: _Layout) -> np.ndarray:
 def linear_inversion(data: list[CountRecord] | _Dataset) -> AccessibleDensityMatrix:
     """Least-squares frequency fit, eigenvalue-clipped to a valid state.
 
-    Requires the observed settings to span the full accessible operator
-    space; otherwise a RankDeficiencyError reporting the achieved rank is
-    raised.  One QR factorization of the observed design D with the
-    frequencies f appended gives R and Q^T f, and the fit solves
-    R theta = Q^T f.  The design's full rank is certified by a shifted
-    Cholesky factorization of D^T D (``measurement._full_rank``); only when
-    that fails is the rank read from the singular values of R, which are
-    those of D.  A caller that has built a ``_Dataset`` passes it, to pay
+    One QR factorization of the observed design D with the frequencies f
+    appended gives R and Q^T f, and the fit solves R theta = Q^T f.  When
+    the ``_column_rank`` of R, which has the singular values of D, is below
+    the parameter count (0 with no counts at all), RankDeficiencyError
+    reports it.  A caller that has built a ``_Dataset`` passes it, to pay
     for the outcome model only once.
     """
-    if isinstance(data, _Dataset):
-        dataset = data
-    else:
-        dataset = _Dataset(data)
-        if not dataset.observed.any():
-            raise ValueError("all settings have zero total counts")
+    dataset = data if isinstance(data, _Dataset) else _Dataset(data)
     rows = dataset.observed
-    design = dataset.model.design[rows]
     required = accessible_param_count(dataset.n, 2)
-    r = np.linalg.qr(np.column_stack([design, dataset.frequencies.ravel()[rows]]),
-                     mode="r")
-    if not _full_rank(design):
-        rank = _rank(np.linalg.svd(r[:, :required], compute_uv=False))
-        if rank < required:
-            raise RankDeficiencyError(rank, required)
+    r = np.linalg.qr(np.column_stack([dataset.model.design[rows],
+                                      dataset.frequencies.ravel()[rows]]), mode="r")
+    rank = _column_rank(r[:, :required])
+    if rank < required:
+        raise RankDeficiencyError(rank, required)
     # R is upper triangular, so the LU factorization of solve pivots nowhere
     theta = np.linalg.solve(r[:required, :required], r[:required, required])
     layout = dataset.model.layout
@@ -162,11 +151,11 @@ class ReconstructionResult:
 
     ``gap_bound`` certifies the estimate: no state has a log-likelihood
     more than this many nats above it (Glancy, Knill, Girard, New J. Phys.
-    14, 095017 (2012)).  It is inf when a cell with counts has probability
-    at most LOG_FLOOR at the estimate.  The bound is first-order: at a
-    maximum on the boundary of the state space (rank-deficient) it stays
-    large, often hundreds of nats at N = 8, even when the log-likelihood
-    has converged.
+    14, 095017 (2012)).  It is inf when a cell is ``_floored``, as
+    ``floored_cells`` counts them.  The bound is first-order: at a maximum
+    on the boundary of the state space (rank-deficient) it stays large,
+    often hundreds of nats at N = 8, even when the log-likelihood has
+    converged.
     """
 
     estimate: AccessibleDensityMatrix
@@ -181,6 +170,12 @@ class ReconstructionResult:
     gap_bound: float = math.inf
 
 
+def _floored(counts: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Mask of the cells with counts but probability at most LOG_FLOOR,
+    which the log-likelihood reads as LOG_FLOOR."""
+    return (counts > 0) & (p <= LOG_FLOOR)
+
+
 def _gap_bound(model: _OutcomeModel, counts: np.ndarray, p: np.ndarray) -> float:
     """lambda_max(sum_k n_k Pi_k / p_k) - sum_k n_k at probabilities p.
 
@@ -188,10 +183,9 @@ def _gap_bound(model: _OutcomeModel, counts: np.ndarray, p: np.ndarray) -> float
     LL(sigma) - LL(rho) <= tr(sigma R) - sum_k n_k with R the operator
     above, and tr(sigma R) <= lambda_max(R).
     """
-    counted = counts > 0
-    if (counted & (p <= LOG_FLOOR)).any():
+    if _floored(counts, p).any():
         return math.inf
-    weights = np.divide(counts, p, out=np.zeros_like(counts), where=counted)
+    weights = np.divide(counts, p, out=np.zeros_like(counts), where=counts > 0)
     # the zero padding of the stacked blocks adds only zero eigenvalues,
     # and R is positive semidefinite
     r_max = np.linalg.eigvalsh(model.layout.stack(model.operator_theta(weights))).max()
@@ -243,10 +237,10 @@ def mle_reconstruct(data: list[CountRecord], *, max_iters: int = 100_000,
     convex combination (1 - d) rho + d R rho R / t with d halved from 1/2
     until the log-likelihood does not decrease, factored again, and the
     cycle ends there without extrapolation.  The loop stops when the first
-    plain step of a cycle gains less than ``tol``, or when no dilution
-    ascends.  ``iterations`` and ``max_iters`` count R.rho.R steps,
-    stabilizing ones included; ``ll_trace`` holds one log-likelihood per
-    accepted iterate (start, plain steps, extrapolated points, kept
+    plain step of a cycle gains less than ``tol`` (at least 0), or when no
+    dilution ascends.  ``iterations`` and ``max_iters`` count R.rho.R
+    steps, stabilizing ones included; ``ll_trace`` holds one log-likelihood
+    per accepted iterate (start, plain steps, extrapolated points, kept
     stabilizing steps), so its length need not be ``iterations + 1``.
 
     Initialized from clipped linear inversion (falling back to the maximally
@@ -258,6 +252,8 @@ def mle_reconstruct(data: list[CountRecord], *, max_iters: int = 100_000,
     space, and NumericalError when the start has a block eigenvalue below
     -PSD_TOL.
     """
+    if not tol >= 0:
+        raise ValueError("tol must be nonnegative")
     dataset = _Dataset(data)
     model = dataset.model
     layout = model.layout
@@ -359,7 +355,6 @@ def mle_reconstruct(data: list[CountRecord], *, max_iters: int = 100_000,
     theta /= layout.trace(theta)
     estimate = AccessibleDensityMatrix(dataset.n, layout.blocks(theta))
     p_final = model.probabilities(theta)
-    floored = int(((p_final < LOG_FLOOR) & (counts > 0)).sum())
     return ReconstructionResult(
         estimate=estimate,
         log_likelihood=ll,
@@ -369,7 +364,7 @@ def mle_reconstruct(data: list[CountRecord], *, max_iters: int = 100_000,
         observed_frequencies=dataset.frequencies,
         predicted_frequencies=p_final.reshape(dataset.counts.shape),
         ll_trace=np.array(trace),
-        floored_cells=floored,
+        floored_cells=int(_floored(counts, p_final).sum()),
         gap_bound=_gap_bound(model, counts, p_final),
     )
 
@@ -413,7 +408,7 @@ def indistinguishability_report(rho: AccessibleDensityMatrix,
     ``inconclusive`` (polarization mixing and symmetric hidden correlations
     are indistinguishable by these two numbers alone).
     """
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tol must be positive")
     s = rho.symmetric_population()
     purity = rho.purity()

@@ -308,6 +308,13 @@ def test_simulate_counts_sample_means(golden_state):
                 f"expected {expected} +- {se}")
 
 
+def test_simulate_counts_requires_settings(golden_state):
+    # the outcome model refuses an empty list before the probabilities are
+    # reshaped to one row per setting
+    with pytest.raises(ValueError, match="settings must be nonempty"):
+        simulate_counts(golden_state, [], 1e4, 0)
+
+
 def test_simulate_rejects_negative_shots_and_seed(golden_state):
     with pytest.raises(ValueError):
         simulate_counts(golden_state, TWELVE_SETTINGS, -1.0, seed=0)
@@ -345,6 +352,14 @@ def test_duplicate_settings_do_not_change_rank():
 def test_span_rank_requires_settings():
     with pytest.raises(ValueError):
         measurement_span_rank([], 3)
+
+
+def test_count_record_requires_integer_photon_numbers():
+    # a fractional photon number would be an index of the counts table
+    for n_h, n_v in ((1.5, 1.5), (2.0, 1), (2, "1")):
+        with pytest.raises(ValueError, match="photon numbers must be integers"):
+            CountRecord(0.0, 0.0, n_h, n_v, 1.0)
+    assert CountRecord(0.0, 0.0, np.int64(2), 1, 1.0).n_h == 2
 
 
 def test_outcome_two_m_ordering():

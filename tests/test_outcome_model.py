@@ -341,7 +341,7 @@ def test_linear_inversion_without_the_certificate(monkeypatch, n):
     records = exact_records(settings, n, model.probabilities(model.layout.theta(rho.blocks)))
     certified = linear_inversion(records)
     calls = []
-    monkeypatch.setattr(tomography, "_full_rank", lambda design: calls.append(1) or False)
+    monkeypatch.setattr(measurement, "_full_rank", lambda design: calls.append(1) or False)
     assert linear_inversion(records).allclose(certified, atol=1e-12)
     with pytest.raises(RankDeficiencyError) as err:
         linear_inversion(records[:-(n + 1) * (len(settings) - 2)])
@@ -375,6 +375,9 @@ def test_full_rank_certificate_is_sound(p, m_over_p):
                 assert not (certified and svd_rank(design) < p)
                 if exponent <= 5 and s is spectra[0]:
                     assert certified
+                # nor one read from the R factor, as linear inversion reads it
+                r = np.linalg.qr(design, mode="r")
+                assert measurement._column_rank(r) <= svd_rank(design)
     # too few rows can never have full column rank
     assert not measurement._full_rank(rng.normal(size=(p - 1, p)))
 

@@ -267,6 +267,20 @@ def test_sector_invariance_spot_check_at_cap():
     assert np.abs(p @ q @ p.T - q).max() < 1e-12
 
 
+@pytest.mark.parametrize("n", range(1, N_MAX + 1))
+def test_basis_has_one_copy_per_multiplicity(n):
+    # the (j, mu) copies of each sector number su2_multiplicity, and each
+    # has the 2j + 1 weights
+    copies = {}
+    for v in schur_basis(n).vectors:
+        copies.setdefault(v.two_j, {}).setdefault(v.mu, []).append(v.two_m)
+    assert sorted(copies) == sorted(occurring_two_j(n))
+    for two_j, by_mu in copies.items():
+        assert sorted(by_mu) == list(range(1, su2_multiplicity(n, two_j) + 1))
+        for weights in by_mu.values():
+            assert weights == list(range(two_j, -two_j - 1, -2))
+
+
 def test_basis_rejects_out_of_range():
     with pytest.raises(ValueError):
         schur_basis(0)

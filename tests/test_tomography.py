@@ -177,13 +177,13 @@ def test_mle_requires_span(golden_state):
 
 
 def test_all_zero_counts_are_rejected():
+    # no observed row: the observed span has rank 0 for both estimators
     records = [CountRecord(s.qwp_deg, s.hwp_deg, 3 - k, k, 0)
                for s in TWELVE_SETTINGS for k in range(4)]
-    with pytest.raises(ValueError, match="zero total counts"):
-        linear_inversion(records)
-    with pytest.raises(RankDeficiencyError) as err:
-        mle_reconstruct(records)
-    assert err.value.rank == 0
+    for estimator in (linear_inversion, mle_reconstruct):
+        with pytest.raises(RankDeficiencyError) as err:
+            estimator(records)
+        assert err.value.rank == 0
 
 
 def test_mle_flags_floored_cells():
@@ -344,6 +344,19 @@ def test_report_tolerance_must_be_positive(golden_state):
         indistinguishability_report(golden_state, tol=0.0)
 
 
+def test_report_refuses_nan_tolerance(golden_state):
+    # every comparison with nan is false, so nan would read as "inconclusive"
+    with pytest.raises(ValueError, match="tol must be positive"):
+        indistinguishability_report(golden_state, tol=math.nan)
+
+
+def test_mle_refuses_nan_or_negative_tolerance():
+    # no gain is below a nan tol, so it would run all max_iters steps
+    for tol in (math.nan, -1e-10):
+        with pytest.raises(ValueError, match="tol must be nonnegative"):
+            mle_reconstruct(sample_count_records(), tol=tol)
+
+
 def gap_bound_datasets():
     rng = np.random.default_rng(12)
     random_settings = [WaveplateSetting(q, h) for q, h in rng.uniform(0, 180, (20, 2))]
@@ -390,3 +403,21 @@ def test_gap_bound_is_infinite_when_a_counted_cell_has_no_probability():
     p = np.full(counts.size, 0.25)
     p[np.argmax(counts)] = LOG_FLOOR
     assert _gap_bound(dataset.model, counts, p) == math.inf
+
+
+def test_a_counted_cell_at_the_log_floor_is_floored():
+    # floored_cells and the gap bound read one mask: a cell with counts and
+    # probability at most LOG_FLOOR, the floor itself included
+    from accdm.tomography import LOG_FLOOR, _Dataset, _floored, _gap_bound
+    dataset = _Dataset(sample_count_records())
+    counts = dataset.counts.ravel()
+    p = np.full(counts.size, 0.25)
+    cell = np.argmax(counts)
+    p[cell] = LOG_FLOOR
+    assert np.flatnonzero(_floored(counts, p)).tolist() == [cell]
+    assert _gap_bound(dataset.model, counts, p) == math.inf
+    p[cell] = np.nextafter(LOG_FLOOR, 1.0)
+    assert not _floored(counts, p).any()
+    assert _gap_bound(dataset.model, counts, p) < math.inf
+    # a cell without counts is never floored
+    assert not _floored(np.zeros_like(counts), np.zeros_like(p)).any()
