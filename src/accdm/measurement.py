@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .schur import N_MAX, _layout, sector_rotation
+from .schur import N_MAX, _layout, _sector_rotations
 from .states import AccessibleDensityMatrix
 
 RANK_TOL = 1e-9
@@ -170,13 +170,12 @@ class _OutcomeModel:
             np.array([s.hwp_deg for s in settings], dtype=float))
         # one row m per (setting, outcome) and sector, zero-padded to n+1
         # entries; the outcome's block is conj(m) m^T.  Outcome N_V reads
-        # the row of its weight, if inside.
-        two_m = outcome_two_m(n, np.arange(n + 1))
-        rows = np.zeros((len(settings), n + 1) + layout.shape[:2], dtype=complex)
-        for s, two_j in enumerate(layout.sectors):
-            inside = np.abs(two_m) <= two_j
-            w = sector_rotation(unitaries, n, two_j)
-            rows[:, inside, s, :two_j + 1] = w[:, (two_j - two_m[inside]) // 2]
+        # the row (two_j - two_m) / 2 of its weight, if inside.
+        two_j = np.array(layout.sectors)
+        two_m = outcome_two_m(n, np.arange(n + 1))[:, None]
+        inside = np.abs(two_m) <= two_j
+        rows = _sector_rotations(unitaries, n)[
+            :, np.arange(len(two_j)), (two_j - two_m) // 2] * inside[..., None]
         self._operator_design = layout.outer_theta(rows.reshape((-1,) + layout.shape[:2]))
         self.design = self._operator_design * layout.scale
 

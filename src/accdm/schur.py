@@ -8,6 +8,11 @@ explicit orthonormal change of basis from the computational {H,V}^N basis to
 (j, multiplicity copy, weight) labels, built by sequential angular-momentum
 coupling, and the one real-vector form of a family of sector blocks.
 
+A collective rotation u^(x)N acts on sector j through R_j(u) = det(u)^m
+Sym^(2j)(u), m = (N - 2j)/2; one cached table per N of its real monomial
+coefficients serves the sector rotations, the outcome rows of
+``accdm.measurement`` and the coefficient map of ``accdm.states``.
+
 Half-integer angular momenta are represented exactly as doubled integers:
 ``two_j = 2j`` and ``two_m = 2m``.
 """
@@ -15,6 +20,7 @@ Half-integer angular momenta are represented exactly as doubled integers:
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -249,73 +255,82 @@ def schur_basis(n: int) -> SchurBasis:
 # Collective rotations restricted to a sector
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
-def _symmetric_power_terms(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Monomials of the symmetric k-fold power of a 2x2 matrix.
+def _monomial_values(u: np.ndarray, n: int) -> np.ndarray:
+    """Values of ``_monomials(n)`` at a stack of 2x2 matrices, shape
+    (..., 2, 2) in, (..., C(n+3, 3)) out."""
+    powers = u.reshape(u.shape[:-2] + (4, 1)) ** np.arange(n + 1)
+    return np.prod(powers[..., np.arange(4), _monomials(n)], axis=-1)
 
-    Column r (number of V's in) maps H^(k-r) V^r to
-    (u00 H + u10 V)^(k-r) (u01 H + u11 V)^r.  Returns the exponents 0..k,
-    the positions of each monomial's factors in the flattened table of
-    powers of (u00, u01, u10, u11), shape (4, terms), and the matrix that
-    scatters the monomials into the flattened (k+1) x (k+1) result with
-    their binomial and normalization weights.
+
+@lru_cache(maxsize=None)
+def _rotation_table(n: int) -> np.ndarray:
+    """Real coefficient of each monomial of ``_monomials(n)`` in each entry
+    of each sector's R_j(u), shape (C(n+3, 3), sectors, n+1, n+1),
+    zero-padded like ``_layout(n)``'s stack.
+
+    R_j(u) = det(u)^m Sym^k(u), k = 2j, m = (n - k)/2.  Entry (r', r) of
+    Sym^k, r the number of V's in, is sqrt(C(k, r) / C(k, r')) times the
+    H^(k-r') V^r' part of (u00 H + u10 V)^(k-r) (u01 H + u11 V)^r, and
+    det(u)^m = sum_i C(m, i) (-1)^i (u00 u11)^(m-i) (u01 u10)^i.
     """
-    fact = [math.factorial(i) for i in range(k + 1)]
-    factors, weights, cells = [], [], []
-    for rp in range(k + 1):
-        for r in range(k + 1):
-            scale = math.sqrt(fact[k - rp] * fact[rp] / (fact[k - r] * fact[r]))
+    layout = _layout(n)
+    index = {tuple(e): i for i, e in enumerate(_monomials(n).tolist())}
+    table = np.zeros((len(index),) + layout.shape)
+    for s, k in enumerate(layout.sectors):
+        m = (n - k) // 2
+        # (coefficient, power of u00 u11, power of u01 u10) of det(u)^m
+        det = [((-1) ** i * math.comb(m, i), m - i, i) for i in range(m + 1)]
+        for rp, r in np.ndindex(k + 1, k + 1):
+            scale = math.sqrt(math.comb(k, r) / math.comb(k, rp))
             for p in range(max(0, k - rp - r), min(k - r, k - rp) + 1):
-                q = (k - rp) - p
-                exps = (p, q, k - r - p, r - q)
-                factors.append([entry * (k + 1) + e for entry, e in enumerate(exps)])
-                weights.append(math.comb(k - r, p) * math.comb(r, q) * scale)
-                cells.append(rp * (k + 1) + r)
-    # complex, so that the product with the complex monomials stays in BLAS
-    scatter = np.zeros((len(cells), (k + 1) ** 2), dtype=complex)
-    scatter[np.arange(len(cells)), cells] = weights
-    positions = np.array(factors).T
-    exponents = np.arange(k + 1)
-    for array in (exponents, positions, scatter):
-        array.setflags(write=False)
-    return exponents, positions, scatter
+                q = k - rp - p
+                weight = math.comb(k - r, p) * math.comb(r, q) * scale
+                for c, a, b in det:
+                    table[index[p + a, q + b, k - r - p + b, r - q + a], s, rp, r] += c * weight
+    table.setflags(write=False)
+    return table
+
+
+def _sector_rotations(u: np.ndarray, n: int) -> np.ndarray:
+    """Every sector's R_j(u) at a stack of 2x2 matrices, shape (..., 2, 2)
+    in, (..., sectors, n+1, n+1) out, zero-padded like ``_layout(n)``'s
+    stack."""
+    values = _monomial_values(u, n)
+    table = _rotation_table(n)
+    flat = table.reshape(len(table), -1)
+    # two real products: a complex-by-real matmul misses BLAS
+    rotations = values.real @ flat + 1j * (values.imag @ flat)
+    return rotations.reshape(u.shape[:-2] + table.shape[1:])
 
 
 def symmetric_power(u: np.ndarray, k: int) -> np.ndarray:
-    """Matrix of u^(x)k restricted to the symmetric subspace of k qubits.
+    """Matrix of u^(x)k restricted to the symmetric subspace of k qubits:
+    ``sector_rotation(u, k, k)``, for an integer k in 1..N_MAX.
 
     Basis ordered by weight m descending, i.e. index r = number of V's.
     Valid for any 2x2 matrix u, not only unitaries.  A stack of matrices,
     shape (..., 2, 2), gives the stack of powers, shape (..., k+1, k+1).
     """
-    u = np.asarray(u, dtype=complex)
-    if u.shape[-2:] != (2, 2):
-        raise ValueError("u must be 2x2 or a stack of 2x2 matrices")
-    exponents, positions, scatter = _symmetric_power_terms(k)
-    stack = u.shape[:-2]
-    powers = (u.reshape(stack + (4, 1)) ** exponents).reshape(stack + (-1,))
-    monomials = powers[..., positions[0]]
-    for entry in (1, 2, 3):
-        monomials *= powers[..., positions[entry]]
-    return (monomials @ scatter).reshape(stack + (k + 1, k + 1))
+    return sector_rotation(u, k, k)
 
 
 def sector_rotation(u: np.ndarray, n: int, two_j: int) -> np.ndarray:
     """Block of the collective rotation u^(x)n within one spin-j sector.
 
     Identical for every multiplicity copy of the sequential-coupling basis:
-    det(u)^((n-2j)/2) times the symmetric (2j)-fold power of u.  Rows and
-    columns are ordered by weight m descending.  Like
-    :func:`symmetric_power`, accepts a stack of matrices.
+    det(u)^((n-2j)/2) times the symmetric (2j)-fold power of u, read from
+    :func:`_rotation_table`.  Rows and columns are ordered by weight m
+    descending.  Like :func:`symmetric_power`, accepts a stack of matrices.
+    Raises ValueError unless n is an integer in 1..N_MAX and j occurs.
     """
-    if su2_multiplicity(n, two_j) == 0:
-        raise ValueError(f"two_j={two_j} does not occur for n={n}")
-    power = symmetric_power(u, two_j)
-    if two_j == n:
-        return power
+    if not (isinstance(n, numbers.Integral) and 1 <= n <= N_MAX):
+        raise ValueError(f"photon number must be an integer in 1..{N_MAX}, got {n!r}")
+    if not isinstance(two_j, numbers.Integral) or su2_multiplicity(n, two_j) == 0:
+        raise ValueError(f"two_j={two_j!r} does not occur for n={n}")
     u = np.asarray(u, dtype=complex)
-    det = u[..., 0, 0] * u[..., 1, 1] - u[..., 0, 1] * u[..., 1, 0]
-    return (det ** ((n - two_j) // 2))[..., None, None] * power
+    if u.shape[-2:] != (2, 2):
+        raise ValueError("u must be 2x2 or a stack of 2x2 matrices")
+    return _sector_rotations(u, n)[..., (n - two_j) // 2, :two_j + 1, :two_j + 1]
 
 
 # ---------------------------------------------------------------------------
@@ -434,26 +449,13 @@ def _coefficient_map(n: int) -> tuple[np.ndarray, np.ndarray]:
     ``_monomials(n)``, Re c stacked over Im c, and its left inverse.
 
     tr(rho u^(x)n) = sum_j mult_j tr(rho_j R_j(u)) has one coefficient per
-    entry of theta.  R_j = det(u)^m Sym^(2j)(u), m = (n - 2j)/2, expands
-    into the monomials of :func:`_symmetric_power_terms` times those of
-    det(u)^m = sum_i C(m, i) (-1)^i (u00 u11)^(m-i) (u01 u10)^i.  A
-    Hermitian rho has c(u01^a u10^b ...) = conj c(u01^b u10^a ...), so
-    half the rows repeat the other half, and coefficients that break
-    that symmetry leave a residual.
+    entry of theta, read from :func:`_rotation_table` through the layout's
+    inner product.  A Hermitian rho has c(u01^a u10^b ...) = conj
+    c(u01^b u10^a ...), so half the rows repeat the other half, and
+    coefficients that break that symmetry leave a residual.
     """
     layout = _layout(n)
-    index = {tuple(e): i for i, e in enumerate(_monomials(n).tolist())}
-    # each monomial's real coefficient in each entry of each R_j
-    coefficients = np.zeros((len(index),) + layout.shape)
-    for s, two_j in enumerate(layout.sectors):
-        m = (n - two_j) // 2
-        _, positions, scatter = _symmetric_power_terms(two_j)
-        term, cell = np.nonzero(scatter)
-        powers = positions[:, term] % (two_j + 1)
-        for i in range(m + 1):
-            mono = [index[e] for e in zip(*(powers + [[m - i], [i], [i], [m - i]]).tolist())]
-            np.add.at(coefficients, (mono, s) + np.divmod(cell, two_j + 1),
-                      (-1) ** i * math.comb(m, i) * scatter[term, cell].real)
+    coefficients = _rotation_table(n)
     # tr(B R) = tr(B H) + i tr(B H') with the Hermitian H = (R + R^T)/2 and
     # H' = i (R^T - R)/2, and by the layout's inner product
     transposed = coefficients.swapaxes(-1, -2)

@@ -237,7 +237,7 @@ class AccessibleDensityMatrix:
 
     def symmetric_population(self) -> float:
         """Population of the totally symmetric sector j = n/2."""
-        return self.stack[0].trace().real
+        return float(self.stack[0].trace().real)
 
     def purity(self) -> float:
         """sum_j mult_j tr(B_j^2), each block Hermitian."""

@@ -237,7 +237,7 @@ def mle_reconstruct(data: list[CountRecord], *, max_iters: int = 100_000,
     convex combination (1 - d) rho + d R rho R / t with d halved from 1/2
     until the log-likelihood does not decrease, factored again, and the
     cycle ends there without extrapolation.  The loop stops when the first
-    plain step of a cycle gains less than ``tol`` (at least 0), or when no
+    plain step of a cycle gains less than ``tol`` (finite, >= 0), or when no
     dilution ascends.  ``iterations`` and ``max_iters`` count R.rho.R
     steps, stabilizing ones included; ``ll_trace`` holds one log-likelihood
     per accepted iterate (start, plain steps, extrapolated points, kept
@@ -252,8 +252,8 @@ def mle_reconstruct(data: list[CountRecord], *, max_iters: int = 100_000,
     space, and NumericalError when the start has a block eigenvalue below
     -PSD_TOL.
     """
-    if not tol >= 0:
-        raise ValueError("tol must be nonnegative")
+    if not 0 <= tol < math.inf:
+        raise ValueError("tol must be nonnegative and finite")
     dataset = _Dataset(data)
     model = dataset.model
     layout = model.layout
@@ -408,8 +408,8 @@ def indistinguishability_report(rho: AccessibleDensityMatrix,
     ``inconclusive`` (polarization mixing and symmetric hidden correlations
     are indistinguishable by these two numbers alone).
     """
-    if not tol > 0:
-        raise ValueError("tol must be positive")
+    if not 0 < tol < math.inf:
+        raise ValueError("tol must be positive and finite")
     s = rho.symmetric_population()
     purity = rho.purity()
     if s >= 1 - tol and purity >= 1 - tol:

@@ -298,7 +298,7 @@ def random_unitary_2x2(rng):
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
-@pytest.mark.parametrize("n", range(1, 5))
+@pytest.mark.parametrize("n", range(1, 9))
 def test_sector_rotation_matches_tensor_power(n):
     rng = np.random.default_rng(7)
     basis = schur_basis(n)
@@ -338,9 +338,19 @@ def test_symmetric_power_is_unitary_for_unitary_input():
         np.testing.assert_allclose(s @ s.conj().T, np.eye(k + 1), atol=1e-12)
 
 
-def test_sector_rotation_rejects_absent_sector():
+@pytest.mark.parametrize("rotation", [
+    pytest.param(lambda u: sector_rotation(u, 3, 2), id="absent-sector"),
+    pytest.param(lambda u: sector_rotation(u, 3, 1.0), id="float-two_j"),
+    pytest.param(lambda u: sector_rotation(u, 0, 0), id="zero-n"),
+    pytest.param(lambda u: sector_rotation(u, N_MAX + 2, N_MAX), id="n-above-cap"),
+    pytest.param(lambda u: symmetric_power(u, -1), id="negative-k"),
+    pytest.param(lambda u: symmetric_power(u, 2.5), id="fractional-k"),
+    pytest.param(lambda u: symmetric_power(u, 0), id="zero-k"),
+    pytest.param(lambda u: symmetric_power(u, N_MAX + 1), id="k-above-cap"),
+])
+def test_sector_rotation_rejects_absent_sector(rotation):
     with pytest.raises(ValueError):
-        sector_rotation(np.eye(2), 3, 2)
+        rotation(np.eye(2))
 
 
 @settings(max_examples=30)

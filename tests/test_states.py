@@ -18,6 +18,7 @@ from accdm.schur import (
     N_MAX,
     _coefficient_map,
     _layout,
+    _monomial_values,
     _monomials,
     occurring_two_j,
     schur_basis,
@@ -388,7 +389,9 @@ def test_coefficient_map_matches_dense_expectation(n):
     theta = rng.normal(size=count)
     coefficients = design[:count] @ theta + 1j * design[count:] @ theta
     a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    value = coefficients @ np.prod(a.reshape(4) ** _monomials(n), axis=1)
+    monomials = np.prod(a.reshape(4) ** _monomials(n), axis=1)
+    np.testing.assert_allclose(_monomial_values(a, n), monomials, rtol=1e-14, atol=0)
+    value = coefficients @ monomials
     # tr(X Y) = sum_ab X_ab Y_ba
     expected = (full_matrix(n, _layout(n).blocks(theta)) * kron_power(a, n).T).sum()
     np.testing.assert_allclose(value, expected, rtol=1e-10, atol=0)
@@ -609,6 +612,14 @@ def test_adm_owns_its_data():
     twin = AccessibleDensityMatrix(1, {1: block})
     assert rho == rho and rho != twin and rho.allclose(twin, atol=0)
     assert len({rho, twin}) == 2
+
+
+def test_scalar_summaries_are_python_floats():
+    # the report's fields hold them; an np.float64 there reprs as
+    # np.float64(0.5)
+    rho = AccessibleDensityMatrix.maximally_mixed(3)
+    assert type(rho.symmetric_population()) is float
+    assert type(rho.purity()) is float
 
 
 def test_adm_pickle_round_trip():

@@ -350,11 +350,25 @@ def test_report_refuses_nan_tolerance(golden_state):
         indistinguishability_report(golden_state, tol=math.nan)
 
 
+def test_report_refuses_infinite_tolerance():
+    # every s and P would be within an infinite tol of 1, so the maximally
+    # mixed state (s = 0.5, P = 0.125) would read as "indistinguishable"
+    with pytest.raises(ValueError, match="tol must be positive and finite"):
+        indistinguishability_report(AccessibleDensityMatrix.maximally_mixed(3), tol=math.inf)
+
+
 def test_mle_refuses_nan_or_negative_tolerance():
     # no gain is below a nan tol, so it would run all max_iters steps
     for tol in (math.nan, -1e-10):
         with pytest.raises(ValueError, match="tol must be nonnegative"):
             mle_reconstruct(sample_count_records(), tol=tol)
+
+
+def test_mle_refuses_infinite_tolerance():
+    # every gain is below an infinite tol, so the first cycle would stop
+    # and report convergence far from the maximum
+    with pytest.raises(ValueError, match="tol must be nonnegative and finite"):
+        mle_reconstruct(sample_count_records(), tol=math.inf)
 
 
 def gap_bound_datasets():
