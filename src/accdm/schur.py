@@ -9,9 +9,11 @@ explicit orthonormal change of basis from the computational {H,V}^N basis to
 coupling, and the one real-vector form of a family of sector blocks.
 
 A collective rotation u^(x)N acts on sector j through R_j(u) = det(u)^m
-Sym^(2j)(u), m = (N - 2j)/2; one cached table per N of its real monomial
-coefficients serves the sector rotations, the outcome rows of
-``accdm.measurement`` and the coefficient map of ``accdm.states``.
+Sym^(2j)(u), m = (N - 2j)/2.  One cached table per N holds its real
+monomial coefficients, one column per in-block entry of the stack; it is
+square and invertible.  It serves the sector rotations and the outcome
+rows of ``accdm.measurement``, and its exact inverse gives ``accdm.states``
+the blocks from the coefficients of tr(rho u^(x)N).
 
 Half-integer angular momenta are represented exactly as doubled integers:
 ``two_j = 2j`` and ``two_m = 2m``.
@@ -264,9 +266,10 @@ def _monomial_values(u: np.ndarray, n: int) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _rotation_table(n: int) -> np.ndarray:
-    """Real coefficient of each monomial of ``_monomials(n)`` in each entry
-    of each sector's R_j(u), shape (C(n+3, 3), sectors, n+1, n+1),
-    zero-padded like ``_layout(n)``'s stack.
+    """Real coefficient of each monomial of ``_monomials(n)`` (rows) in
+    entry (r', r) of sector s's R_j(u), for each in-block entry (s, r', r)
+    of ``_layout(n)``'s stack in stack order (columns).  The table is
+    square, C(n+3, 3) on each side, and invertible.
 
     R_j(u) = det(u)^m Sym^k(u), k = 2j, m = (n - k)/2.  Entry (r', r) of
     Sym^k, r the number of V's in, is sqrt(C(k, r) / C(k, r')) times the
@@ -275,32 +278,45 @@ def _rotation_table(n: int) -> np.ndarray:
     """
     layout = _layout(n)
     index = {tuple(e): i for i, e in enumerate(_monomials(n).tolist())}
-    table = np.zeros((len(index),) + layout.shape)
-    for s, k in enumerate(layout.sectors):
+    table = np.zeros((len(index), len(index)))
+    for column, (s, rp, r) in enumerate(np.argwhere(layout.in_block).tolist()):
+        k = layout.sectors[s]
         m = (n - k) // 2
-        # (coefficient, power of u00 u11, power of u01 u10) of det(u)^m
-        det = [((-1) ** i * math.comb(m, i), m - i, i) for i in range(m + 1)]
-        for rp, r in np.ndindex(k + 1, k + 1):
-            scale = math.sqrt(math.comb(k, r) / math.comb(k, rp))
-            for p in range(max(0, k - rp - r), min(k - r, k - rp) + 1):
-                q = k - rp - p
-                weight = math.comb(k - r, p) * math.comb(r, q) * scale
-                for c, a, b in det:
-                    table[index[p + a, q + b, k - r - p + b, r - q + a], s, rp, r] += c * weight
+        scale = math.sqrt(math.comb(k, r) / math.comb(k, rp))
+        for p in range(max(0, k - rp - r), min(k - r, k - rp) + 1):
+            q = k - rp - p
+            weight = math.comb(k - r, p) * math.comb(r, q) * scale
+            for i in range(m + 1):
+                table[index[p + m - i, q + i, k - r - p + i, r - q + m - i],
+                      column] += (-1) ** i * math.comb(m, i) * weight
     table.setflags(write=False)
     return table
+
+
+@lru_cache(maxsize=None)
+def _rotation_inverse(n: int) -> np.ndarray:
+    """Inverse of :func:`_rotation_table`: from the coefficients of
+    sum_j mult_j tr(rho_j R_j(u)) over ``_monomials(n)`` to the stack's
+    in-block entries mult_j rho_j[r, r'], at (s, r', r)."""
+    inverse = np.linalg.inv(_rotation_table(n))
+    inverse.setflags(write=False)
+    return inverse
+
+
+def _real_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b for a complex a and a real b, as two real products: a
+    complex-by-real matmul misses BLAS."""
+    return a.real @ b + 1j * (a.imag @ b)
 
 
 def _sector_rotations(u: np.ndarray, n: int) -> np.ndarray:
     """Every sector's R_j(u) at a stack of 2x2 matrices, shape (..., 2, 2)
     in, (..., sectors, n+1, n+1) out, zero-padded like ``_layout(n)``'s
     stack."""
-    values = _monomial_values(u, n)
-    table = _rotation_table(n)
-    flat = table.reshape(len(table), -1)
-    # two real products: a complex-by-real matmul misses BLAS
-    rotations = values.real @ flat + 1j * (values.imag @ flat)
-    return rotations.reshape(u.shape[:-2] + table.shape[1:])
+    layout = _layout(n)
+    rotations = np.zeros(u.shape[:-2] + layout.shape, dtype=complex)
+    rotations[..., layout.in_block] = _real_matmul(_monomial_values(u, n), _rotation_table(n))
+    return rotations
 
 
 def symmetric_power(u: np.ndarray, k: int) -> np.ndarray:
@@ -346,7 +362,8 @@ class _Layout:
     then the imaginary parts of the off-diagonal ones in the same order:
     C(n+3, 3) entries.  The blocks are also held stacked: one zero-padded
     complex array of shape (sectors, n+1, n+1), block two_j in the
-    top-left corner of its slice.  ``gather`` and ``scatter`` map between
+    top-left corner of its slice, and ``in_block`` masks its C(n+3, 3)
+    in-block entries.  ``gather`` and ``scatter`` map between
     theta and the float view of that array, raveled.  Hermitian families
     have the inner product sum_j mult_j tr(A_j B_j) = scale @ (theta_A *
     theta_B), and ``trace_weights`` is scale times the identity's theta.
@@ -356,15 +373,12 @@ class _Layout:
         self.sectors = occurring_two_j(n)
         self.shape = (len(self.sectors), n + 1, n + 1)
         self.mult = np.array([su2_multiplicity(n, tj) for tj in self.sectors])
-        sector, row, col = [], [], []
-        for s, two_j in enumerate(self.sectors):
-            index = np.arange(two_j + 1)
-            a, b = np.nonzero(index[:, None] <= index)
-            sector.append(np.full(a.size, s))
-            row.append(a)
-            col.append(b)
+        index = np.arange(n + 1)
+        self.in_block = (np.maximum(index[:, None], index)
+                         <= np.array(self.sectors)[:, None, None])
         # sector and position of each upper-triangle entry, in theta order
-        self._sector, self._row, self._col = (np.concatenate(x) for x in (sector, row, col))
+        self._sector, self._row, self._col = np.nonzero(self.in_block
+                                                        & (index[:, None] <= index))
         self._off = self._row != self._col
         # an off-diagonal entry appears twice in the inner product
         entry_scale = self.mult[self._sector] * np.where(self._off, 2, 1)
@@ -382,9 +396,9 @@ class _Layout:
         # theta @ trace_weights is sum_j mult_j tr B_j
         self.trace_weights = self.scale * self.theta(
             {tj: np.eye(tj + 1) for tj in self.sectors})
-        for array in (self.mult, self._sector, self._row, self._col, self._off,
-                      self.scale, self.trace_weights, self.gather, self.scatter,
-                      self.source, self.sign):
+        for array in (self.mult, self.in_block, self._sector, self._row, self._col,
+                      self._off, self.scale, self.trace_weights, self.gather,
+                      self.scatter, self.source, self.sign):
             array.setflags(write=False)
 
     def stack(self, theta: np.ndarray) -> np.ndarray:
@@ -441,31 +455,3 @@ def _monomials(n: int) -> np.ndarray:
                           for c in combinations_with_replacement(range(4), n)])
     exponents.setflags(write=False)
     return exponents
-
-
-@lru_cache(maxsize=None)
-def _coefficient_map(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The real map from theta to the coefficients c of tr(rho u^(x)n) over
-    ``_monomials(n)``, Re c stacked over Im c, and its left inverse.
-
-    tr(rho u^(x)n) = sum_j mult_j tr(rho_j R_j(u)) has one coefficient per
-    entry of theta, read from :func:`_rotation_table` through the layout's
-    inner product.  A Hermitian rho has c(u01^a u10^b ...) = conj
-    c(u01^b u10^a ...), so half the rows repeat the other half, and
-    coefficients that break that symmetry leave a residual.
-    """
-    layout = _layout(n)
-    coefficients = _rotation_table(n)
-    # tr(B R) = tr(B H) + i tr(B H') with the Hermitian H = (R + R^T)/2 and
-    # H' = i (R^T - R)/2, and by the layout's inner product
-    transposed = coefficients.swapaxes(-1, -2)
-    design = layout.scale / 2 * np.vstack([layout.stack_theta(coefficients + transposed + 0j),
-                                           layout.stack_theta(1j * (transposed - coefficients))])
-    # each row scaled to unit maximum; the rows of Im c that vanish for
-    # every Hermitian rho keep a scale of 1
-    scale = np.abs(design).max(axis=1)
-    scale[scale == 0] = 1.0
-    solve = np.linalg.pinv(design / scale[:, None]) / scale
-    design.setflags(write=False)
-    solve.setflags(write=False)
-    return design, solve

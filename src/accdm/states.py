@@ -6,9 +6,10 @@ with the convention that the full 2^N matrix repeats each block across its
 multiplicity copies.  :func:`expression_to_accessible` gets the blocks
 exactly from the coefficients of a permanent of single-photon overlaps,
 a polynomial in the entries of a collective rotation, at a cost that grows
-as 2^N rather than N!.  The explicit route, expanding into a totally
-symmetric first-quantized state and then tracing out the hidden modes, is
-kept as the small-N reference.
+as 2^N rather than N!: the map from the blocks to those coefficients is
+square, and one cached inverse of it gives the blocks.  The explicit route,
+expanding into a totally symmetric first-quantized state and then tracing
+out the hidden modes, is kept as the small-N reference.
 """
 
 from __future__ import annotations
@@ -24,9 +25,11 @@ import numpy as np
 from .expressions import CreationOperatorExpression, Term
 from .schur import (
     N_MAX,
-    _coefficient_map,
     _layout,
     _monomials,
+    _real_matmul,
+    _rotation_inverse,
+    _rotation_table,
     accessible_param_count,
     occurring_two_j,
     schur_basis,
@@ -371,13 +374,15 @@ def expression_to_accessible(expr: CreationOperatorExpression) -> AccessibleDens
     With v_k the unit vector of factor k over polarization x primitive
     hidden mode, tr(rho u^(x)n) = perm[<v_k|u (x) 1|v_l>] / perm[<v_k|v_l>]
     is a homogeneous polynomial of degree n in u's entries.  Its C(n+3, 3)
-    coefficients, exact from :func:`_permanent_coefficients`, give theta
-    through the left inverse of :func:`accdm.schur._coefficient_map`.
+    coefficients, exact from :func:`_permanent_coefficients`, give the
+    blocks through :func:`accdm.schur._rotation_inverse`, the exact inverse
+    of the square map from the blocks to those coefficients.  The
+    Hermitian part is kept.
     Agrees with ``trace_hidden(expand_and_symmetrize(expr))`` without the
     n!-term expansion, and draws no random number.
 
     Raises ValueError when a factor's terms cancel, when there are more than
-    N_MAX factors, or when the coefficients leave a residual above
+    N_MAX factors, or when the anti-Hermitian part's coefficients exceed
     RESIDUAL_TOL, as non-finite ones do.
     """
     n = expr.n
@@ -388,12 +393,16 @@ def expression_to_accessible(expr: CreationOperatorExpression) -> AccessibleDens
     # perm[<v_k|v_l>], which is real
     exponents = _monomials(n)
     norm = coefficients[exponents[:, 1] + exponents[:, 2] == 0].sum().real
-    target = np.concatenate([coefficients.real, coefficients.imag]) / norm
-    design, solve = _coefficient_map(n)
-    theta = solve @ target
-    # the misfit's real and imaginary halves, recombined per monomial
-    residual = float(np.hypot(*(design @ theta - target).reshape(2, -1)).max())
+    layout = _layout(n)
+    # entry (s, r', r) is mult_j rho_j[r, r']; unlike a complex division,
+    # a product with 1 / norm does not warn when norm is nan
+    stack = np.zeros(layout.shape, dtype=complex)
+    stack[layout.in_block] = _real_matmul(coefficients, _rotation_inverse(n).T) * (1 / norm)
+    hermitian = (stack + stack.conj().swapaxes(-1, -2)) / 2
+    anti = (stack - hermitian)[layout.in_block]
+    residual = float(np.abs(_real_matmul(anti, _rotation_table(n).T)).max())
     if not residual <= RESIDUAL_TOL:
-        raise ValueError(f"hidden-mode trace failed: least-squares residual "
+        raise ValueError(f"hidden-mode trace failed: anti-Hermitian residual "
                          f"{residual:.3e} exceeds {RESIDUAL_TOL}")
-    return AccessibleDensityMatrix(n, _layout(n).blocks(theta))
+    rho = hermitian.swapaxes(-1, -2) / layout.mult[:, None, None]
+    return AccessibleDensityMatrix(n, layout.unpad(rho))

@@ -16,12 +16,14 @@ from accdm.expressions import (
 from accdm.measurement import WaveplateSetting, outcome_probabilities, waveplate_unitary
 from accdm.schur import (
     N_MAX,
-    _coefficient_map,
     _layout,
     _monomial_values,
     _monomials,
+    _rotation_inverse,
+    _rotation_table,
     occurring_two_j,
     schur_basis,
+    sector_rotation,
     su2_multiplicity,
 )
 from accdm.states import (
@@ -371,6 +373,67 @@ def test_expression_to_accessible_rejects_nan_fit(monkeypatch):
         expression_to_accessible(parse_operator_expression("(aH)(bV)(aV + bH)"))
 
 
+def vectors_expression(vectors):
+    """Operator product whose factor k has coefficient vectors[k, p, i] on
+    polarization "HV"[p] of hidden mode m<i>."""
+    return CreationOperatorExpression(tuple(
+        tuple(Term(complex(c), "HV"[p], f"m{i}") for (p, i), c in np.ndenumerate(v))
+        for v in vectors))
+
+
+def haar_unitary(rng, d):
+    """Haar-random d x d unitary: the QR factor of a complex Gaussian
+    matrix, with R's diagonal phases moved into Q."""
+    q, r = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+
+
+def ryser_permanent(a):
+    """perm A = (-1)^n sum over column subsets S of (-1)^|S| prod_i sum_{j in S} A_ij."""
+    n = len(a)
+    subsets = (np.arange(2 ** n)[:, None] >> np.arange(n)) & 1
+    signs = (-1.0) ** (n - subsets.sum(axis=1))
+    return signs @ (subsets @ a.T).prod(axis=1)
+
+
+@pytest.mark.parametrize("n", range(1, N_MAX + 1))
+def test_expression_to_accessible_is_polarization_equivariant(n):
+    # rotating every photon's polarization by w rotates block j by R_j(w)
+    rng = np.random.default_rng(1300 + n)
+    vectors = rng.normal(size=(n, 2, 3)) + 1j * rng.normal(size=(n, 2, 3))
+    w = haar_unitary(rng, 2)
+    rho = expression_to_accessible(vectors_expression(vectors))
+    rotated = expression_to_accessible(vectors_expression(w @ vectors))
+    for two_j in occurring_two_j(n):
+        r = sector_rotation(w, n, two_j)
+        np.testing.assert_allclose(rotated.blocks[two_j], r @ rho.blocks[two_j] @ r.conj().T,
+                                   rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("n", range(1, N_MAX + 1))
+def test_expression_to_accessible_is_hidden_unitary_invariant(n):
+    # a unitary on the hidden modes alone leaves the accessible blocks alone
+    rng = np.random.default_rng(1400 + n)
+    vectors = rng.normal(size=(n, 2, 3)) + 1j * rng.normal(size=(n, 2, 3))
+    mixed = vectors @ haar_unitary(rng, 3).T
+    assert expression_to_accessible(vectors_expression(mixed)).allclose(
+        expression_to_accessible(vectors_expression(vectors)), atol=1e-13)
+
+
+@pytest.mark.parametrize("n", range(1, N_MAX + 1))
+def test_symmetric_population_of_distinct_modes_is_a_permanent(n):
+    # photon k with unit polarization p_k alone in hidden mode k: the
+    # symmetric population is perm(G) / n! with G_kl = <p_k|p_l>
+    rng = np.random.default_rng(1500 + n)
+    p = rng.normal(size=(n, 2)) + 1j * rng.normal(size=(n, 2))
+    p /= np.linalg.norm(p, axis=1, keepdims=True)
+    vectors = np.zeros((n, 2, n), dtype=complex)
+    vectors[np.arange(n), :, np.arange(n)] = p
+    expected = ryser_permanent(p.conj() @ p.T).real / math.factorial(n)
+    s = expression_to_accessible(vectors_expression(vectors)).symmetric_population()
+    assert s == pytest.approx(expected, rel=1e-12, abs=0)
+
+
 def kron_power(a, n):
     out = np.ones((1, 1), dtype=complex)
     for _ in range(n):
@@ -380,31 +443,31 @@ def kron_power(a, n):
 
 @pytest.mark.parametrize("n", range(1, N_MAX + 1))
 def test_coefficient_map_matches_dense_expectation(n):
-    # the polynomial with the map's coefficients of a random Hermitian
+    # the polynomial with the table's coefficients of a random Hermitian
     # family, evaluated at a non-unitary A, is tr(rho A^(x)n) of the dense
     # operator
     rng = np.random.default_rng(900 + n)
-    design, _ = _coefficient_map(n)
-    count = design.shape[1]
-    theta = rng.normal(size=count)
-    coefficients = design[:count] @ theta + 1j * design[count:] @ theta
+    layout = _layout(n)
+    blocks = layout.blocks(rng.normal(size=math.comb(n + 3, 3)))
+    # entry (s, r', r) of the stack is mult_j rho_j[r, r']
+    stack = layout.pad(blocks).swapaxes(-1, -2) * layout.mult[:, None, None]
+    coefficients = _rotation_table(n) @ stack[layout.in_block]
     a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
     monomials = np.prod(a.reshape(4) ** _monomials(n), axis=1)
     np.testing.assert_allclose(_monomial_values(a, n), monomials, rtol=1e-14, atol=0)
     value = coefficients @ monomials
     # tr(X Y) = sum_ab X_ab Y_ba
-    expected = (full_matrix(n, _layout(n).blocks(theta)) * kron_power(a, n).T).sum()
+    expected = (full_matrix(n, blocks) * kron_power(a, n).T).sum()
     np.testing.assert_allclose(value, expected, rtol=1e-10, atol=0)
 
 
 def test_coefficient_map_is_well_conditioned():
     for n in range(1, N_MAX + 1):
-        design, solve = _coefficient_map(n)
-        np.testing.assert_allclose(solve @ design, np.eye(design.shape[1]), rtol=0, atol=1e-12)
-        # each row scaled to unit maximum; the rows that are zero for
-        # every Hermitian family drop out
-        scale = np.abs(design).max(axis=1)
-        assert np.linalg.cond(design[scale > 0] / scale[scale > 0, None]) <= 50
+        table, inverse = _rotation_table(n), _rotation_inverse(n)
+        assert table.shape == (math.comb(n + 3, 3),) * 2
+        np.testing.assert_allclose(inverse @ table, np.eye(len(table)), rtol=0, atol=1e-12)
+        # each row scaled to unit maximum
+        assert np.linalg.cond(table / np.abs(table).max(axis=1, keepdims=True)) <= 50
 
 
 # ---------------------------------------------------------------------------
