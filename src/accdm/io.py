@@ -15,7 +15,7 @@ import tempfile
 import numpy as np
 
 from .measurement import CountRecord, WaveplateSetting
-from .schur import N_MAX, su2_multiplicity
+from .schur import _layout, su2_multiplicity
 from .states import AccessibleDensityMatrix
 from .tomography import IndistinguishabilityReport, ReconstructionResult
 
@@ -64,10 +64,9 @@ def parse_density_matrix(text: str) -> AccessibleDensityMatrix:
         raise FormatError("density matrix file must start with 'n_photons <N>'")
     try:
         n = _number(header[1], int)
+        _layout(n)  # the photon number's gate, before any block is read
     except ValueError as err:
-        raise FormatError(f"bad n_photons line: {first!r}") from err
-    if not 1 <= n <= N_MAX:
-        raise FormatError(f"n_photons must be between 1 and {N_MAX}, got {n}")
+        raise FormatError(f"bad n_photons line {first!r}: {err}") from err
 
     blocks: dict[int, np.ndarray] = {}
     for line in lines:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .schur import N_MAX, _layout, _sector_rotations
+from .schur import _layout, _sector_rotations
 from .states import AccessibleDensityMatrix
 
 RANK_TOL = 1e-9
@@ -55,8 +55,7 @@ class CountRecord:
     count: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.qwp_deg) and math.isfinite(self.hwp_deg)):
-            raise ValueError("waveplate angles must be finite")
+        self.setting  # building the setting refuses non-finite angles
         if not math.isfinite(self.count):
             raise ValueError("counts must be finite")
         try:
@@ -161,8 +160,6 @@ class _OutcomeModel:
     def __init__(self, settings: list[WaveplateSetting], n: int):
         if not settings:
             raise ValueError("settings must be nonempty")
-        if not 1 <= n <= N_MAX:
-            raise ValueError(f"n must be between 1 and {N_MAX}")
         self.n = n
         layout = self.layout = _layout(n)
         unitaries = _waveplate_unitaries(
@@ -240,12 +237,16 @@ def simulate_counts(rho: AccessibleDensityMatrix,
     are multiples of 2**64 would leave the low half of the 128-bit state
     equal across substreams, and their draws correlated.)  Results are
     reproducible for a given numpy version.  ``mean_shots`` must lie in
-    [0, MAX_SHOTS].  A caller that has built the outcome model of these
-    settings for ``rho.n`` photons passes it as ``model``, to pay for it
-    once.
+    [0, MAX_SHOTS], and ``seed`` must be a nonnegative integer.  A caller
+    that has built the outcome model of these settings for ``rho.n``
+    photons passes it as ``model``, to pay for it once.
     """
     if not 0 <= mean_shots <= MAX_SHOTS:
         raise ValueError(f"mean_shots must be in [0, {MAX_SHOTS:g}]")
+    try:
+        operator.index(seed)
+    except TypeError:
+        raise ValueError("seed must be an integer") from None
     if seed < 0:
         raise ValueError("seed must be nonnegative")
     records = []

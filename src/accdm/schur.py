@@ -31,8 +31,8 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-#: Largest photon number on every path: the ``.dm`` parser, the outcome
-#: model, the permanent path of ``accdm.states`` and the dense basis here.
+#: Largest photon number.  ``_layout`` refuses every state, outcome model,
+#: count set and expression beyond it; the dense oracles keep their own cap.
 N_MAX = 10
 
 
@@ -339,8 +339,7 @@ def sector_rotation(u: np.ndarray, n: int, two_j: int) -> np.ndarray:
     descending.  Like :func:`symmetric_power`, accepts a stack of matrices.
     Raises ValueError unless n is an integer in 1..N_MAX and j occurs.
     """
-    if not (isinstance(n, numbers.Integral) and 1 <= n <= N_MAX):
-        raise ValueError(f"photon number must be an integer in 1..{N_MAX}, got {n!r}")
+    _layout(n)
     if not isinstance(two_j, numbers.Integral) or su2_multiplicity(n, two_j) == 0:
         raise ValueError(f"two_j={two_j!r} does not occur for n={n}")
     u = np.asarray(u, dtype=complex)
@@ -443,7 +442,15 @@ class _Layout:
         return float(self.trace_weights @ theta)
 
 
-_layout = lru_cache(maxsize=None)(_Layout)
+_layouts = lru_cache(maxsize=None)(_Layout)
+
+
+def _layout(n: int) -> _Layout:
+    """Cached ``_Layout`` of n photons; the one gate on n, ValueError unless n
+    is an integer in 1..N_MAX, on every call: np.int64(3)'s entry serves 3.0."""
+    if not (isinstance(n, numbers.Integral) and 1 <= n <= N_MAX):
+        raise ValueError(f"photon number must be an integer between 1 and {N_MAX}, got {n!r}")
+    return _layouts(n)
 
 
 @lru_cache(maxsize=None)

@@ -196,13 +196,12 @@ class AccessibleDensityMatrix:
     stack: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        expected = occurring_two_j(self.n)
-        if sorted(self.blocks) != sorted(expected):
-            raise ValueError(f"blocks must cover two_j in {expected}")
-        for two_j in expected:
+        layout = _layout(self.n)
+        if sorted(self.blocks) != sorted(layout.sectors):
+            raise ValueError(f"blocks must cover two_j in {layout.sectors}")
+        for two_j in layout.sectors:
             if np.shape(self.blocks[two_j]) != (two_j + 1, two_j + 1):
                 raise ValueError(f"block for two_j={two_j} must be {two_j + 1}x{two_j + 1}")
-        layout = _layout(self.n)
         stack = layout.pad(self.blocks)
 
         def refuse(failed: np.ndarray, problem: str) -> None:
@@ -229,7 +228,7 @@ class AccessibleDensityMatrix:
 
     @classmethod
     def maximally_mixed(cls, n: int) -> "AccessibleDensityMatrix":
-        return cls(n, {tj: np.eye(tj + 1) / 2 ** n for tj in occurring_two_j(n)})
+        return cls(n, {tj: np.eye(tj + 1) / 2 ** n for tj in _layout(n).sectors})
 
     @property
     def param_count(self) -> int:
@@ -386,14 +385,12 @@ def expression_to_accessible(expr: CreationOperatorExpression) -> AccessibleDens
     RESIDUAL_TOL, as non-finite ones do.
     """
     n = expr.n
-    if n > N_MAX:
-        raise ValueError(f"expression has {n} factors, cap is {N_MAX}")
+    layout = _layout(n)
     coefficients = _permanent_coefficients(_photon_vectors(expr))
     # at u = 1 only the monomials in u00 and u11 remain, and they sum to
     # perm[<v_k|v_l>], which is real
     exponents = _monomials(n)
     norm = coefficients[exponents[:, 1] + exponents[:, 2] == 0].sum().real
-    layout = _layout(n)
     # entry (s, r', r) is mult_j rho_j[r, r']; unlike a complex division,
     # a product with 1 / norm does not warn when norm is nan
     stack = np.zeros(layout.shape, dtype=complex)

@@ -15,6 +15,7 @@ number of sectors.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,7 +27,7 @@ from .measurement import (
     _OutcomeModel,
     _column_rank,
 )
-from .schur import N_MAX, _Layout, _layout, accessible_param_count
+from .schur import _Layout, _layout, accessible_param_count
 from .states import PSD_TOL, AccessibleDensityMatrix
 
 LOG_FLOOR = 1e-12
@@ -64,10 +65,8 @@ class _Dataset:
         if len(n_values) != 1:
             raise ValueError(f"records mix photon numbers: {sorted(n_values)}")
         self.n = n_values.pop()
-        # checked before the counts array of n + 1 columns is allocated
-        if not 1 <= self.n <= N_MAX:
-            raise ValueError(f"photon number must be between 1 and {N_MAX}, "
-                             f"got {self.n}")
+        # the photon number's gate, before a counts array of n + 1 columns
+        _layout(self.n)
 
         settings: list[WaveplateSetting] = []
         index: dict[tuple[float, float], int] = {}
@@ -238,10 +237,11 @@ def mle_reconstruct(data: list[CountRecord], *, max_iters: int = 100_000,
     until the log-likelihood does not decrease, factored again, and the
     cycle ends there without extrapolation.  The loop stops when the first
     plain step of a cycle gains less than ``tol`` (finite, >= 0), or when no
-    dilution ascends.  ``iterations`` and ``max_iters`` count R.rho.R
-    steps, stabilizing ones included; ``ll_trace`` holds one log-likelihood
-    per accepted iterate (start, plain steps, extrapolated points, kept
-    stabilizing steps), so its length need not be ``iterations + 1``.
+    dilution ascends.  ``iterations`` and ``max_iters`` (an integer >= 1)
+    count R.rho.R steps, stabilizing ones included; ``ll_trace`` holds one
+    log-likelihood per accepted iterate (start, plain steps, extrapolated
+    points, kept stabilizing steps), so its length need not be
+    ``iterations + 1``.
 
     Initialized from clipped linear inversion (falling back to the maximally
     mixed state), mixed with START_MIX of the maximally mixed state.  The
@@ -254,6 +254,8 @@ def mle_reconstruct(data: list[CountRecord], *, max_iters: int = 100_000,
     """
     if not 0 <= tol < math.inf:
         raise ValueError("tol must be nonnegative and finite")
+    if not (isinstance(max_iters, numbers.Integral) and max_iters >= 1):
+        raise ValueError("max_iters must be an integer >= 1")
     dataset = _Dataset(data)
     model = dataset.model
     layout = model.layout

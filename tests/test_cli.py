@@ -429,7 +429,7 @@ def test_simulate_rejects_corrupt_matrix(workdir):
     lambda text: text.replace("two_j 1 multiplicity 2", "two_j 1 multiplicity x"),
     # the last block (two_j = 1: header and two rows) once more
     lambda text: text + "\n".join(text.splitlines()[-3:]) + "\n",
-    lambda text: io.format_density_matrix(AccessibleDensityMatrix.maximally_mixed(11)),
+    lambda text: "n_photons 11\nblock two_j 11 multiplicity 1\n",
     lambda text: text.replace("two_j 1 multiplicity 2", "two_j 1 foo 2"),
 ], ids=["fractional-two_j", "non-integer-multiplicity", "repeated-block",
         "eleven-photons", "misnamed-multiplicity"])

@@ -39,7 +39,7 @@ INPUTS = {
     "rho.dm": [io.format_density_matrix(AccessibleDensityMatrix(3, half_overlap_blocks())),
                io.format_density_matrix(AccessibleDensityMatrix.maximally_mixed(2)),
                io.format_density_matrix(noon_state(4)),
-               io.format_density_matrix(AccessibleDensityMatrix.maximally_mixed(11)),
+               "n_photons 11\nblock two_j 11 multiplicity 1\n",
                "not a matrix\n"],
     "settings.csv": [io.format_settings(TWELVE_SETTINGS), "qwp_deg,hwp_deg\n0,0\n",
                      "qwp_deg,hwp_deg\n", "qwp_deg,hwp_deg\nnan,0\n"],

@@ -116,7 +116,7 @@ def test_density_matrix_repeated_block(golden_state):
 
 @pytest.mark.parametrize("text", [
     "n_photons 0\nblock two_j 0 multiplicity 1\n1 0\n",
-    io.format_density_matrix(AccessibleDensityMatrix.maximally_mixed(11)),
+    "n_photons 11\nblock two_j 11 multiplicity 1\n",
 ], ids=["zero", "eleven"])
 def test_density_matrix_photon_number_out_of_range(text):
     with pytest.raises(io.FormatError, match="between 1 and 10"):

@@ -322,6 +322,12 @@ def test_simulate_rejects_negative_shots_and_seed(golden_state):
         simulate_counts(golden_state, TWELVE_SETTINGS, 1.0, seed=-3)
 
 
+@pytest.mark.parametrize("seed", [1.5, 7.0, math.nan])
+def test_simulate_refuses_a_seed_that_is_not_an_integer(golden_state, seed):
+    with pytest.raises(ValueError, match="seed must be an integer"):
+        simulate_counts(golden_state, TWELVE_SETTINGS, 1.0, seed=seed)
+
+
 def test_simulate_counts_shots_bound(golden_state):
     # Generator.poisson rejects means above about 9.2e18
     records = simulate_counts(golden_state, TWELVE_SETTINGS, 1e18, seed=0)
@@ -360,6 +366,12 @@ def test_count_record_requires_integer_photon_numbers():
         with pytest.raises(ValueError, match="photon numbers must be integers"):
             CountRecord(0.0, 0.0, n_h, n_v, 1.0)
     assert CountRecord(0.0, 0.0, np.int64(2), 1, 1.0).n_h == 2
+
+
+@pytest.mark.parametrize("qwp, hwp", [(math.nan, 0.0), (0.0, math.inf), (-math.inf, 0.0)])
+def test_count_record_refuses_non_finite_angles(qwp, hwp):
+    with pytest.raises(ValueError, match="waveplate angles must be finite"):
+        CountRecord(qwp, hwp, 2, 1, 1.0)
 
 
 def test_outcome_two_m_ordering():

@@ -351,7 +351,7 @@ def test_expression_to_accessible_distinct_modes_beyond_expansion(n):
 
 
 def test_expression_to_accessible_rejects_too_many_factors():
-    with pytest.raises(ValueError, match=f"cap is {N_MAX}"):
+    with pytest.raises(ValueError, match=f"between 1 and {N_MAX}"):
         expression_to_accessible(parse_operator_expression("(aH)" * (N_MAX + 1)))
 
 

@@ -371,6 +371,13 @@ def test_mle_refuses_infinite_tolerance():
         mle_reconstruct(sample_count_records(), tol=math.inf)
 
 
+@pytest.mark.parametrize("max_iters", [0, -3, math.nan, 2.5])
+def test_mle_refuses_a_step_cap_that_is_not_a_positive_integer(max_iters):
+    # 0, -3 and nan would return the start unconverged, and 2.5 run 3 steps
+    with pytest.raises(ValueError, match="max_iters must be an integer >= 1"):
+        mle_reconstruct(sample_count_records(), max_iters=max_iters)
+
+
 def gap_bound_datasets():
     rng = np.random.default_rng(12)
     random_settings = [WaveplateSetting(q, h) for q, h in rng.uniform(0, 180, (20, 2))]
