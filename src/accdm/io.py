@@ -117,7 +117,7 @@ def parse_density_matrix(text: str) -> AccessibleDensityMatrix:
 def _angle(deg: float) -> str:
     """``:g`` where that reads back as the same float, else ``repr``."""
     text = f"{deg:g}"
-    return text if float(text) == deg else repr(float(deg))
+    return text if float(text) == float(deg) else repr(float(deg))
 
 
 def _table(text: str, header: str, name: str, row, kinds: tuple,

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .schur import _layout, _sector_rotations
+from .schur import _layout
 from .states import AccessibleDensityMatrix
 
 RANK_TOL = 1e-9
@@ -45,7 +45,8 @@ class CountRecord:
     """One (setting, outcome, count) row.
 
     Measured counts are integers; fractional counts are accepted so that
-    exact expected-count data can be fed to the estimators.
+    exact expected-count data can be fed to the estimators.  The photon
+    numbers are stored as their ``operator.index`` ints.
     """
 
     qwp_deg: float
@@ -59,7 +60,8 @@ class CountRecord:
         if not math.isfinite(self.count):
             raise ValueError("counts must be finite")
         try:
-            operator.index(self.n_h), operator.index(self.n_v)
+            object.__setattr__(self, "n_h", operator.index(self.n_h))
+            object.__setattr__(self, "n_v", operator.index(self.n_v))
         except TypeError:
             raise ValueError("photon numbers must be integers") from None
         if self.n_h < 0 or self.n_v < 0 or self.count < 0:
@@ -160,8 +162,8 @@ class _OutcomeModel:
     def __init__(self, settings: list[WaveplateSetting], n: int):
         if not settings:
             raise ValueError("settings must be nonempty")
-        self.n = n
         layout = self.layout = _layout(n)
+        n = self.n = layout.n
         unitaries = _waveplate_unitaries(
             np.array([s.qwp_deg for s in settings], dtype=float),
             np.array([s.hwp_deg for s in settings], dtype=float))
@@ -171,7 +173,7 @@ class _OutcomeModel:
         two_j = np.array(layout.sectors)
         two_m = outcome_two_m(n, np.arange(n + 1))[:, None]
         inside = np.abs(two_m) <= two_j
-        rows = _sector_rotations(unitaries, n)[
+        rows = layout.rotations(unitaries)[
             :, np.arange(len(two_j)), (two_j - two_m) // 2] * inside[..., None]
         self._operator_design = layout.outer_theta(rows.reshape((-1,) + layout.shape[:2]))
         self.design = self._operator_design * layout.scale

@@ -9,11 +9,11 @@ explicit orthonormal change of basis from the computational {H,V}^N basis to
 coupling, and the one real-vector form of a family of sector blocks.
 
 A collective rotation u^(x)N acts on sector j through R_j(u) = det(u)^m
-Sym^(2j)(u), m = (N - 2j)/2.  One cached table per N holds its real
-monomial coefficients, one column per in-block entry of the stack; it is
-square and invertible.  It serves the sector rotations and the outcome
-rows of ``accdm.measurement``, and its exact inverse gives ``accdm.states``
-the blocks from the coefficients of tr(rho u^(x)N).
+Sym^(2j)(u), m = (N - 2j)/2.  The layout of N photons holds its real
+monomial coefficients as its ``table``, one column per in-block entry of
+the stack; it is square and invertible.  It serves the sector rotations
+and the outcome rows of ``accdm.measurement``, and its exact inverse gives
+``accdm.states`` the blocks from the coefficients of tr(rho u^(x)N).
 
 Half-integer angular momenta are represented exactly as doubled integers:
 ``two_j = 2j`` and ``two_m = 2m``.
@@ -23,9 +23,10 @@ from __future__ import annotations
 
 import math
 import numbers
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations_with_replacement
 from typing import Iterator, Sequence
 
@@ -257,66 +258,10 @@ def schur_basis(n: int) -> SchurBasis:
 # Collective rotations restricted to a sector
 # ---------------------------------------------------------------------------
 
-def _monomial_values(u: np.ndarray, n: int) -> np.ndarray:
-    """Values of ``_monomials(n)`` at a stack of 2x2 matrices, shape
-    (..., 2, 2) in, (..., C(n+3, 3)) out."""
-    powers = u.reshape(u.shape[:-2] + (4, 1)) ** np.arange(n + 1)
-    return np.prod(powers[..., np.arange(4), _monomials(n)], axis=-1)
-
-
-@lru_cache(maxsize=None)
-def _rotation_table(n: int) -> np.ndarray:
-    """Real coefficient of each monomial of ``_monomials(n)`` (rows) in
-    entry (r', r) of sector s's R_j(u), for each in-block entry (s, r', r)
-    of ``_layout(n)``'s stack in stack order (columns).  The table is
-    square, C(n+3, 3) on each side, and invertible.
-
-    R_j(u) = det(u)^m Sym^k(u), k = 2j, m = (n - k)/2.  Entry (r', r) of
-    Sym^k, r the number of V's in, is sqrt(C(k, r) / C(k, r')) times the
-    H^(k-r') V^r' part of (u00 H + u10 V)^(k-r) (u01 H + u11 V)^r, and
-    det(u)^m = sum_i C(m, i) (-1)^i (u00 u11)^(m-i) (u01 u10)^i.
-    """
-    layout = _layout(n)
-    index = {tuple(e): i for i, e in enumerate(_monomials(n).tolist())}
-    table = np.zeros((len(index), len(index)))
-    for column, (s, rp, r) in enumerate(np.argwhere(layout.in_block).tolist()):
-        k = layout.sectors[s]
-        m = (n - k) // 2
-        scale = math.sqrt(math.comb(k, r) / math.comb(k, rp))
-        for p in range(max(0, k - rp - r), min(k - r, k - rp) + 1):
-            q = k - rp - p
-            weight = math.comb(k - r, p) * math.comb(r, q) * scale
-            for i in range(m + 1):
-                table[index[p + m - i, q + i, k - r - p + i, r - q + m - i],
-                      column] += (-1) ** i * math.comb(m, i) * weight
-    table.setflags(write=False)
-    return table
-
-
-@lru_cache(maxsize=None)
-def _rotation_inverse(n: int) -> np.ndarray:
-    """Inverse of :func:`_rotation_table`: from the coefficients of
-    sum_j mult_j tr(rho_j R_j(u)) over ``_monomials(n)`` to the stack's
-    in-block entries mult_j rho_j[r, r'], at (s, r', r)."""
-    inverse = np.linalg.inv(_rotation_table(n))
-    inverse.setflags(write=False)
-    return inverse
-
-
 def _real_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a @ b for a complex a and a real b, as two real products: a
     complex-by-real matmul misses BLAS."""
     return a.real @ b + 1j * (a.imag @ b)
-
-
-def _sector_rotations(u: np.ndarray, n: int) -> np.ndarray:
-    """Every sector's R_j(u) at a stack of 2x2 matrices, shape (..., 2, 2)
-    in, (..., sectors, n+1, n+1) out, zero-padded like ``_layout(n)``'s
-    stack."""
-    layout = _layout(n)
-    rotations = np.zeros(u.shape[:-2] + layout.shape, dtype=complex)
-    rotations[..., layout.in_block] = _real_matmul(_monomial_values(u, n), _rotation_table(n))
-    return rotations
 
 
 def symmetric_power(u: np.ndarray, k: int) -> np.ndarray:
@@ -335,17 +280,17 @@ def sector_rotation(u: np.ndarray, n: int, two_j: int) -> np.ndarray:
 
     Identical for every multiplicity copy of the sequential-coupling basis:
     det(u)^((n-2j)/2) times the symmetric (2j)-fold power of u, read from
-    :func:`_rotation_table`.  Rows and columns are ordered by weight m
+    ``_layout(n).rotations``.  Rows and columns are ordered by weight m
     descending.  Like :func:`symmetric_power`, accepts a stack of matrices.
     Raises ValueError unless n is an integer in 1..N_MAX and j occurs.
     """
-    _layout(n)
+    layout = _layout(n)
     if not isinstance(two_j, numbers.Integral) or su2_multiplicity(n, two_j) == 0:
         raise ValueError(f"two_j={two_j!r} does not occur for n={n}")
     u = np.asarray(u, dtype=complex)
     if u.shape[-2:] != (2, 2):
         raise ValueError("u must be 2x2 or a stack of 2x2 matrices")
-    return _sector_rotations(u, n)[..., (n - two_j) // 2, :two_j + 1, :two_j + 1]
+    return layout.rotations(u)[..., (n - two_j) // 2, :two_j + 1, :two_j + 1]
 
 
 # ---------------------------------------------------------------------------
@@ -366,9 +311,14 @@ class _Layout:
     theta and the float view of that array, raveled.  Hermitian families
     have the inner product sum_j mult_j tr(A_j B_j) = scale @ (theta_A *
     theta_B), and ``trace_weights`` is scale times the identity's theta.
+    ``monomials`` holds the exponents of (u00, u01, u10, u11) in each
+    degree-n monomial of a 2x2 matrix's entries, degree 1 in that order.
     """
 
     def __init__(self, n: int):
+        self.n = n
+        self.monomials = np.array([[c.count(e) for e in range(4)]
+                                   for c in combinations_with_replacement(range(4), n)])
         self.sectors = occurring_two_j(n)
         self.shape = (len(self.sectors), n + 1, n + 1)
         self.mult = np.array([su2_multiplicity(n, tj) for tj in self.sectors])
@@ -395,9 +345,9 @@ class _Layout:
         # theta @ trace_weights is sum_j mult_j tr B_j
         self.trace_weights = self.scale * self.theta(
             {tj: np.eye(tj + 1) for tj in self.sectors})
-        for array in (self.mult, self.in_block, self._sector, self._row, self._col,
-                      self._off, self.scale, self.trace_weights, self.gather,
-                      self.scatter, self.source, self.sign):
+        for array in (self.monomials, self.mult, self.in_block, self._sector, self._row,
+                      self._col, self._off, self.scale, self.trace_weights,
+                      self.gather, self.scatter, self.source, self.sign):
             array.setflags(write=False)
 
     def stack(self, theta: np.ndarray) -> np.ndarray:
@@ -441,24 +391,66 @@ class _Layout:
         """Multiplicity-weighted trace sum_j mult_j tr B_j of a parameter vector."""
         return float(self.trace_weights @ theta)
 
+    @cached_property
+    def table(self) -> np.ndarray:
+        """Real coefficient of each monomial of ``monomials`` (rows) in entry
+        (r', r) of sector s's R_j(u), for each in-block entry (s, r', r) of
+        the stack in stack order (columns), built on first use.  The table
+        is square, C(n+3, 3) on each side, and invertible.
+
+        R_j(u) = det(u)^m Sym^k(u), k = 2j, m = (n - k)/2.  Entry (r', r) of
+        Sym^k, r the number of V's in, is sqrt(C(k, r) / C(k, r')) times the
+        H^(k-r') V^r' part of (u00 H + u10 V)^(k-r) (u01 H + u11 V)^r, and
+        det(u)^m = sum_i C(m, i) (-1)^i (u00 u11)^(m-i) (u01 u10)^i.
+        """
+        index = {tuple(e): i for i, e in enumerate(self.monomials.tolist())}
+        table = np.zeros((len(index), len(index)))
+        for column, (s, rp, r) in enumerate(np.argwhere(self.in_block).tolist()):
+            k = self.sectors[s]
+            m = (self.n - k) // 2
+            scale = math.sqrt(math.comb(k, r) / math.comb(k, rp))
+            for p in range(max(0, k - rp - r), min(k - r, k - rp) + 1):
+                q = k - rp - p
+                weight = math.comb(k - r, p) * math.comb(r, q) * scale
+                for i in range(m + 1):
+                    table[index[p + m - i, q + i, k - r - p + i, r - q + m - i],
+                          column] += (-1) ** i * math.comb(m, i) * weight
+        table.setflags(write=False)
+        return table
+
+    @cached_property
+    def inverse(self) -> np.ndarray:
+        """Inverse of ``table``, built on first use: from the coefficients of
+        sum_j mult_j tr(rho_j R_j(u)) over ``monomials`` to the stack's
+        in-block entries mult_j rho_j[r, r'], at (s, r', r)."""
+        inverse = np.linalg.inv(self.table)
+        inverse.setflags(write=False)
+        return inverse
+
+    def monomial_values(self, u: np.ndarray) -> np.ndarray:
+        """Values of ``monomials`` at a stack of 2x2 matrices, shape
+        (..., 2, 2) in, (..., C(n+3, 3)) out."""
+        powers = u.reshape(u.shape[:-2] + (4, 1)) ** np.arange(self.n + 1)
+        return np.prod(powers[..., np.arange(4), self.monomials], axis=-1)
+
+    def rotations(self, u: np.ndarray) -> np.ndarray:
+        """Every sector's R_j(u) at a stack of 2x2 matrices, shape
+        (..., 2, 2) in, (..., sectors, n+1, n+1) out, zero-padded like the
+        stack."""
+        rotations = np.zeros(u.shape[:-2] + self.shape, dtype=complex)
+        rotations[..., self.in_block] = _real_matmul(self.monomial_values(u), self.table)
+        return rotations
+
 
 _layouts = lru_cache(maxsize=None)(_Layout)
 
 
 def _layout(n: int) -> _Layout:
     """Cached ``_Layout`` of n photons; the one gate on n, ValueError unless n
-    is an integer in 1..N_MAX, on every call: np.int64(3)'s entry serves 3.0."""
+    is an integer in 1..N_MAX, checked on every call, before the cache.  It
+    hands on one int, ``operator.index(n)``, so 3, np.int64(3) and True's 1
+    share one layout, whose ``n`` is that int."""
     if not (isinstance(n, numbers.Integral) and 1 <= n <= N_MAX):
         raise ValueError(f"photon number must be an integer between 1 and {N_MAX}, got {n!r}")
-    return _layouts(n)
+    return _layouts(operator.index(n))
 
-
-@lru_cache(maxsize=None)
-def _monomials(n: int) -> np.ndarray:
-    """Exponents of (u00, u01, u10, u11) in each monomial of degree n in a
-    2x2 matrix's entries, shape (C(n+3, 3), 4); degree 1 lists u00, u01,
-    u10, u11 in that order."""
-    exponents = np.array([[c.count(e) for e in range(4)]
-                          for c in combinations_with_replacement(range(4), n)])
-    exponents.setflags(write=False)
-    return exponents

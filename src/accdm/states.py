@@ -26,10 +26,7 @@ from .expressions import CreationOperatorExpression, Term
 from .schur import (
     N_MAX,
     _layout,
-    _monomials,
     _real_matmul,
-    _rotation_inverse,
-    _rotation_table,
     accessible_param_count,
     occurring_two_j,
     schur_basis,
@@ -187,8 +184,8 @@ class AccessibleDensityMatrix:
     copies, so the normalization reads sum_j mult_j * trace(block_j) = 1.
     The blocks are copied once into ``stack``, the read-only zero-padded
     stack of :class:`accdm.schur._Layout`, which is validated as a whole;
-    ``blocks`` is a read-only view of it in ``occurring_two_j`` order.  A
-    state equals only itself: compare states with ``allclose``.
+    ``blocks`` is a read-only view of it in ``occurring_two_j`` order, ``n``
+    the layout's int.  A state equals only itself: compare with ``allclose``.
     """
 
     n: int
@@ -219,6 +216,7 @@ class AccessibleDensityMatrix:
         if abs(total - 1.0) > NORM_TOL:
             raise ValueError(f"multiplicity-weighted trace {total} is not 1")
         stack.setflags(write=False)
+        object.__setattr__(self, "n", layout.n)
         object.__setattr__(self, "stack", stack)
         object.__setattr__(self, "blocks", MappingProxyType(layout.unpad(stack)))
 
@@ -332,22 +330,22 @@ def _glynn_signs(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 @lru_cache(maxsize=None)
 def _predecessors(d: int) -> np.ndarray:
-    """Position in ``_monomials(d - 1)`` of each monomial of degree d divided
-    by each entry u_e, shape (C(d+3, 3), 4), or -1 where u_e does not
-    divide it."""
-    index = {tuple(e): i for i, e in enumerate(_monomials(d - 1).tolist())}
+    """Position in ``_layout(d - 1).monomials`` of each monomial of degree
+    d >= 2 divided by each entry u_e, shape (C(d+3, 3), 4), or -1 where u_e
+    does not divide it."""
+    index = {tuple(e): i for i, e in enumerate(_layout(d - 1).monomials.tolist())}
     table = np.array([[index.get(tuple(e[:k] + [e[k] - 1] + e[k + 1:]), -1) for k in range(4)]
-                      for e in _monomials(d).tolist()])
+                      for e in _layout(d).monomials.tolist()])
     table.setflags(write=False)
     return table
 
 
 def _permanent_coefficients(vectors: np.ndarray) -> np.ndarray:
-    """Coefficients over ``_monomials(n)`` of perm M(u), for unit vectors
-    v_k of shape (n, 2, modes) and M_kl(u) = <v_k|u (x) 1|v_l>, by Glynn's
-    formula: perm M = 2^-(n-1) sum_delta (prod_k delta_k) prod_l L_l with
-    L_l = sum_k delta_k M_kl.  The product of the linear forms L_l is
-    multiplied out one column l at a time: a monomial's new coefficient
+    """Coefficients over ``_layout(n).monomials`` of perm M(u), for unit
+    vectors v_k of shape (n, 2, modes) and M_kl(u) = <v_k|u (x) 1|v_l>, by
+    Glynn's formula: perm M = 2^-(n-1) sum_delta (prod_k delta_k) prod_l
+    L_l with L_l = sum_k delta_k M_kl.  The product of the linear forms L_l
+    is multiplied out one column l at a time: a monomial's new coefficient
     is the dot product of its predecessors' (:func:`_predecessors`) with
     the coefficients of L_l, one batched matmul over the sign vectors.
     """
@@ -374,9 +372,9 @@ def expression_to_accessible(expr: CreationOperatorExpression) -> AccessibleDens
     hidden mode, tr(rho u^(x)n) = perm[<v_k|u (x) 1|v_l>] / perm[<v_k|v_l>]
     is a homogeneous polynomial of degree n in u's entries.  Its C(n+3, 3)
     coefficients, exact from :func:`_permanent_coefficients`, give the
-    blocks through :func:`accdm.schur._rotation_inverse`, the exact inverse
-    of the square map from the blocks to those coefficients.  The
-    Hermitian part is kept.
+    blocks through ``_layout(n).inverse``, the exact inverse of the square
+    map ``table`` from the blocks to those coefficients.  The Hermitian
+    part is kept.
     Agrees with ``trace_hidden(expand_and_symmetrize(expr))`` without the
     n!-term expansion, and draws no random number.
 
@@ -389,15 +387,14 @@ def expression_to_accessible(expr: CreationOperatorExpression) -> AccessibleDens
     coefficients = _permanent_coefficients(_photon_vectors(expr))
     # at u = 1 only the monomials in u00 and u11 remain, and they sum to
     # perm[<v_k|v_l>], which is real
-    exponents = _monomials(n)
-    norm = coefficients[exponents[:, 1] + exponents[:, 2] == 0].sum().real
+    norm = coefficients[~layout.monomials[:, 1:3].any(axis=1)].sum().real
     # entry (s, r', r) is mult_j rho_j[r, r']; unlike a complex division,
     # a product with 1 / norm does not warn when norm is nan
     stack = np.zeros(layout.shape, dtype=complex)
-    stack[layout.in_block] = _real_matmul(coefficients, _rotation_inverse(n).T) * (1 / norm)
+    stack[layout.in_block] = _real_matmul(coefficients, layout.inverse.T) * (1 / norm)
     hermitian = (stack + stack.conj().swapaxes(-1, -2)) / 2
     anti = (stack - hermitian)[layout.in_block]
-    residual = float(np.abs(_real_matmul(anti, _rotation_table(n).T)).max())
+    residual = float(np.abs(_real_matmul(anti, layout.table.T)).max())
     if not residual <= RESIDUAL_TOL:
         raise ValueError(f"hidden-mode trace failed: anti-Hermitian residual "
                          f"{residual:.3e} exceeds {RESIDUAL_TOL}")

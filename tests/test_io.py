@@ -158,7 +158,9 @@ def test_counts_round_trip_any_finite_angle(records):
 @pytest.mark.parametrize("angle, text", [(15.0, "15"), (12.25, "12.25"), (-0.0, "-0"),
                                          (1e-5, "1e-05"), (33.3333333, "33.3333333"),
                                          (10.0000001, "10.0000001"),
-                                         (123456789.0, "123456789.0")])
+                                         (123456789.0, "123456789.0"),
+                                         # np.float32(1.1) == 1.1 compares in float32
+                                         (np.float32(1.1), "1.100000023841858")])
 def test_angle_text_is_g_where_that_reads_back(angle, text):
     assert io.format_settings([WaveplateSetting(angle, 0.0)]).splitlines()[1] == f"{text},0"
 
@@ -189,6 +191,17 @@ def test_counts_fractional_round_trip():
     records = [CountRecord(0.0, 12.25, 2, 1, 1234.5)]
     back = io.parse_counts(io.format_counts(records))
     assert back == records
+
+
+def test_bool_photon_numbers_are_written_as_ints():
+    rho = AccessibleDensityMatrix.maximally_mixed(True)
+    text = io.format_density_matrix(rho)
+    assert text.startswith("n_photons 1\n")
+    assert io.parse_density_matrix(text).allclose(rho)
+    records = [CountRecord(0, 0, True, False, 1.0)]
+    text = io.format_counts(records)
+    assert text.splitlines()[1] == "0,0,1,0,1"
+    assert io.parse_counts(text) == records
 
 
 def test_counts_reject_bad_rows():

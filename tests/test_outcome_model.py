@@ -14,6 +14,7 @@ import pytest
 
 import accdm
 from accdm import measurement, tomography
+from accdm.expressions import CreationOperatorExpression, Term
 from accdm.measurement import (
     CountRecord,
     NumericalError,
@@ -35,6 +36,7 @@ from accdm.schur import (
     sector_rotation,
     su2_multiplicity,
 )
+from accdm.states import expression_to_accessible
 from accdm.tomography import (
     RankDeficiencyError,
     linear_inversion,
@@ -252,6 +254,26 @@ def test_model_probabilities_match_einsum_oracle(n):
             np.testing.assert_allclose(outcome_probabilities(rho, setting),
                                        expected[si * (n + 1):(si + 1) * (n + 1)],
                                        rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("n", range(1, N_MAX + 1))
+def test_photons_in_orthogonal_hidden_modes_click_independently(n):
+    # a dense-free anchor at every N: photons in mutually orthogonal hidden
+    # modes click one by one, so the number of V clicks is distributed as
+    # the convolution of the single-photon distributions (|<H|U p_k>|^2,
+    # |<V|U p_k>|^2)
+    rng = np.random.default_rng(1300 + n)
+    p = rng.normal(size=(n, 2)) + 1j * rng.normal(size=(n, 2))
+    p /= np.linalg.norm(p, axis=1, keepdims=True)
+    rho = expression_to_accessible(CreationOperatorExpression(tuple(
+        (Term(complex(h), "H", f"m{k}"), Term(complex(v), "V", f"m{k}"))
+        for k, (h, v) in enumerate(p))))
+    for setting in random_settings(rng, 3):
+        expected = np.ones(1)
+        for single in np.abs(p @ waveplate_unitary(setting).T) ** 2:
+            expected = np.convolve(expected, single)
+        np.testing.assert_allclose(outcome_probabilities(rho, setting), expected,
+                                   rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("n", [1, 4, 8])

@@ -15,9 +15,12 @@ from accdm.measurement import (
     outcome_probabilities,
     simulate_counts,
 )
-from accdm.schur import N_MAX, _layout, sector_rotation, symmetric_power
+from accdm.expressions import parse_operator_expression
+from accdm.schur import N_MAX, _layout, _layouts, sector_rotation, symmetric_power
 from accdm.states import AccessibleDensityMatrix, expression_to_accessible
 from accdm.tomography import linear_inversion, log_likelihood, mle_reconstruct
+
+from conftest import TWELVE_SETTINGS
 
 GATE = f"between 1 and {N_MAX}"
 SETTING = WaveplateSetting(0.0, 0.0)
@@ -62,8 +65,8 @@ CASES = ([pytest.param(call, n, id=f"{name}-{label}")
 
 @pytest.mark.parametrize("call, n", CASES)
 def test_every_entry_point_refuses_a_bad_photon_number(call, n):
-    # lru_cache keys an int apart from a float, but np.int64(3) and 3.0 alike:
-    # once this layout is cached, a check made only on a miss passes 3.0
+    # with this layout cached, 3.0 must still be refused: the check runs on
+    # every call, not only on a cache miss
     _layout(np.int64(3))
     parser = call is INTEGER_ENTRY_POINTS["parse_density_matrix"]
     with pytest.raises(io.FormatError if parser else ValueError, match=GATE):
@@ -78,3 +81,33 @@ def test_numpy_integer_photon_numbers_are_accepted():
     u = np.array([[0.6, 0.8j], [0.8j, 0.6]])
     np.testing.assert_array_equal(sector_rotation(u, three, 1), sector_rotation(u, 3, 1))
     np.testing.assert_array_equal(symmetric_power(u, three), symmetric_power(u, 3))
+
+
+def test_the_gate_hands_on_one_int():
+    assert _layout(np.int64(8)) is _layout(8)
+    assert type(_layout(np.int64(8)).n) is int
+    assert type(AccessibleDensityMatrix.maximally_mixed(np.int64(3)).n) is int
+
+
+def test_numpy_integer_state_simulates_like_an_int_one():
+    settings = [SETTING, WaveplateSetting(22.5, 45.0)]
+    assert (simulate_counts(AccessibleDensityMatrix.maximally_mixed(np.int64(3)),
+                            settings, 1e4, 7)
+            == simulate_counts(AccessibleDensityMatrix.maximally_mixed(3), settings, 1e4, 7))
+
+
+def test_a_pipeline_at_a_numpy_integer_reuses_the_int_layout():
+    def pipeline(n):
+        rho = expression_to_accessible(parse_operator_expression("(aH)(aV)(bH + bV)"))
+        AccessibleDensityMatrix.maximally_mixed(n)
+        measurement_span_rank(TWELVE_SETTINGS, n)
+        outcome_probabilities(rho, SETTING)
+        mle_reconstruct(simulate_counts(rho, TWELVE_SETTINGS, 1e4, 7))
+
+    # from an empty cache, so that no earlier np.int64(3) entry hides one
+    _layouts.cache_clear()
+    pipeline(3)
+    table, entries = _layout(3).table, _layouts.cache_info().currsize
+    pipeline(np.int64(3))
+    assert _layouts.cache_info().currsize == entries
+    assert _layout(3).table is table

@@ -330,6 +330,18 @@ def test_sector_rotation_matches_tensor_power(n):
                                        atol=1e-12 * np.abs(u_full).max())
 
 
+@pytest.mark.parametrize("n", range(1, N_MAX + 1))
+def test_sector_rotation_is_a_representation(n):
+    # the dense-free partner of the tensor-power check, at every N:
+    # R_j(ab) = R_j(a) R_j(b) and R_j(1) = 1, for non-unitary a and b
+    rng = np.random.default_rng(1400 + n)
+    a, b = rng.normal(size=(2, 2, 2)) + 1j * rng.normal(size=(2, 2, 2))
+    for two_j in occurring_two_j(n):
+        ra, rb, rab, one = sector_rotation(np.array([a, b, a @ b, np.eye(2)]), n, two_j)
+        assert np.abs(rab - ra @ rb).max() <= 1e-12 * np.abs(rab).max()
+        np.testing.assert_allclose(one, np.eye(two_j + 1), rtol=0, atol=1e-12)
+
+
 def test_symmetric_power_is_unitary_for_unitary_input():
     rng = np.random.default_rng(11)
     for k in (1, 2, 3, 5):

@@ -17,10 +17,6 @@ from accdm.measurement import WaveplateSetting, outcome_probabilities, waveplate
 from accdm.schur import (
     N_MAX,
     _layout,
-    _monomial_values,
-    _monomials,
-    _rotation_inverse,
-    _rotation_table,
     occurring_two_j,
     schur_basis,
     sector_rotation,
@@ -451,10 +447,10 @@ def test_coefficient_map_matches_dense_expectation(n):
     blocks = layout.blocks(rng.normal(size=math.comb(n + 3, 3)))
     # entry (s, r', r) of the stack is mult_j rho_j[r, r']
     stack = layout.pad(blocks).swapaxes(-1, -2) * layout.mult[:, None, None]
-    coefficients = _rotation_table(n) @ stack[layout.in_block]
+    coefficients = layout.table @ stack[layout.in_block]
     a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    monomials = np.prod(a.reshape(4) ** _monomials(n), axis=1)
-    np.testing.assert_allclose(_monomial_values(a, n), monomials, rtol=1e-14, atol=0)
+    monomials = np.prod(a.reshape(4) ** layout.monomials, axis=1)
+    np.testing.assert_allclose(layout.monomial_values(a), monomials, rtol=1e-14, atol=0)
     value = coefficients @ monomials
     # tr(X Y) = sum_ab X_ab Y_ba
     expected = (full_matrix(n, blocks) * kron_power(a, n).T).sum()
@@ -463,7 +459,7 @@ def test_coefficient_map_matches_dense_expectation(n):
 
 def test_coefficient_map_is_well_conditioned():
     for n in range(1, N_MAX + 1):
-        table, inverse = _rotation_table(n), _rotation_inverse(n)
+        table, inverse = _layout(n).table, _layout(n).inverse
         assert table.shape == (math.comb(n + 3, 3),) * 2
         np.testing.assert_allclose(inverse @ table, np.eye(len(table)), rtol=0, atol=1e-12)
         # each row scaled to unit maximum
