@@ -36,11 +36,11 @@ print(f"{len(settings)} settings x {truth.n + 1} outcomes = "
       f"{len(settings) * (truth.n + 1)} operators spanning rank {rank} "
       f"(need {truth.param_count})")
 
-records = simulate_counts(truth, settings, mean_shots=1e4, seed=20260808)
+data = simulate_counts(truth, settings, mean_shots=1e4, seed=20260808)
 print("\nfirst rows of the simulated count table:")
-print("\n".join(format_counts(records).splitlines()[:6]))
+print("\n".join(format_counts(data).splitlines()[:6]))
 
-result = mle_reconstruct(records)
+result = mle_reconstruct(data)
 print(f"\nmaximum likelihood, extrapolated R.rho.R on the factor of rho: "
       f"{result.iterations} R.rho.R steps, converged: {result.converged}")
 print(f"log-likelihood trace: {len(result.ll_trace)} accepted iterates, "

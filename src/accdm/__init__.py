@@ -16,7 +16,7 @@ from .expressions import (
     parse_operator_expression,
 )
 from .measurement import (
-    CountRecord,
+    CountTable,
     WaveplateSetting,
     measurement_span_rank,
     outcome_probabilities,
@@ -51,7 +51,7 @@ from .tomography import (
 
 __all__ = [
     "AccessibleDensityMatrix",
-    "CountRecord",
+    "CountTable",
     "CreationOperatorExpression",
     "Definitions",
     "IndistinguishabilityReport",

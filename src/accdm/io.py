@@ -14,7 +14,7 @@ import tempfile
 
 import numpy as np
 
-from .measurement import CountRecord, WaveplateSetting
+from .measurement import CountTable, WaveplateSetting
 from .schur import _layout, su2_multiplicity
 from .states import AccessibleDensityMatrix
 from .tomography import IndistinguishabilityReport, ReconstructionResult
@@ -161,18 +161,42 @@ def parse_settings(text: str) -> list[WaveplateSetting]:
     return _table(text, SETTINGS_HEADER, "settings", WaveplateSetting, (float, float))
 
 
-def format_counts(records: list[CountRecord]) -> str:
+def format_counts(data: CountTable) -> str:
     lines = [COUNTS_HEADER]
-    for r in records:
-        count = int(r.count) if float(r.count).is_integer() else r.count
-        lines.append(f"{_angle(r.qwp_deg)},{_angle(r.hwp_deg)},{r.n_h},{r.n_v},{count}")
+    for s, row in zip(data.settings, data.counts.tolist()):
+        angles = f"{_angle(s.qwp_deg)},{_angle(s.hwp_deg)}"
+        for n_v, count in enumerate(row):
+            count = int(count) if count.is_integer() else count
+            lines.append(f"{angles},{data.n - n_v},{n_v},{count}")
     return "\n".join(lines) + "\n"
 
 
-def parse_counts(text: str) -> list[CountRecord]:
-    return _table(text, COUNTS_HEADER, "counts", CountRecord,
-                  (float, float, int, int, float),
-                  key=lambda r: (r.qwp_deg, r.hwp_deg, r.n_h, r.n_v))
+def _count_row(qwp: float, hwp: float, n_h: int, n_v: int, count: float) -> tuple:
+    if n_h < 0 or n_v < 0 or not 0 <= count < math.inf:
+        raise ValueError("photon numbers and counts must be nonnegative, counts finite")
+    return WaveplateSetting(qwp, hwp), n_h, n_v, count
+
+
+def parse_counts(text: str) -> CountTable:
+    """The table of a counts file, where a cell without a row counts zero.
+
+    FormatError for a row that ``_table`` refuses, rows of different photon
+    numbers, or a table that CountTable refuses.
+    """
+    rows = _table(text, COUNTS_HEADER, "counts", _count_row,
+                  (float, float, int, int, float), key=lambda row: row[:3])
+    found, n_h, n_v, values = zip(*rows)
+    photons = {h + v for h, v in zip(n_h, n_v)}
+    if len(photons) > 1:
+        raise FormatError(f"counts rows mix photon numbers: {sorted(photons)}")
+    index = {s: si for si, s in enumerate(dict.fromkeys(found))}
+    try:
+        # the photon number's gate, before a table of n + 1 columns
+        counts = np.zeros((len(index), _layout(photons.pop()).n + 1))
+        counts[[index[s] for s in found], n_v] = values
+        return CountTable(list(index), counts)
+    except ValueError as err:
+        raise FormatError(f"counts file is not a valid table: {err}") from err
 
 
 # ---------------------------------------------------------------------------

@@ -9,9 +9,10 @@ form: one Hermitian block per total angular momentum j.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -38,38 +39,6 @@ class WaveplateSetting:
     def __post_init__(self):
         if not (math.isfinite(self.qwp_deg) and math.isfinite(self.hwp_deg)):
             raise ValueError("waveplate angles must be finite")
-
-
-@dataclass(frozen=True)
-class CountRecord:
-    """One (setting, outcome, count) row.
-
-    Measured counts are integers; fractional counts are accepted so that
-    exact expected-count data can be fed to the estimators.  The photon
-    numbers are stored as their ``operator.index`` ints.
-    """
-
-    qwp_deg: float
-    hwp_deg: float
-    n_h: int
-    n_v: int
-    count: float
-
-    def __post_init__(self):
-        self.setting  # building the setting refuses non-finite angles
-        if not math.isfinite(self.count):
-            raise ValueError("counts must be finite")
-        try:
-            object.__setattr__(self, "n_h", operator.index(self.n_h))
-            object.__setattr__(self, "n_v", operator.index(self.n_v))
-        except TypeError:
-            raise ValueError("photon numbers must be integers") from None
-        if self.n_h < 0 or self.n_v < 0 or self.count < 0:
-            raise ValueError("photon numbers and counts must be nonnegative")
-
-    @property
-    def setting(self) -> WaveplateSetting:
-        return WaveplateSetting(self.qwp_deg, self.hwp_deg)
 
 
 def _rotations(angle: np.ndarray) -> np.ndarray:
@@ -221,14 +190,63 @@ def outcome_probabilities(rho: AccessibleDensityMatrix,
 
 
 # ---------------------------------------------------------------------------
-# Poisson count simulation
+# Count tables and Poisson count simulation
 # ---------------------------------------------------------------------------
+
+@dataclass(frozen=True, eq=False)
+class CountTable:
+    """Photon counts: ``counts[si, k]`` of k vertical photons at
+    ``settings[si]``, held as a read-only float copy with N+1 columns.
+
+    Measured counts are integers; fractional counts are accepted so that
+    exact expected-count data can be fed to the estimators.
+    """
+
+    settings: tuple[WaveplateSetting, ...]
+    counts: np.ndarray
+    n: int = field(init=False)
+
+    def __post_init__(self):
+        settings = tuple(self.settings)
+        counts = np.array(self.counts, dtype=float)
+        if not settings or counts.ndim != 2 or len(counts) != len(settings):
+            raise ValueError(f"need one row of counts for each of one or more settings, "
+                             f"got {len(settings)} settings and shape {counts.shape}")
+        n = _layout(counts.shape[1] - 1).n
+        if len(set(settings)) != len(settings):
+            raise ValueError("settings must not repeat")
+        # with no entry negative, a finite total makes every entry finite
+        with np.errstate(over="ignore"):
+            total = counts.sum()
+        if not math.isfinite(total):
+            raise ValueError(f"the total of the counts is {total}, not finite")
+        if (counts < 0).any():
+            raise ValueError("counts must be nonnegative")
+        counts.flags.writeable = False
+        object.__setattr__(self, "settings", settings)
+        object.__setattr__(self, "counts", counts)
+        object.__setattr__(self, "n", n)
+
+    @functools.cached_property
+    def model(self) -> _OutcomeModel:
+        """The outcome model of the settings, built on first use."""
+        return _OutcomeModel(self.settings, self.n)
+
+    @functools.cached_property
+    def frequencies(self) -> np.ndarray:
+        """Each row over its total, zero where that is; read-only."""
+        totals = self.counts.sum(axis=1, keepdims=True)
+        frequencies = np.divide(self.counts, totals, out=np.zeros_like(self.counts),
+                                where=totals > 0)
+        frequencies.flags.writeable = False
+        return frequencies
+
 
 def simulate_counts(rho: AccessibleDensityMatrix,
                     settings: list[WaveplateSetting],
                     mean_shots: float,
                     seed: int, *,
-                    model: _OutcomeModel | None = None) -> list[CountRecord]:
+                    model: _OutcomeModel | None = None) -> CountTable:
     """Poisson count data for every (setting, outcome) pair.
 
     Each pair owns a substream of one PCG64 stream seeded by ``seed``: cell
@@ -239,9 +257,9 @@ def simulate_counts(rho: AccessibleDensityMatrix,
     are multiples of 2**64 would leave the low half of the 128-bit state
     equal across substreams, and their draws correlated.)  Results are
     reproducible for a given numpy version.  ``mean_shots`` must lie in
-    [0, MAX_SHOTS], and ``seed`` must be a nonnegative integer.  A caller
-    that has built the outcome model of these settings for ``rho.n``
-    photons passes it as ``model``, to pay for it once.
+    [0, MAX_SHOTS], ``seed`` must be a nonnegative integer, and no setting
+    may repeat.  A caller that has built the outcome model of these settings
+    for ``rho.n`` photons passes it as ``model``, to pay for it once.
     """
     if not 0 <= mean_shots <= MAX_SHOTS:
         raise ValueError(f"mean_shots must be in [0, {MAX_SHOTS:g}]")
@@ -251,21 +269,19 @@ def simulate_counts(rho: AccessibleDensityMatrix,
         raise ValueError("seed must be an integer") from None
     if seed < 0:
         raise ValueError("seed must be nonnegative")
-    records = []
     if model is None:
         model = _OutcomeModel(settings, rho.n)
-    p = model.distributions(rho)
+    counts = mean_shots * model.distributions(rho)
     bits = np.random.PCG64(seed)
     seeded = bits.state
     rng = np.random.Generator(bits)
-    for si, setting in enumerate(settings):
-        for k in range(rho.n + 1):
-            bits.state = seeded
-            bits.advance((si * (rho.n + 1) + k) * PCG64_JUMP)
-            count = int(rng.poisson(mean_shots * p[si, k]))
-            records.append(CountRecord(setting.qwp_deg, setting.hwp_deg,
-                                       rho.n - k, k, count))
-    return records
+    for c, mean in enumerate(counts.ravel().tolist()):
+        bits.state = seeded
+        bits.advance(c * PCG64_JUMP)
+        # Generator.poisson floors a double to its integer draw, so the
+        # mean's float cell holds the draw exactly
+        counts.flat[c] = rng.poisson(mean)
+    return CountTable(settings, counts)
 
 
 # ---------------------------------------------------------------------------

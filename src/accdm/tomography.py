@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .measurement import (
-    CountRecord,
+    CountTable,
     NumericalError,
     WaveplateSetting,
     _OutcomeModel,
@@ -50,51 +50,12 @@ class RankDeficiencyError(ValueError):
         self.required = required
 
 
-# ---------------------------------------------------------------------------
-# Dataset assembly
-# ---------------------------------------------------------------------------
-
-class _Dataset:
-    """Counts, one row per setting and one column per outcome, and the
-    outcome model of the settings."""
-
-    def __init__(self, records: list[CountRecord]):
-        if not records:
-            raise ValueError("no count records given")
-        n_values = {r.n_h + r.n_v for r in records}
-        if len(n_values) != 1:
-            raise ValueError(f"records mix photon numbers: {sorted(n_values)}")
-        self.n = n_values.pop()
-        # the photon number's gate, before a counts array of n + 1 columns
-        _layout(self.n)
-
-        settings: list[WaveplateSetting] = []
-        index: dict[tuple[float, float], int] = {}
-        for r in records:
-            key = (r.qwp_deg, r.hwp_deg)
-            if key not in index:
-                index[key] = len(settings)
-                settings.append(r.setting)
-        self.settings = settings
-        self.counts = np.zeros((len(settings), self.n + 1))
-        for r in records:
-            self.counts[index[(r.qwp_deg, r.hwp_deg)], r.n_v] += r.count
-        self.model = _OutcomeModel(settings, self.n)
-        totals = self.counts.sum(axis=1)
-        seen = totals > 0
-        # only rows of settings with counts constrain the state
-        self.observed = np.repeat(seen, self.n + 1)
-        self.frequencies = np.zeros_like(self.counts)
-        self.frequencies[seen] = self.counts[seen] / totals[seen, None]
-
-
-def log_likelihood(rho: AccessibleDensityMatrix, data: list[CountRecord]) -> float:
+def log_likelihood(rho: AccessibleDensityMatrix, data: CountTable) -> float:
     """Sum of count * log(probability), with probabilities floored at 1e-12."""
-    dataset = _Dataset(data)
-    if dataset.n != rho.n:
-        raise ValueError(f"data is for {dataset.n} photons, state for {rho.n}")
-    p = dataset.model.probabilities(dataset.model.layout.stack_theta(rho.stack))
-    return float((dataset.counts.ravel() * np.log(np.maximum(p, LOG_FLOOR))).sum())
+    if data.n != rho.n:
+        raise ValueError(f"data is for {data.n} photons, state for {rho.n}")
+    p = data.model.probabilities(data.model.layout.stack_theta(rho.stack))
+    return float((data.counts.ravel() * np.log(np.maximum(p, LOG_FLOOR))).sum())
 
 
 # ---------------------------------------------------------------------------
@@ -115,29 +76,27 @@ def _clip_and_normalize(stack: np.ndarray, layout: _Layout) -> np.ndarray:
     return clipped / total
 
 
-def linear_inversion(data: list[CountRecord] | _Dataset) -> AccessibleDensityMatrix:
+def linear_inversion(data: CountTable) -> AccessibleDensityMatrix:
     """Least-squares frequency fit, eigenvalue-clipped to a valid state.
 
-    One QR factorization of the observed design D with the frequencies f
-    appended gives R and Q^T f, and the fit solves R theta = Q^T f.  When
-    the ``_column_rank`` of R, which has the singular values of D, is below
-    the parameter count (0 with no counts at all), RankDeficiencyError
-    reports it.  A caller that has built a ``_Dataset`` passes it, to pay
-    for the outcome model only once.
+    One QR factorization of the observed design D (the rows of the settings
+    with counts) with the frequencies f appended gives R and Q^T f, and the
+    fit solves R theta = Q^T f.  When the ``_column_rank`` of R, which has
+    the singular values of D, is below the parameter count (0 with no
+    counts at all), RankDeficiencyError reports it.
     """
-    dataset = data if isinstance(data, _Dataset) else _Dataset(data)
-    rows = dataset.observed
-    required = accessible_param_count(dataset.n, 2)
-    r = np.linalg.qr(np.column_stack([dataset.model.design[rows],
-                                      dataset.frequencies.ravel()[rows]]), mode="r")
+    rows = np.repeat(data.counts.sum(axis=1) > 0, data.n + 1)
+    required = accessible_param_count(data.n, 2)
+    r = np.linalg.qr(np.column_stack([data.model.design[rows],
+                                      data.frequencies.ravel()[rows]]), mode="r")
     rank = _column_rank(r[:, :required])
     if rank < required:
         raise RankDeficiencyError(rank, required)
     # R is upper triangular, so the LU factorization of solve pivots nowhere
     theta = np.linalg.solve(r[:required, :required], r[:required, required])
-    layout = dataset.model.layout
+    layout = data.model.layout
     clipped = _clip_and_normalize(layout.stack(theta), layout)
-    return AccessibleDensityMatrix(dataset.n, layout.unpad(clipped))
+    return AccessibleDensityMatrix(data.n, layout.unpad(clipped))
 
 
 # ---------------------------------------------------------------------------
@@ -212,7 +171,7 @@ def _gram(a: np.ndarray) -> np.ndarray:
     return a @ a.conj().swapaxes(-1, -2)
 
 
-def mle_reconstruct(data: list[CountRecord], *, max_iters: int = 100_000,
+def mle_reconstruct(data: CountTable, *, max_iters: int = 100_000,
                     tol: float = 1e-10) -> ReconstructionResult:
     """Maximize the log-likelihood over accessible states by R.rho.R steps
     on the factor of rho, extrapolated by SQUAREM.
@@ -245,8 +204,8 @@ def mle_reconstruct(data: list[CountRecord], *, max_iters: int = 100_000,
 
     Initialized from clipped linear inversion (falling back to the maximally
     mixed state), mixed with START_MIX of the maximally mixed state.  The
-    outcome model is built once and shared with the linear-inversion start,
-    which also checks the span.
+    table's outcome model serves both the loop and the linear-inversion
+    start, which also checks the span.
 
     Raises RankDeficiencyError when the settings do not span the accessible
     space, and NumericalError when the start has a block eigenvalue below
@@ -256,22 +215,21 @@ def mle_reconstruct(data: list[CountRecord], *, max_iters: int = 100_000,
         raise ValueError("tol must be nonnegative and finite")
     if not (isinstance(max_iters, numbers.Integral) and max_iters >= 1):
         raise ValueError("max_iters must be an integer >= 1")
-    dataset = _Dataset(data)
-    model = dataset.model
+    model = data.model
     layout = model.layout
 
     try:
-        start = linear_inversion(dataset)
+        start = linear_inversion(data)
     except RankDeficiencyError:
         raise
     except ValueError:
-        start = AccessibleDensityMatrix.maximally_mixed(dataset.n)
+        start = AccessibleDensityMatrix.maximally_mixed(data.n)
     # Clipping leaves exact zero eigenvalues, which R.rho.R can never lift;
     # a trace of the maximally mixed state keeps every eigenvalue positive.
-    a = _factor(layout.pad({tj: (1 - START_MIX) * b + START_MIX * np.eye(tj + 1) / 2 ** dataset.n
+    a = _factor(layout.pad({tj: (1 - START_MIX) * b + START_MIX * np.eye(tj + 1) / 2 ** data.n
                             for tj, b in start.blocks.items()}), layout)
 
-    counts = dataset.counts.ravel()
+    counts = data.counts.ravel()
     fractions = counts / max(counts.sum(), 1.0)
     design, trace_weights = model.design, layout.trace_weights
 
@@ -355,16 +313,16 @@ def mle_reconstruct(data: list[CountRecord], *, max_iters: int = 100_000,
 
     theta = layout.stack_theta(_gram(a))
     theta /= layout.trace(theta)
-    estimate = AccessibleDensityMatrix(dataset.n, layout.blocks(theta))
+    estimate = AccessibleDensityMatrix(data.n, layout.blocks(theta))
     p_final = model.probabilities(theta)
     return ReconstructionResult(
         estimate=estimate,
         log_likelihood=ll,
         iterations=iterations,
         converged=converged,
-        settings=dataset.settings,
-        observed_frequencies=dataset.frequencies,
-        predicted_frequencies=p_final.reshape(dataset.counts.shape),
+        settings=list(data.settings),
+        observed_frequencies=data.frequencies,
+        predicted_frequencies=p_final.reshape(data.counts.shape),
         ll_trace=np.array(trace),
         floored_cells=int(_floored(counts, p_final).sum()),
         gap_bound=_gap_bound(model, counts, p_final),

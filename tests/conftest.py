@@ -13,7 +13,7 @@ from itertools import permutations
 import numpy as np
 import pytest
 
-from accdm.measurement import CountRecord, WaveplateSetting, _OutcomeModel
+from accdm.measurement import CountTable, WaveplateSetting, _OutcomeModel
 from accdm.states import AccessibleDensityMatrix, _extract_blocks
 from accdm.schur import occurring_two_j, schur_basis, su2_multiplicity
 
@@ -52,12 +52,9 @@ SAMPLE_COUNTS_TABLE = [
 ]
 
 
-def sample_count_records():
-    records = []
-    for qwp, hwp, counts in SAMPLE_COUNTS_TABLE:
-        for k, c in enumerate(counts):
-            records.append(CountRecord(qwp, hwp, 3 - k, k, c))
-    return records
+def sample_counts():
+    return CountTable([WaveplateSetting(qwp, hwp) for qwp, hwp, _ in SAMPLE_COUNTS_TABLE],
+                      [counts for _, _, counts in SAMPLE_COUNTS_TABLE])
 
 
 def half_overlap_blocks():

@@ -40,7 +40,7 @@ from conftest import (
     outcome_operators,
     permutation_matrix,
     random_accessible_state,
-    sample_count_records,
+    sample_counts,
 )
 
 
@@ -122,13 +122,10 @@ def test_criterion_5_probability_consistency():
 
 def test_criterion_6_noiseless_mle():
     acc = half_overlap_traced()
-    from accdm.measurement import CountRecord
-    records = []
-    for s in TWELVE_SETTINGS:
-        p = outcome_probabilities(acc, s)
-        for k in range(4):
-            records.append(CountRecord(s.qwp_deg, s.hwp_deg, 3 - k, k, 1e4 * p[k]))
-    result = mle_reconstruct(records)
+    from accdm.measurement import CountTable
+    data = CountTable(TWELVE_SETTINGS, [1e4 * outcome_probabilities(acc, s)
+                                        for s in TWELVE_SETTINGS])
+    result = mle_reconstruct(data)
     assert result.iterations <= 100_000
     for two_j in (3, 1):
         assert np.abs(result.estimate.blocks[two_j] - acc.blocks[two_j]).max() <= 1e-6
@@ -142,8 +139,8 @@ def test_criterion_7_round_trip_fidelity():
     acc = half_overlap_traced()
     fids = []
     for seed in range(50):
-        records = simulate_counts(acc, TWELVE_SETTINGS, 1e4, seed=seed)
-        result = mle_reconstruct(records)
+        data = simulate_counts(acc, TWELVE_SETTINGS, 1e4, seed=seed)
+        result = mle_reconstruct(data)
         fids.append(fidelity(result.estimate, acc))
     elapsed = time.perf_counter() - start
     assert min(fids) >= 0.99, f"worst fidelity {min(fids)}"

@@ -23,7 +23,7 @@ from conftest import (
     TWELVE_SETTINGS,
     convolution_oracle,
     half_overlap_blocks,
-    sample_count_records,
+    sample_counts,
 )
 
 
@@ -260,9 +260,9 @@ def test_simulate_writes_deterministic_counts(workdir, capsys):
         assert run(["simulate", matrix, "--settings", workdir / "settings.csv",
                     "--shots", "10000", "--seed", "7", "--out", out]) == 0
     assert a.read_bytes() == b.read_bytes()
-    records = io.parse_counts(a.read_text())
-    assert len(records) == 48
-    total = sum(r.count for r in records)
+    data = io.parse_counts(a.read_text())
+    assert data.counts.size == 48
+    total = data.counts.sum()
     assert abs(total - 12e4) < 5 * math.sqrt(12e4)
 
 
@@ -303,7 +303,7 @@ def test_simulate_zero_shots(workdir):
     out = workdir / "zero.csv"
     assert run(["simulate", matrix, "--settings", workdir / "settings.csv",
                 "--shots", "0", "--seed", "1", "--out", out]) == 0
-    assert all(r.count == 0 for r in io.parse_counts(out.read_text()))
+    assert not io.parse_counts(out.read_text()).counts.any()
 
 
 def expect_usage_error(argv, capsys, flag):
@@ -375,7 +375,7 @@ def test_close_settings_survive_simulate_and_reconstruct(workdir, capsys):
     close.write_text(io.format_settings(TWELVE_SETTINGS) + "10.0000001,0\n10.0000002,0\n")
     counts = workdir / "counts.csv"
     assert run(["simulate", matrix, "--settings", close, "--out", counts]) == 0
-    angles = {r.qwp_deg for r in io.parse_counts(counts.read_text())}
+    angles = {s.qwp_deg for s in io.parse_counts(counts.read_text()).settings}
     assert {10.0000001, 10.0000002} <= angles
     assert run(["reconstruct", counts, "--out", workdir / "est.dm", "--tol", "1e-2"]) == 0
 
@@ -470,16 +470,13 @@ def test_reconstruct_round_trip(workdir, capsys):
 
 
 def test_reconstruct_noiseless_counts(workdir, capsys):
-    from accdm.measurement import outcome_probabilities, CountRecord
+    from accdm.measurement import outcome_probabilities, CountTable
     matrix = analyzed_matrix(workdir)
     rho = io.parse_density_matrix(matrix.read_text())
-    records = []
-    for s in TWELVE_SETTINGS:
-        p = outcome_probabilities(rho, s)
-        for k in range(4):
-            records.append(CountRecord(s.qwp_deg, s.hwp_deg, 3 - k, k, 1e4 * p[k]))
+    data = CountTable(TWELVE_SETTINGS, [1e4 * outcome_probabilities(rho, s)
+                                        for s in TWELVE_SETTINGS])
     counts = workdir / "exact.csv"
-    counts.write_text(io.format_counts(records))
+    counts.write_text(io.format_counts(data))
     estimate_path = workdir / "noiseless.dm"
     assert run(["reconstruct", counts, "--out", estimate_path,
                 "--reference", matrix]) == 0
@@ -490,7 +487,7 @@ def test_reconstruct_noiseless_counts(workdir, capsys):
 
 def test_reconstruct_reference_photon_number_mismatch(workdir, capsys):
     counts = workdir / "counts.csv"
-    counts.write_text(io.format_counts(sample_count_records()))
+    counts.write_text(io.format_counts(sample_counts()))
     reference = workdir / "two.dm"
     reference.write_text(io.format_density_matrix(
         AccessibleDensityMatrix.maximally_mixed(2)))
@@ -521,7 +518,7 @@ def test_reconstruct_corrupt_counts_no_output(workdir):
                                          ("--verdict-tol", "inf")])
 def test_reconstruct_rejects_bad_numbers(workdir, capsys, flag, value):
     counts = workdir / "counts.csv"
-    counts.write_text(io.format_counts(sample_count_records()))
+    counts.write_text(io.format_counts(sample_counts()))
     out = workdir / "est.dm"
     expect_usage_error(["reconstruct", counts, "--out", out, flag, value],
                        capsys, flag)
@@ -531,7 +528,7 @@ def test_reconstruct_rejects_bad_numbers(workdir, capsys, flag, value):
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 def test_reconstruct_rejects_non_finite_count(workdir, capsys, value):
-    rows = io.format_counts(sample_count_records()).splitlines()
+    rows = io.format_counts(sample_counts()).splitlines()
     rows[5] = rows[5].rsplit(",", 1)[0] + "," + value
     counts = workdir / "counts.csv"
     counts.write_text("\n".join(rows) + "\n")
@@ -550,7 +547,7 @@ def test_reconstruct_rejects_non_finite_angle(workdir, capsys, angle):
     # repeated-row check alone would let them through
     row = f"{angle},0,3,0,5"
     counts = workdir / "counts.csv"
-    counts.write_text(io.format_counts(sample_count_records()) + f"{row}\n{row}\n")
+    counts.write_text(io.format_counts(sample_counts()) + f"{row}\n{row}\n")
     out = workdir / "est.dm"
     assert run(["reconstruct", counts, "--out", out]) == 3
     captured = capsys.readouterr()
@@ -588,9 +585,9 @@ def test_reconstruct_leaving_positive_cone_exits_4(workdir, capsys, monkeypatch)
     # is no state.  Exit 4, and nothing is written.
     start = SimpleNamespace(blocks={3: np.eye(4, dtype=complex) * (1 + 4e-8) / 4,
                                     1: -1e-8 * np.eye(2, dtype=complex)})
-    monkeypatch.setattr(tomography, "linear_inversion", lambda records: start)
+    monkeypatch.setattr(tomography, "linear_inversion", lambda data: start)
     counts = workdir / "counts.csv"
-    counts.write_text(io.format_counts(sample_count_records()))
+    counts.write_text(io.format_counts(sample_counts()))
     assert run(["reconstruct", counts, "--out", workdir / "est.dm",
                 "--trace", workdir / "ll.txt"]) == 4
     err = capsys.readouterr().err
@@ -601,7 +598,7 @@ def test_reconstruct_leaving_positive_cone_exits_4(workdir, capsys, monkeypatch)
 
 def test_reconstruct_not_converged_exits_4_and_writes_nothing(workdir, capsys):
     counts = workdir / "counts.csv"
-    counts.write_text(io.format_counts(sample_count_records()))
+    counts.write_text(io.format_counts(sample_counts()))
     before = files_under(workdir)
     assert run(["reconstruct", counts, "--out", workdir / "est.dm",
                 "--max-iters", "2", "--trace", workdir / "ll.txt"]) == 4
@@ -614,7 +611,7 @@ def test_reconstruct_not_converged_exits_4_and_writes_nothing(workdir, capsys):
 
 def test_reconstruct_prints_likelihood_gap_bound(workdir, capsys):
     counts = workdir / "counts.csv"
-    counts.write_text(io.format_counts(sample_count_records()))
+    counts.write_text(io.format_counts(sample_counts()))
     assert run(["reconstruct", counts, "--out", workdir / "est.dm", "--tol", "1e-2"]) == 0
     line = [ln for ln in capsys.readouterr().out.splitlines()
             if ln.startswith("likelihood gap bound: ")]
@@ -666,7 +663,7 @@ def test_simulate_unwritable_output_exits_3(workdir, capsys, target):
                               "trace-directory"])
 def test_reconstruct_unwritable_output_exits_3(workdir, capsys, flag, target):
     counts = workdir / "counts.csv"
-    counts.write_text(io.format_counts(sample_count_records()))
+    counts.write_text(io.format_counts(sample_counts()))
     (workdir / "sub").mkdir()
     paths = {"--out": workdir / "est.dm", "--trace": workdir / "ll.txt"}
     paths[flag] = workdir / target
@@ -686,7 +683,7 @@ def test_failed_write_removes_the_outputs_already_written(workdir, capsys, monke
 
     monkeypatch.setattr(io, "write_atomic", write_atomic)
     counts = workdir / "counts.csv"
-    counts.write_text(io.format_counts(sample_count_records()))
+    counts.write_text(io.format_counts(sample_counts()))
     expect_write_error(["reconstruct", counts, "--tol", "1e-2", "--out",
                         workdir / "est.dm", "--trace", workdir / "ll.txt"],
                        workdir, capsys, workdir / "ll.txt")
@@ -731,6 +728,27 @@ def test_counts_with_a_huge_photon_number_exit_3(workdir, capsys):
     assert not (workdir / "est.dm").exists()
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_counts_whose_total_overflows_exit_3(workdir, capsys):
+    # each of the 48 counts is finite, but their total is not: refused by
+    # name before any arithmetic overflows
+    rows = io.format_counts(sample_counts()).splitlines()
+    counts = workdir / "counts.csv"
+    counts.write_text("\n".join(rows[:1] + [row.rsplit(",", 1)[0] + ",1e308"
+                                              for row in rows[1:]]) + "\n")
+    out = workdir / "est.dm"
+    assert run(["reconstruct", counts, "--out", out]) == 3
+    assert "error: counts file is not a valid table: the total of the counts is inf" in (
+        capsys.readouterr().err)
+    assert not out.exists() and not (workdir / "est.dm.report.txt").exists()
+    # a finite total near the largest double reconstructs
+    data = sample_counts()
+    counts.write_text(io.format_counts(
+        measurement.CountTable(data.settings, data.counts * (1.5e308 / data.counts.sum()))))
+    assert run(["reconstruct", counts, "--out", out, "--tol", "1e300"]) == 0
+    assert out.exists()
+
+
 # ---------------------------------------------------------------------------
 # one parser per process
 # ---------------------------------------------------------------------------
@@ -760,7 +778,7 @@ def test_main_builds_its_parser_once(workdir, capsys, monkeypatch):
 
 def test_reused_parser_forgets_the_previous_options(workdir, capsys):
     counts = workdir / "counts.csv"
-    counts.write_text(io.format_counts(sample_count_records()))
+    counts.write_text(io.format_counts(sample_counts()))
     matrix = analyzed_matrix(workdir)
     argv = ["reconstruct", counts, "--out", workdir / "est.dm", "--tol", "1e-2"]
     assert run(argv + ["--reference", matrix, "--trace", workdir / "ll.txt"]) == 0

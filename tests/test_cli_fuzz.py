@@ -21,13 +21,13 @@ from conftest import (
     TWELVE_SETTINGS,
     half_overlap_blocks,
     noon_state,
-    sample_count_records,
+    sample_counts,
 )
 
 FUZZ = settings(derandomize=True, max_examples=300, deadline=None,
                 suppress_health_check=[HealthCheck.too_slow])
 
-COUNTS = io.format_counts(sample_count_records())
+COUNTS = io.format_counts(sample_counts())
 # input files: a valid one first, then ones the commands must refuse or
 # that pass the parsers and fail later (a rank-deficient design, a derived
 # mode whose norm overflows, a photon number far beyond the cap)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from accdm import io
-from accdm.measurement import CountRecord, WaveplateSetting, simulate_counts
+from accdm.measurement import CountTable, WaveplateSetting, simulate_counts
 from accdm.schur import su2_multiplicity
 from accdm.states import AccessibleDensityMatrix
 from accdm.tomography import IndistinguishabilityReport, indistinguishability_report
@@ -147,12 +147,25 @@ def test_settings_round_trip_any_finite_angle(settings_list):
     assert io.parse_settings(io.format_settings(settings_list)) == settings_list
 
 
+def assert_same_table(a, b):
+    assert a.settings == b.settings
+    np.testing.assert_array_equal(a.counts, b.counts)
+
+
+@st.composite
+def count_tables(draw):
+    n = draw(st.integers(1, 10))
+    settings = draw(st.lists(st.builds(WaveplateSetting, ANGLES, ANGLES), min_size=1,
+                             unique_by=lambda s: (s.qwp_deg, s.hwp_deg)))
+    size = len(settings) * (n + 1)
+    counts = draw(st.lists(st.floats(0, 1e12), min_size=size, max_size=size))
+    return CountTable(settings, np.reshape(counts, (len(settings), n + 1)))
+
+
 @ROUND_TRIP
-@given(st.lists(st.builds(CountRecord, ANGLES, ANGLES, st.integers(0, 10),
-                          st.integers(0, 10), st.floats(0, 1e12)),
-                min_size=1, unique_by=lambda r: (r.qwp_deg, r.hwp_deg, r.n_h, r.n_v)))
-def test_counts_round_trip_any_finite_angle(records):
-    assert io.parse_counts(io.format_counts(records)) == records
+@given(count_tables())
+def test_counts_round_trip_any_finite_angle(data):
+    assert_same_table(io.parse_counts(io.format_counts(data)), data)
 
 
 @pytest.mark.parametrize("angle, text", [(15.0, "15"), (12.25, "12.25"), (-0.0, "-0"),
@@ -181,16 +194,17 @@ def test_settings_reject_garbage():
 
 
 def test_counts_round_trip(golden_state):
-    records = simulate_counts(golden_state, TWELVE_SETTINGS, 1e3, seed=0)
-    text = io.format_counts(records)
+    data = simulate_counts(golden_state, TWELVE_SETTINGS, 1e3, seed=0)
+    text = io.format_counts(data)
     assert text.splitlines()[0] == "qwp_deg,hwp_deg,n_h,n_v,count"
-    assert io.parse_counts(text) == records
+    assert_same_table(io.parse_counts(text), data)
 
 
 def test_counts_fractional_round_trip():
-    records = [CountRecord(0.0, 12.25, 2, 1, 1234.5)]
-    back = io.parse_counts(io.format_counts(records))
-    assert back == records
+    data = CountTable([WaveplateSetting(0.0, 12.25)], [[0, 1234.5, 0, 0]])
+    text = io.format_counts(data)
+    assert text.splitlines()[2] == "0,12.25,2,1,1234.5"
+    assert_same_table(io.parse_counts(text), data)
 
 
 def test_bool_photon_numbers_are_written_as_ints():
@@ -198,10 +212,6 @@ def test_bool_photon_numbers_are_written_as_ints():
     text = io.format_density_matrix(rho)
     assert text.startswith("n_photons 1\n")
     assert io.parse_density_matrix(text).allclose(rho)
-    records = [CountRecord(0, 0, True, False, 1.0)]
-    text = io.format_counts(records)
-    assert text.splitlines()[1] == "0,0,1,0,1"
-    assert io.parse_counts(text) == records
 
 
 def test_counts_reject_bad_rows():
@@ -217,10 +227,22 @@ def test_counts_reject_repeated_row():
         io.parse_counts(text)
 
 
+def test_counts_cells_without_a_row_count_zero():
+    data = io.parse_counts("qwp_deg,hwp_deg,n_h,n_v,count\n0,0,1,2,5\n15,0,3,0,7\n0,0,3,0,2\n")
+    assert data.settings == (WaveplateSetting(0, 0), WaveplateSetting(15, 0))
+    np.testing.assert_array_equal(data.counts, [[2, 0, 5, 0], [7, 0, 0, 0]])
+
+
+def test_counts_reject_mixed_photon_numbers():
+    # refused by the parser, before any table is built
+    with pytest.raises(io.FormatError, match=r"counts rows mix photon numbers: \[2, 3\]"):
+        io.parse_counts("qwp_deg,hwp_deg,n_h,n_v,count\n0,0,3,0,12\n0,0,1,1,5\n")
+
+
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 def test_counts_reject_non_finite_count(value):
     with pytest.raises(ValueError, match="finite"):
-        CountRecord(0.0, 0.0, 2, 1, float(value))
+        CountTable([WaveplateSetting(0.0, 0.0)], [[12, float(value), 0, 0]])
     with pytest.raises(io.FormatError, match="bad counts row"):
         io.parse_counts(f"qwp_deg,hwp_deg,n_h,n_v,count\n0,0,3,0,12\n0,0,2,1,{value}\n")
 
@@ -261,8 +283,8 @@ def test_ll_trace_round_trip_any_finite_values(values):
 def test_ll_trace_round_trip(golden_state):
     from accdm.measurement import simulate_counts
     from accdm.tomography import mle_reconstruct
-    records = simulate_counts(golden_state, TWELVE_SETTINGS, 1e3, seed=1)
-    result = mle_reconstruct(records, tol=1e-6)
+    data = simulate_counts(golden_state, TWELVE_SETTINGS, 1e3, seed=1)
+    result = mle_reconstruct(data, tol=1e-6)
     text = io.format_ll_trace(result)
     back = io.parse_ll_trace(text)
     np.testing.assert_allclose(back, result.ll_trace, atol=1e-9)

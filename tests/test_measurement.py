@@ -2,10 +2,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
+from accdm import io
 from accdm.measurement import (
-    CountRecord,
+    CountTable,
     WaveplateSetting,
     measurement_span_rank,
     outcome_probabilities,
@@ -210,18 +211,16 @@ def test_outcome_count_follows_photon_number():
 # Poisson sampling and count simulation
 # ---------------------------------------------------------------------------
 
-def count_table(records, n):
-    return np.array([r.count for r in records]).reshape(-1, n + 1)
-
-
 def test_simulate_counts_substreams_are_poisson(golden_state):
-    # copies of one setting draw from 2000 substreams of one seed: each
-    # outcome's sample mean and variance lie within 5 standard errors of
-    # shots * p, as for independent Poisson draws
+    # copies of one setting, its quarter-wave angle turned by whole periods
+    # of 180 degrees so that no setting repeats, draw from 2000 substreams of
+    # one seed: each outcome's sample mean and variance lie within 5
+    # standard errors of shots * p, as for independent Poisson draws
     copies, shots = 2000, 40.0
     setting = TWELVE_SETTINGS[1]
-    counts = count_table(simulate_counts(golden_state, [setting] * copies, shots,
-                                         seed=100), 3)
+    turned = [WaveplateSetting(setting.qwp_deg + 180 * i, setting.hwp_deg)
+              for i in range(copies)]
+    counts = simulate_counts(golden_state, turned, shots, seed=100).counts
     for k, mean in enumerate(shots * outcome_probabilities(golden_state, setting)):
         column = counts[:, k]
         assert abs(column.mean() - mean) < 5 * math.sqrt(mean / copies)
@@ -235,17 +234,19 @@ def test_poisson_zero_mean():
     # and draw no counts at any shot number or seed
     rho = pure_string_state(3, "000")
     for seed in range(20):
-        records = simulate_counts(rho, [WaveplateSetting(0.0, 0.0)], 1e4, seed)
-        assert [r.count for r in records][1:] == [0, 0, 0]
-        assert records[0].count > 0
+        counts = simulate_counts(rho, [WaveplateSetting(0.0, 0.0)], 1e4, seed).counts
+        assert counts[0, 1:].tolist() == [0, 0, 0]
+        assert counts[0, 0] > 0
 
 
 def test_simulate_counts_deterministic(golden_state):
     a = simulate_counts(golden_state, TWELVE_SETTINGS, 1e4, seed=42)
     b = simulate_counts(golden_state, TWELVE_SETTINGS, 1e4, seed=42)
-    assert a == b
+    assert a.settings == b.settings
+    np.testing.assert_array_equal(a.counts, b.counts)
     c = simulate_counts(golden_state, TWELVE_SETTINGS, 1e4, seed=43)
-    assert a != c
+    assert a.settings == c.settings
+    assert (a.counts != c.counts).any()
 
 
 ANGLE_PAIRS = st.lists(st.tuples(st.floats(0, 180), st.floats(0, 180)),
@@ -259,16 +260,18 @@ def test_simulate_counts_cells_are_substreams(n, seed, other, angles, appended, 
     # a cell's count depends on the seed, its indices and its own mean only
     rho = random_accessible_state(n, np.random.default_rng(n))
     chosen = [WaveplateSetting(q, h) for q, h in angles]
-    base = count_table(simulate_counts(rho, chosen, 1e4, seed), n)
-
     extended = chosen + [WaveplateSetting(q, h) for q, h in appended]
-    longer = count_table(simulate_counts(rho, extended, 1e4, seed), n)
-    np.testing.assert_array_equal(longer[:len(chosen)], base)
-
     j = moved % len(chosen)
     changed = list(chosen)
     changed[j] = WaveplateSetting(chosen[j].qwp_deg + 30.0, chosen[j].hwp_deg + 7.0)
-    other_cells = count_table(simulate_counts(rho, changed, 1e4, seed), n)
+    # a count table holds each setting once
+    assume(len(set(extended)) == len(extended) and len(set(changed)) == len(changed))
+    base = simulate_counts(rho, chosen, 1e4, seed).counts
+
+    longer = simulate_counts(rho, extended, 1e4, seed).counts
+    np.testing.assert_array_equal(longer[:len(chosen)], base)
+
+    other_cells = simulate_counts(rho, changed, 1e4, seed).counts
     keep = np.arange(len(chosen)) != j
     np.testing.assert_array_equal(other_cells[keep], base[keep])
 
@@ -279,13 +282,13 @@ def test_simulate_counts_cells_are_substreams(n, seed, other, angles, appended, 
     assert base[si, k] == np.random.Generator(bits).poisson(mean)
 
     if other != seed:
-        assert (count_table(simulate_counts(rho, chosen, 1e4, other), n) != base).any()
+        assert (simulate_counts(rho, chosen, 1e4, other).counts != base).any()
 
 
 def test_simulate_counts_zero_shots(golden_state):
-    records = simulate_counts(golden_state, TWELVE_SETTINGS, 0.0, seed=1)
-    assert all(r.count == 0 for r in records)
-    assert len(records) == 48
+    counts = simulate_counts(golden_state, TWELVE_SETTINGS, 0.0, seed=1).counts
+    assert not counts.any()
+    assert counts.size == 48
 
 
 def test_simulate_counts_sample_means(golden_state):
@@ -294,9 +297,7 @@ def test_simulate_counts_sample_means(golden_state):
     shots = 1e4
     totals = np.zeros((len(TWELVE_SETTINGS), 4))
     for seed in range(n_seeds):
-        for r in simulate_counts(golden_state, TWELVE_SETTINGS, shots, seed=seed):
-            si = TWELVE_SETTINGS.index(r.setting)
-            totals[si, r.n_v] += r.count
+        totals += simulate_counts(golden_state, TWELVE_SETTINGS, shots, seed=seed).counts
     means = totals / n_seeds
     for si, setting in enumerate(TWELVE_SETTINGS):
         p = outcome_probabilities(golden_state, setting)
@@ -330,8 +331,8 @@ def test_simulate_refuses_a_seed_that_is_not_an_integer(golden_state, seed):
 
 def test_simulate_counts_shots_bound(golden_state):
     # Generator.poisson rejects means above about 9.2e18
-    records = simulate_counts(golden_state, TWELVE_SETTINGS, 1e18, seed=0)
-    assert sum(r.count for r in records) > 0.99e18 * len(TWELVE_SETTINGS)
+    data = simulate_counts(golden_state, TWELVE_SETTINGS, 1e18, seed=0)
+    assert data.counts.sum() > 0.99e18 * len(TWELVE_SETTINGS)
     for shots in (1e19, math.nan):
         with pytest.raises(ValueError, match="mean_shots"):
             simulate_counts(golden_state, TWELVE_SETTINGS, shots, seed=0)
@@ -362,16 +363,48 @@ def test_span_rank_requires_settings():
 
 def test_count_record_requires_integer_photon_numbers():
     # a fractional photon number would be an index of the counts table
-    for n_h, n_v in ((1.5, 1.5), (2.0, 1), (2, "1")):
-        with pytest.raises(ValueError, match="photon numbers must be integers"):
-            CountRecord(0.0, 0.0, n_h, n_v, 1.0)
-    assert CountRecord(0.0, 0.0, np.int64(2), 1, 1.0).n_h == 2
+    for n_h, n_v in (("1.5", "1.5"), ("2.0", "1"), ("2", "1e0")):
+        with pytest.raises(io.FormatError, match="bad counts row"):
+            io.parse_counts(f"{io.COUNTS_HEADER}\n0,0,{n_h},{n_v},1\n")
+    assert io.parse_counts(f"{io.COUNTS_HEADER}\n0,0,2,1,1\n").n == 3
 
 
 @pytest.mark.parametrize("qwp, hwp", [(math.nan, 0.0), (0.0, math.inf), (-math.inf, 0.0)])
 def test_count_record_refuses_non_finite_angles(qwp, hwp):
-    with pytest.raises(ValueError, match="waveplate angles must be finite"):
-        CountRecord(qwp, hwp, 2, 1, 1.0)
+    with pytest.raises(io.FormatError, match="bad counts row") as err:
+        io.parse_counts(f"{io.COUNTS_HEADER}\n{qwp},{hwp},2,1,1\n")
+    assert str(err.value.__cause__) == "waveplate angles must be finite"
+
+
+def test_count_table_refuses_what_no_counts_file_holds():
+    one = [WaveplateSetting(0.0, 0.0)]
+    for settings, counts, message in [
+            ([], np.zeros((0, 4)), "one row of counts for each"),
+            (one, np.zeros((2, 4)), "one row of counts for each"),
+            (one, np.zeros(4), "one row of counts for each"),
+            (one, np.zeros((1, 1)), "between 1 and 10"),
+            (one, np.zeros((1, 12)), "between 1 and 10"),
+            (one * 2, np.zeros((2, 4)), "settings must not repeat"),
+            (one, [[1.0, -1.0, 0.0, 0.0]], "nonnegative"),
+            (one, [[1.0, math.nan, 0.0, 0.0]], "total of the counts is nan"),
+            (one, [[1e308, 1e308, 0.0, 0.0]], "total of the counts is inf")]:
+        with pytest.raises(ValueError, match=message):
+            CountTable(settings, counts)
+    with pytest.raises(ValueError, match="settings must not repeat"):
+        simulate_counts(AccessibleDensityMatrix.maximally_mixed(3), one * 2, 1e4, 0)
+
+
+def test_count_table_holds_a_read_only_copy():
+    counts = np.array([[1.0, 2.0], [3.0, 0.0]])
+    data = CountTable([WaveplateSetting(0.0, 0.0), WaveplateSetting(45.0, 0.0)], counts)
+    counts[0, 0] = 9.0
+    assert data.counts[0, 0] == 1.0 and data.n == 1 and type(data.n) is int
+    assert isinstance(data.settings, tuple)
+    for array in (data.counts, data.frequencies):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0, 0] = 0.5
+    np.testing.assert_array_equal(data.frequencies, [[1 / 3, 2 / 3], [1.0, 0.0]])
+    assert data.model is data.model
 
 
 def test_outcome_two_m_ordering():

@@ -16,7 +16,7 @@ import accdm
 from accdm import measurement, tomography
 from accdm.expressions import CreationOperatorExpression, Term
 from accdm.measurement import (
-    CountRecord,
+    CountTable,
     NumericalError,
     WaveplateSetting,
     _OutcomeModel,
@@ -36,7 +36,7 @@ from accdm.schur import (
     sector_rotation,
     su2_multiplicity,
 )
-from accdm.states import expression_to_accessible
+from accdm.states import AccessibleDensityMatrix, expression_to_accessible
 from accdm.tomography import (
     RankDeficiencyError,
     linear_inversion,
@@ -48,7 +48,7 @@ from conftest import (
     TWELVE_SETTINGS,
     outcome_operators,
     random_accessible_state,
-    sample_count_records,
+    sample_counts,
 )
 
 
@@ -276,6 +276,24 @@ def test_photons_in_orthogonal_hidden_modes_click_independently(n):
                                    rtol=0, atol=1e-12)
 
 
+@pytest.mark.parametrize("n", range(1, N_MAX + 1))
+def test_a_setting_is_the_straight_setting_on_the_rotated_state(n):
+    # a dense-free equivariance at every N: setting u on rho gives the
+    # probabilities of the identity on R(u) rho R(u)^dagger, R_j(u) from
+    # sector_rotation; the setting (0, 0), diag(1, -i), only puts phases on
+    # H and V, so it counts as the identity
+    rng = np.random.default_rng(1350 + n)
+    straight = _OutcomeModel([WaveplateSetting(0.0, 0.0)], n)
+    for setting in random_settings(rng, 3):
+        rho = random_accessible_state(n, rng)
+        u = waveplate_unitary(setting)
+        rotated = AccessibleDensityMatrix(n, {
+            tj: sector_rotation(u, n, tj) @ b @ sector_rotation(u, n, tj).conj().T
+            for tj, b in rho.blocks.items()})
+        np.testing.assert_allclose(_OutcomeModel([setting], n).distributions(rho),
+                                   straight.distributions(rotated), rtol=0, atol=1e-12)
+
+
 @pytest.mark.parametrize("n", [1, 4, 8])
 def test_operator_is_weighted_sum_of_outcome_operators(n):
     rng = np.random.default_rng(850 + n)
@@ -330,9 +348,10 @@ def test_span_rank_matches_flatten_oracle(n):
     assert min(ranks) < full
 
 
-def exact_records(settings, n, p):
-    return [CountRecord(s.qwp_deg, s.hwp_deg, n - k, k, 1e4 * p[si * (n + 1) + k])
-            for si, s in enumerate(settings) for k in range(n + 1)]
+def exact_counts(settings, rho):
+    model = _OutcomeModel(settings, rho.n)
+    p = model.probabilities(model.layout.theta(rho.blocks))
+    return CountTable(settings, 1e4 * p.reshape(len(settings), rho.n + 1))
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8])
@@ -344,13 +363,14 @@ def test_linear_inversion_rank_matches_model_rank(n):
     for settings in span_rank_cases(n):
         model = _OutcomeModel(settings, n)
         assert model.rank() == svd_rank(model.design)
-        records = exact_records(settings, n, model.probabilities(model.layout.theta(rho.blocks)))
+        # a table holds a repeated setting once, and its copies add no rank
+        data = exact_counts(list(dict.fromkeys(settings)), rho)
         if model.rank() < full:
             with pytest.raises(RankDeficiencyError) as err:
-                linear_inversion(records)
+                linear_inversion(data)
             assert (err.value.rank, err.value.required) == (model.rank(), full)
         else:
-            assert linear_inversion(records).allclose(rho, atol=1e-8)
+            assert linear_inversion(data).allclose(rho, atol=1e-8)
 
 
 @pytest.mark.parametrize("n", [3, 8])
@@ -359,14 +379,13 @@ def test_linear_inversion_without_the_certificate(monkeypatch, n):
     # rank from the singular values of R and solves the same system
     rho = random_accessible_state(n, np.random.default_rng(960 + n))
     settings = span_rank_cases(n)[-1]
-    model = _OutcomeModel(settings, n)
-    records = exact_records(settings, n, model.probabilities(model.layout.theta(rho.blocks)))
-    certified = linear_inversion(records)
+    data = exact_counts(settings, rho)
+    certified = linear_inversion(data)
     calls = []
     monkeypatch.setattr(measurement, "_full_rank", lambda design: calls.append(1) or False)
-    assert linear_inversion(records).allclose(certified, atol=1e-12)
+    assert linear_inversion(data).allclose(certified, atol=1e-12)
     with pytest.raises(RankDeficiencyError) as err:
-        linear_inversion(records[:-(n + 1) * (len(settings) - 2)])
+        linear_inversion(CountTable(settings[:2], data.counts[:2]))
     assert err.value.rank == svd_rank(_OutcomeModel(settings[:2], n).design)
     assert calls == [1, 1]
 
@@ -416,17 +435,16 @@ def test_linear_inversion_recovers_truth_from_exact_counts(n):
     settings = random_settings(rng, 48)
     rho = random_accessible_state(n, rng)
     p = oracle_probabilities(oracle_rows(settings, n), rho.blocks, n)
-    records = [CountRecord(s.qwp_deg, s.hwp_deg, n - k, k, 1e4 * p[si * (n + 1) + k])
-               for si, s in enumerate(settings) for k in range(n + 1)]
-    assert linear_inversion(records).allclose(rho, atol=1e-9)
+    data = CountTable(settings, 1e4 * p.reshape(len(settings), n + 1))
+    assert linear_inversion(data).allclose(rho, atol=1e-9)
 
 
 def test_mle_log_likelihood_matches_its_estimate():
     # the MLE carries probabilities along its convex steps instead of
     # recomputing them; they must agree with the returned estimate
-    records = sample_count_records()
-    result = mle_reconstruct(records, max_iters=300)
-    assert abs(result.log_likelihood - log_likelihood(result.estimate, records)) < 1e-6
+    data = sample_counts()
+    result = mle_reconstruct(data, max_iters=300)
+    assert abs(result.log_likelihood - log_likelihood(result.estimate, data)) < 1e-6
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from accdm.schur import su2_multiplicity
 from accdm.states import AccessibleDensityMatrix
 from accdm.tomography import IndistinguishabilityReport
 
-from conftest import TWELVE_SETTINGS, sample_count_records
+from conftest import TWELVE_SETTINGS, sample_counts
 
 FUZZ = settings(derandomize=True, max_examples=200, deadline=None)
 
@@ -135,7 +135,7 @@ def test_parse_settings_fuzz(text):
 
 @FUZZ
 @given(st.one_of(table_templates(io.COUNTS_HEADER, 5),
-                 mutated(io.format_counts(sample_count_records()), ",")))
+                 mutated(io.format_counts(sample_counts()), ",")))
 @example(NOT_ASCII_NUMBERS["counts-arabic-digit"][1])
 def test_parse_counts_fuzz(text):
     returns_or_format_error(io.parse_counts, text)
@@ -254,7 +254,7 @@ def test_parse_ll_trace_rejects_bad_line(name):
 def test_numbers_outside_ascii_exit_3(tmp_path, capsys, name):
     files = {"rho.dm": ONE_PHOTON,
              "settings.csv": io.format_settings(TWELVE_SETTINGS),
-             "counts.csv": io.format_counts(sample_count_records())}
+             "counts.csv": io.format_counts(sample_counts())}
     bad, text = NOT_ASCII_NUMBERS[name]
     files[bad] = text
     for file, content in files.items():

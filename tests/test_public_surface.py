@@ -14,7 +14,7 @@ import accdm
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 EXPORTED = [
-    "AccessibleDensityMatrix", "CountRecord", "CreationOperatorExpression",
+    "AccessibleDensityMatrix", "CountTable", "CreationOperatorExpression",
     "Definitions", "IndistinguishabilityReport", "N_MAX", "NumericalError",
     "ParseError", "RankDeficiencyError", "ReconstructionResult", "Term",
     "WaveplateSetting", "accessible_param_count", "expression_to_accessible",

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from accdm import measurement, tomography
-from accdm.measurement import CountRecord, WaveplateSetting, simulate_counts
+from accdm.measurement import CountTable, WaveplateSetting, simulate_counts
 from accdm.schur import _layout, occurring_two_j, su2_multiplicity
 from accdm.states import PSD_TOL, AccessibleDensityMatrix
 from accdm.tomography import (
@@ -26,7 +26,6 @@ from accdm.tomography import (
     LOG_FLOOR,
     START_MIX,
     _clip_and_normalize,
-    _Dataset,
     linear_inversion,
     mle_reconstruct,
 )
@@ -48,9 +47,9 @@ def oracle_clip_and_normalize(blocks, n):
     return {tj: b / total for tj, b in clipped.items()}, low
 
 
-def mixed_start(records, n):
+def mixed_start(data, n):
     try:
-        start = linear_inversion(records)
+        start = linear_inversion(data)
     except ValueError:
         start = AccessibleDensityMatrix.maximally_mixed(n)
     return {tj: (1 - START_MIX) * b + START_MIX * np.eye(tj + 1) / 2 ** n
@@ -66,13 +65,12 @@ def oracle_factor(blocks):
     return factors
 
 
-def oracle_mle(records, *, max_iters, tol):
+def oracle_mle(data, *, max_iters, tol):
     """The dict-of-blocks extrapolated R.rho.R loop; returns (estimate,
     iterations, ll_trace)."""
-    dataset = _Dataset(records)
-    model = dataset.model
-    n = dataset.n
-    counts = dataset.counts.ravel()
+    model = data.model
+    n = data.n
+    counts = data.counts.ravel()
     total_counts = counts.sum()
 
     def gram(factors):
@@ -121,7 +119,7 @@ def oracle_mle(records, *, max_iters, tol):
             alpha = (alpha - 1) / 2
         return None
 
-    factors, p, ll = state(oracle_factor(mixed_start(records, n)))
+    factors, p, ll = state(oracle_factor(mixed_start(data, n)))
     trace = [ll]
     iterations = 0
     while iterations < max_iters:
@@ -162,14 +160,13 @@ def oracle_mle(records, *, max_iters, tol):
     return estimate, iterations, np.array(trace)
 
 
-def diluted_mle(records, *, max_iters, tol):
+def diluted_mle(data, *, max_iters, tol):
     """The dict-of-blocks diluted R.rho.R loop that the extrapolated one
     replaced; returns (estimate, iterations, ll_trace)."""
-    dataset = _Dataset(records)
-    model = dataset.model
-    n = dataset.n
-    blocks = mixed_start(records, n)
-    counts = dataset.counts.ravel()
+    model = data.model
+    n = data.n
+    blocks = mixed_start(data, n)
+    counts = data.counts.ravel()
     total_counts = counts.sum()
 
     def ll_of(p):
@@ -217,15 +214,14 @@ def random_settings(rng, count):
     return [WaveplateSetting(q, h) for q, h in rng.uniform(0, 180, size=(count, 2))]
 
 
-def exact_records(rho, settings, shots):
+def exact_counts(rho, settings, shots):
     p = measurement._OutcomeModel(settings, rho.n).distributions(rho)
-    return [CountRecord(s.qwp_deg, s.hwp_deg, rho.n - k, k, shots * p[si, k])
-            for si, s in enumerate(settings) for k in range(rho.n + 1)]
+    return CountTable(settings, shots * p)
 
 
-def assert_same_run(records, **kwargs):
-    result = mle_reconstruct(records, **kwargs)
-    estimate, iterations, trace = oracle_mle(records, **kwargs)
+def assert_same_run(data, **kwargs):
+    result = mle_reconstruct(data, **kwargs)
+    estimate, iterations, trace = oracle_mle(data, **kwargs)
     assert result.iterations == iterations
     np.testing.assert_allclose(result.ll_trace, trace, rtol=1e-9, atol=0)
     assert result.estimate.allclose(estimate, atol=1e-12)
@@ -234,19 +230,19 @@ def assert_same_run(records, **kwargs):
 
 def test_stacked_mle_matches_oracle_exact_counts_n3(golden_state):
     # exact data: the linear-inversion start is already the maximum
-    result = assert_same_run(exact_records(golden_state, TWELVE_SETTINGS, 1e4),
+    result = assert_same_run(exact_counts(golden_state, TWELVE_SETTINGS, 1e4),
                              max_iters=5000, tol=1e-5)
     assert result.estimate.allclose(golden_state, atol=1e-8)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_stacked_mle_matches_oracle_poisson_counts_n3(golden_state, seed):
-    result = assert_same_run(n3_records(golden_state, seed), max_iters=5000, tol=1e-5)
+    result = assert_same_run(n3_counts(golden_state, seed), max_iters=5000, tol=1e-5)
     assert result.converged and result.iterations > 100
 
 
 def test_stacked_mle_matches_oracle_n5():
-    result = assert_same_run(n5_records(), max_iters=5000, tol=1e-3)
+    result = assert_same_run(n5_counts(), max_iters=5000, tol=1e-3)
     assert result.converged and result.iterations > 10
 
 
@@ -254,22 +250,22 @@ def test_stacked_mle_matches_oracle_n8():
     # At N = 8 with 48 settings the iteration amplifies round-off about
     # tenfold every 30 to 50 steps, so two loops that sum in different
     # orders drift apart after some hundred steps; compare the first 100.
-    result = assert_same_run(n8_records(), max_iters=100, tol=1e-3)
+    result = assert_same_run(n8_counts(), max_iters=100, tol=1e-3)
     assert result.iterations == 100
 
 
-def n3_records(golden_state, seed):
+def n3_counts(golden_state, seed):
     return simulate_counts(golden_state, TWELVE_SETTINGS, 1e4, seed=seed)
 
 
-def n5_records():
+def n5_counts():
     rng = np.random.default_rng(51)
     settings = random_settings(rng, 40)
     rho = random_accessible_state(5, rng)
     return simulate_counts(rho, settings, 1e4, seed=51)
 
 
-def n8_records():
+def n8_counts():
     rng = np.random.default_rng(81)
     settings = random_settings(rng, 48)
     rho = random_accessible_state(8, rng)
@@ -280,9 +276,9 @@ def n8_records():
 def test_extrapolated_mle_reaches_the_diluted_likelihood(golden_state, case):
     # at the default tolerance the extrapolated loop stops no later than the
     # diluted one, and no more than 1e-6 nats below it
-    records = n5_records() if case == "n5" else n3_records(golden_state, int(case[-1]))
-    result = mle_reconstruct(records, tol=1e-10)
-    _, iterations, trace = diluted_mle(records, max_iters=100_000, tol=1e-10)
+    data = n5_counts() if case == "n5" else n3_counts(golden_state, int(case[-1]))
+    result = mle_reconstruct(data, tol=1e-10)
+    _, iterations, trace = diluted_mle(data, max_iters=100_000, tol=1e-10)
     assert result.converged
     assert result.iterations <= iterations
     assert result.log_likelihood >= trace[-1] - 1e-6
@@ -292,14 +288,14 @@ def test_extrapolation_does_not_amplify_round_off(monkeypatch):
     # a 1e-15 relative change of the start moves the estimate after 300
     # steps by at most 1e-9 (1.4e-10 at the cap); without the cap on the
     # extrapolation it moved by 6.6e-6
-    records = n8_records()
-    base = mle_reconstruct(records, max_iters=300, tol=0.0)
-    start = linear_inversion(records)
+    data = n8_counts()
+    base = mle_reconstruct(data, max_iters=300, tol=0.0)
+    start = linear_inversion(data)
     sigma = random_accessible_state(8, np.random.default_rng(82))
     moved = AccessibleDensityMatrix(8, {tj: (1 - 1e-15) * b + 1e-15 * sigma.blocks[tj]
                                         for tj, b in start.blocks.items()})
     monkeypatch.setattr(tomography, "linear_inversion", lambda data: moved)
-    result = mle_reconstruct(records, max_iters=300, tol=0.0)
+    result = mle_reconstruct(data, max_iters=300, tol=0.0)
     assert base.iterations == result.iterations == 300
     assert result.estimate.allclose(base.estimate, atol=1e-9)
 
@@ -310,10 +306,10 @@ def test_stacked_mle_keeps_padding_zero():
     rng = np.random.default_rng(5)
     settings = random_settings(rng, 30)
     rho = random_accessible_state(5, rng)
-    dataset = _Dataset(simulate_counts(rho, settings, 1e4, seed=5))
-    model, layout = dataset.model, dataset.model.layout
+    data = simulate_counts(rho, settings, 1e4, seed=5)
+    model, layout = data.model, data.model.layout
     a = tomography._factor(layout.pad(rho.blocks), layout)
-    r_op = layout.stack(model.operator_theta(dataset.counts.ravel()))
+    r_op = layout.stack(model.operator_theta(data.counts.ravel()))
     step = r_op @ a
     gram = step @ step.conj().swapaxes(-1, -2)
     inside = layout.pad({tj: np.ones((tj + 1, tj + 1)) for tj in rho.blocks}) != 0
@@ -373,18 +369,10 @@ def test_one_model_and_one_qr_per_reconstruction(monkeypatch, golden_state):
             return original(*args, **kwargs)
         return call
 
-    records = simulate_counts(golden_state, TWELVE_SETTINGS, 1e4, seed=3)
+    data = simulate_counts(golden_state, TWELVE_SETTINGS, 1e4, seed=3)
     monkeypatch.setattr(measurement._OutcomeModel, "__init__", counting_init)
     for name in ("qr", "svd", "lstsq"):
         monkeypatch.setattr(np.linalg, name, counting(name))
-    mle_reconstruct(records, max_iters=50)
+    mle_reconstruct(data, max_iters=50)
     assert calls == {"model": 1, "qr": 1, "svd": 0, "lstsq": 0}
 
-
-def test_linear_inversion_of_dataset_matches_records(golden_state):
-    records = simulate_counts(golden_state, TWELVE_SETTINGS, 1e4, seed=4)
-    dataset = _Dataset(records)
-    from_records = linear_inversion(records)
-    from_dataset = linear_inversion(dataset)
-    for two_j, block in from_records.blocks.items():
-        np.testing.assert_array_equal(from_dataset.blocks[two_j], block)

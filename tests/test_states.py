@@ -430,6 +430,22 @@ def test_symmetric_population_of_distinct_modes_is_a_permanent(n):
     assert s == pytest.approx(expected, rel=1e-12, abs=0)
 
 
+@pytest.mark.parametrize("n", range(1, N_MAX + 1))
+def test_photons_in_one_hidden_mode_are_a_symmetric_basis_state(n):
+    # (aH)^k (aV)^(n-k), every photon in hidden mode a: the j = n/2 block is
+    # e_r e_r^T with r = n - k, the number of V photons, every other block
+    # is zero, and s = P = 1
+    for k in range(n + 1):
+        rho = expression_to_accessible(parse_operator_expression("(aH)" * k + "(aV)" * (n - k)))
+        for two_j, block in rho.blocks.items():
+            expected = np.zeros((two_j + 1, two_j + 1))
+            if two_j == n:
+                expected[n - k, n - k] = 1.0
+            np.testing.assert_allclose(block, expected, rtol=0, atol=1e-12)
+        assert rho.symmetric_population() == pytest.approx(1.0, rel=0, abs=1e-12)
+        assert rho.purity() == pytest.approx(1.0, rel=0, abs=1e-12)
+
+
 def kron_power(a, n):
     out = np.ones((1, 1), dtype=complex)
     for _ in range(n):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from accdm.measurement import (
-    CountRecord,
+    CountTable,
     WaveplateSetting,
     outcome_probabilities,
     simulate_counts,
@@ -28,19 +28,13 @@ from conftest import (
     half_overlap_blocks,
     noon_state,
     random_accessible_state,
-    sample_count_records,
+    sample_counts,
 )
 
 
-def expected_count_records(rho, settings, shots):
-    """Noise-free records: count = shots * probability (fractional)."""
-    records = []
-    for s in settings:
-        p = outcome_probabilities(rho, s)
-        for k in range(rho.n + 1):
-            records.append(CountRecord(s.qwp_deg, s.hwp_deg, rho.n - k, k,
-                                       shots * p[k]))
-    return records
+def expected_counts(rho, settings, shots):
+    """Noise-free counts: count = shots * probability (fractional)."""
+    return CountTable(settings, [shots * outcome_probabilities(rho, s) for s in settings])
 
 
 def pure_string_state(n, bits):
@@ -55,12 +49,12 @@ def pure_string_state(n, bits):
 # ---------------------------------------------------------------------------
 
 def test_zero_count_record_contributes_nothing(golden_state):
-    data = [CountRecord(0.0, 0.0, 3, 0, 0)]
+    data = CountTable([WaveplateSetting(0.0, 0.0)], [[0, 0, 0, 0]])
     assert log_likelihood(golden_state, data) == 0.0
 
 
 def test_truth_beats_random_states_on_expected_data(golden_state):
-    data = expected_count_records(golden_state, TWELVE_SETTINGS, 1e4)
+    data = expected_counts(golden_state, TWELVE_SETTINGS, 1e4)
     ll_truth = log_likelihood(golden_state, data)
     rng = np.random.default_rng(23)
     for _ in range(100):
@@ -70,14 +64,14 @@ def test_truth_beats_random_states_on_expected_data(golden_state):
 
 def test_zero_probability_with_counts_stays_finite():
     rho = pure_string_state(3, "000")
-    data = [CountRecord(0.0, 0.0, 0, 3, 5)]
+    data = CountTable([WaveplateSetting(0.0, 0.0)], [[0, 0, 0, 5]])
     ll = log_likelihood(rho, data)
     assert math.isfinite(ll)
     assert abs(ll - 5 * math.log(1e-12)) < 1e-6
 
 
 def test_log_likelihood_rejects_mismatched_photon_number(golden_state):
-    data = [CountRecord(0.0, 0.0, 2, 0, 10)]
+    data = CountTable([WaveplateSetting(0.0, 0.0)], [[10, 0, 0]])
     with pytest.raises(ValueError, match="photon"):
         log_likelihood(golden_state, data)
 
@@ -90,7 +84,7 @@ def test_linear_inversion_noiseless_round_trip():
     rng = np.random.default_rng(31)
     for _ in range(5):
         rho = random_accessible_state(3, rng)
-        data = expected_count_records(rho, TWELVE_SETTINGS, 1e4)
+        data = expected_counts(rho, TWELVE_SETTINGS, 1e4)
         estimate = linear_inversion(data)
         assert estimate.allclose(rho, atol=1e-8)
 
@@ -101,12 +95,12 @@ def test_linear_inversion_round_trip_two_photons():
     rng = np.random.default_rng(33)
     for _ in range(5):
         rho = random_accessible_state(2, rng)
-        data = expected_count_records(rho, TWELVE_SETTINGS, 1e4)
+        data = expected_counts(rho, TWELVE_SETTINGS, 1e4)
         assert linear_inversion(data).allclose(rho, atol=1e-8)
 
 
 def test_linear_inversion_reports_deficient_rank(golden_state):
-    data = expected_count_records(golden_state, [WaveplateSetting(0, 0)], 1e4)
+    data = expected_counts(golden_state, [WaveplateSetting(0, 0)], 1e4)
     with pytest.raises(RankDeficiencyError) as err:
         linear_inversion(data)
     assert err.value.rank == 4
@@ -115,17 +109,16 @@ def test_linear_inversion_reports_deficient_rank(golden_state):
 
 
 def test_linear_inversion_scale_invariance(golden_state):
-    data = expected_count_records(golden_state, TWELVE_SETTINGS, 1e4)
-    scaled = [CountRecord(r.qwp_deg, r.hwp_deg, r.n_h, r.n_v, 7 * r.count)
-              for r in data]
+    data = expected_counts(golden_state, TWELVE_SETTINGS, 1e4)
+    scaled = CountTable(data.settings, 7 * data.counts)
     a = linear_inversion(data)
     b = linear_inversion(scaled)
     assert a.allclose(b, atol=1e-12)
 
 
 def test_linear_inversion_clips_shot_noise_to_valid_state(golden_state):
-    records = simulate_counts(golden_state, TWELVE_SETTINGS, 1e4, seed=3)
-    estimate = linear_inversion(records)
+    data = simulate_counts(golden_state, TWELVE_SETTINGS, 1e4, seed=3)
+    estimate = linear_inversion(data)
     for block in estimate.blocks.values():
         assert np.linalg.eigvalsh(block).min() >= -1e-10
 
@@ -135,7 +128,7 @@ def test_linear_inversion_clips_shot_noise_to_valid_state(golden_state):
 # ---------------------------------------------------------------------------
 
 def test_mle_noiseless_recovers_golden_blocks(golden_state):
-    data = expected_count_records(golden_state, TWELVE_SETTINGS, 1e4)
+    data = expected_counts(golden_state, TWELVE_SETTINGS, 1e4)
     result = mle_reconstruct(data)
     assert result.converged
     assert result.iterations <= 100_000
@@ -146,16 +139,16 @@ def test_mle_noiseless_recovers_golden_blocks(golden_state):
 
 
 def test_mle_on_bundled_sample_counts(golden_state):
-    result = mle_reconstruct(sample_count_records())
+    result = mle_reconstruct(sample_counts())
     assert result.converged
     assert fidelity(result.estimate, golden_state) >= 0.99
 
 
 def test_mle_pure_state_boundary_counts():
     rho = noon_state(3)
-    records = simulate_counts(rho, TWELVE_SETTINGS, 1e4, seed=11)
-    assert any(r.count == 0 for r in records)
-    result = mle_reconstruct(records)
+    data = simulate_counts(rho, TWELVE_SETTINGS, 1e4, seed=11)
+    assert (data.counts == 0).any()
+    result = mle_reconstruct(data)
     for block in result.estimate.blocks.values():
         assert np.linalg.eigvalsh(block).min() >= -1e-10
     assert fidelity(result.estimate, rho) > 0.99
@@ -164,34 +157,34 @@ def test_mle_pure_state_boundary_counts():
 def test_mle_two_photon_round_trip():
     rng = np.random.default_rng(55)
     rho = random_accessible_state(2, rng)
-    records = simulate_counts(rho, TWELVE_SETTINGS, 1e4, seed=2)
-    result = mle_reconstruct(records)
+    data = simulate_counts(rho, TWELVE_SETTINGS, 1e4, seed=2)
+    result = mle_reconstruct(data)
     assert result.converged
     assert fidelity(result.estimate, rho) >= 0.99
 
 
 def test_mle_requires_span(golden_state):
-    data = expected_count_records(golden_state, [WaveplateSetting(0, 0)], 1e4)
+    data = expected_counts(golden_state, [WaveplateSetting(0, 0)], 1e4)
     with pytest.raises(RankDeficiencyError):
         mle_reconstruct(data)
 
 
 def test_all_zero_counts_are_rejected():
     # no observed row: the observed span has rank 0 for both estimators
-    records = [CountRecord(s.qwp_deg, s.hwp_deg, 3 - k, k, 0)
-               for s in TWELVE_SETTINGS for k in range(4)]
+    data = CountTable(TWELVE_SETTINGS, np.zeros((12, 4)))
     for estimator in (linear_inversion, mle_reconstruct):
         with pytest.raises(RankDeficiencyError) as err:
-            estimator(records)
+            estimator(data)
         assert err.value.rank == 0
 
 
 def test_mle_flags_floored_cells():
     rho = pure_string_state(3, "000")
-    records = expected_count_records(rho, TWELVE_SETTINGS, 1e4)
-    # corrupt one impossible outcome with a positive count
-    records.append(CountRecord(0.0, 0.0, 0, 3, 3))
-    result = mle_reconstruct(records, max_iters=200)
+    counts = expected_counts(rho, TWELVE_SETTINGS, 1e4).counts.copy()
+    # corrupt one impossible outcome, (0, 3) at setting (0, 0), with a positive count
+    assert TWELVE_SETTINGS[0] == WaveplateSetting(0.0, 0.0)
+    counts[0, 3] += 3
+    result = mle_reconstruct(CountTable(TWELVE_SETTINGS, counts), max_iters=200)
     assert result.floored_cells >= 0  # diagnostic present and consistent
     assert result.predicted_frequencies.shape == (12, 4)
 
@@ -219,9 +212,9 @@ def test_mle_estimator_consistency():
         rho = blended_random_state(3, rng)
         fids = []
         for seed in range(n_seeds):
-            records = simulate_counts(rho, TWELVE_SETTINGS, 1e4,
-                                      seed=1000 * state_idx + seed)
-            result = mle_reconstruct(records, tol=1e-5, max_iters=10_000)
+            data = simulate_counts(rho, TWELVE_SETTINGS, 1e4,
+                                   seed=1000 * state_idx + seed)
+            result = mle_reconstruct(data, tol=1e-5, max_iters=10_000)
             fids.append(fidelity(result.estimate, rho))
         assert np.median(fids) >= 0.995, f"state {state_idx}: median {np.median(fids)}"
 
@@ -361,21 +354,21 @@ def test_mle_refuses_nan_or_negative_tolerance():
     # no gain is below a nan tol, so it would run all max_iters steps
     for tol in (math.nan, -1e-10):
         with pytest.raises(ValueError, match="tol must be nonnegative"):
-            mle_reconstruct(sample_count_records(), tol=tol)
+            mle_reconstruct(sample_counts(), tol=tol)
 
 
 def test_mle_refuses_infinite_tolerance():
     # every gain is below an infinite tol, so the first cycle would stop
     # and report convergence far from the maximum
     with pytest.raises(ValueError, match="tol must be nonnegative and finite"):
-        mle_reconstruct(sample_count_records(), tol=math.inf)
+        mle_reconstruct(sample_counts(), tol=math.inf)
 
 
 @pytest.mark.parametrize("max_iters", [0, -3, math.nan, 2.5])
 def test_mle_refuses_a_step_cap_that_is_not_a_positive_integer(max_iters):
     # 0, -3 and nan would return the start unconverged, and 2.5 run 3 steps
     with pytest.raises(ValueError, match="max_iters must be an integer >= 1"):
-        mle_reconstruct(sample_count_records(), max_iters=max_iters)
+        mle_reconstruct(sample_counts(), max_iters=max_iters)
 
 
 def gap_bound_datasets():
@@ -396,15 +389,15 @@ def test_gap_bound_certifies_the_estimate(max_iters, tol):
     # LL(sigma) - LL(estimate) <= gap_bound for every state sigma; here the
     # truth, the maximally mixed state and random states
     rng = np.random.default_rng(5)
-    for truth, records in gap_bound_datasets():
-        result = mle_reconstruct(records, max_iters=max_iters, tol=tol)
+    for truth, data in gap_bound_datasets():
+        result = mle_reconstruct(data, max_iters=max_iters, tol=tol)
         assert 0 <= result.gap_bound < math.inf
-        ll_estimate = log_likelihood(result.estimate, records)
+        ll_estimate = log_likelihood(result.estimate, data)
         slack = 1e-9 * abs(ll_estimate)
         others = [truth, AccessibleDensityMatrix.maximally_mixed(truth.n)]
         others += [random_accessible_state(truth.n, rng) for _ in range(5)]
         for sigma in others:
-            assert log_likelihood(sigma, records) - ll_estimate <= result.gap_bound + slack
+            assert log_likelihood(sigma, data) - ll_estimate <= result.gap_bound + slack
 
 
 def test_gap_bound_is_small_at_an_interior_maximum():
@@ -412,33 +405,33 @@ def test_gap_bound_is_small_at_an_interior_maximum():
     # where sum_k n_k Pi_k / p_k is sum_k n_k times the identity; what is
     # left is round-off relative to the 1.2e5 counts
     rho = random_accessible_state(3, np.random.default_rng(8))
-    result = mle_reconstruct(expected_count_records(rho, TWELVE_SETTINGS, 1e4),
+    result = mle_reconstruct(expected_counts(rho, TWELVE_SETTINGS, 1e4),
                              tol=1e-12)
     assert result.gap_bound < 1e-3
 
 
 def test_gap_bound_is_infinite_when_a_counted_cell_has_no_probability():
-    from accdm.tomography import LOG_FLOOR, _Dataset, _gap_bound
-    dataset = _Dataset(sample_count_records())
-    counts = dataset.counts.ravel()
+    from accdm.tomography import LOG_FLOOR, _gap_bound
+    data = sample_counts()
+    counts = data.counts.ravel()
     p = np.full(counts.size, 0.25)
     p[np.argmax(counts)] = LOG_FLOOR
-    assert _gap_bound(dataset.model, counts, p) == math.inf
+    assert _gap_bound(data.model, counts, p) == math.inf
 
 
 def test_a_counted_cell_at_the_log_floor_is_floored():
     # floored_cells and the gap bound read one mask: a cell with counts and
     # probability at most LOG_FLOOR, the floor itself included
-    from accdm.tomography import LOG_FLOOR, _Dataset, _floored, _gap_bound
-    dataset = _Dataset(sample_count_records())
-    counts = dataset.counts.ravel()
+    from accdm.tomography import LOG_FLOOR, _floored, _gap_bound
+    data = sample_counts()
+    counts = data.counts.ravel()
     p = np.full(counts.size, 0.25)
     cell = np.argmax(counts)
     p[cell] = LOG_FLOOR
     assert np.flatnonzero(_floored(counts, p)).tolist() == [cell]
-    assert _gap_bound(dataset.model, counts, p) == math.inf
+    assert _gap_bound(data.model, counts, p) == math.inf
     p[cell] = np.nextafter(LOG_FLOOR, 1.0)
     assert not _floored(counts, p).any()
-    assert _gap_bound(dataset.model, counts, p) < math.inf
+    assert _gap_bound(data.model, counts, p) < math.inf
     # a cell without counts is never floored
     assert not _floored(np.zeros_like(counts), np.zeros_like(p)).any()
