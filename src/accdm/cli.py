@@ -162,6 +162,9 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_reconstruct(args) -> int:
+    real = [os.path.realpath(p) for p in (args.out, args.out + ".report.txt", args.trace) if p]
+    if len(set(real)) < len(real):
+        return _fail(EXIT_USAGE, f"two outputs would be written to {max(real, key=real.count)}")
     data = io.parse_counts(_read(args.counts))
     reference = (io.parse_density_matrix(_read(args.reference))
                  if args.reference else None)

@@ -11,10 +11,10 @@ Grammar (whitespace insignificant)::
 
 Mode-definition lines, ``modeId = coef*modeId (+ coef*modeId)*``, declare a
 derived mode as a unit-norm combination of primitive modes.  Constant
-definitions, ``name = coef``, declare named coefficients.  A name is defined
-at most once, and a derived mode's expansion may not reach the mode itself.
-Any identifier never defined as derived is a primitive mode; primitive
-modes are mutually orthonormal by convention.
+definitions, ``name = ['+'|'-'] coef``, declare named coefficients.  A
+name is defined at most once, and a derived mode's expansion may not reach
+the mode itself.  Any identifier never defined as derived is a primitive
+mode; primitive modes are mutually orthonormal by convention.
 """
 
 from __future__ import annotations
@@ -271,11 +271,11 @@ def parse_operator_expression(
 def parse_definition_line(line: str, definitions: Definitions) -> None:
     """Parse one ``name = ...`` line, updating ``definitions`` in place.
 
-    The right-hand side is first tried as a lone coefficient (constant
-    definition); anything else is a derived-mode combination whose
-    coefficient vector must have unit norm.  A name already defined, a name
-    that an earlier derived mode holds as a primitive mode, and a mode whose
-    expansion reaches the mode itself, are refused.
+    The right-hand side is first tried as a lone coefficient with at most
+    one leading sign (constant definition); anything else is a derived-mode
+    combination whose coefficient vector must have unit norm.  A name that
+    is already defined, or that an earlier derived mode holds as a primitive
+    mode, is refused, and so is a mode whose expansion reaches itself.
     """
     _define(line, 0, len(line), definitions)
 
@@ -301,8 +301,9 @@ def _define(text: str, start: int, end: int, definitions: Definitions) -> None:
                                  at_name, text)
 
     parser = _Parser(text, definitions, spans)
+    sign = parser.next().kind if parser.peek().kind in "+-" else "+"
     try:
-        value = parser.parse_coefficient()
+        value = parser.parse_coefficient() * (-1 if sign == "-" else 1)
         constant = parser.peek().kind == "end"
     except ParseError:
         constant = False

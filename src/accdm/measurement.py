@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .schur import _layout
-from .states import AccessibleDensityMatrix
+from .states import NORM_TOL, PSD_TOL, AccessibleDensityMatrix
 
 RANK_TOL = 1e-9
 # a design certified by _full_rank has sigma_min / sigma_max above the square
@@ -159,19 +159,19 @@ class _OutcomeModel:
     def distributions(self, rho: AccessibleDensityMatrix) -> np.ndarray:
         """Outcome distributions of a state, one row per setting.
 
-        Tiny negative round-off is clipped to zero.  Raises NumericalError
-        when a probability is below -1e-12 or a row does not sum to 1
-        within 1e-10.
+        Outcome n_v's operator has trace C(N, n_v) and a state's eigenvalues are
+        at least -PSD_TOL, so p(n_v) >= -PSD_TOL C(N, n_v), clipped to zero, and
+        rows sum to 1 within NORM_TOL, up to C(N+3, 3) ulps; else NumericalError.
         """
         p = self.probabilities(self.layout.stack_theta(rho.stack)).reshape(-1, self.n + 1)
-        if (p < -1e-12).any():
-            raise NumericalError(f"probability {p.min()} below tolerance")
-        p = np.clip(p, 0.0, None)
+        low = p < -PSD_TOL * np.array([math.comb(self.n, k) for k in range(self.n + 1)])
+        if low.any():
+            raise NumericalError(f"probability {p[low][0]} below tolerance")
         totals = p.sum(axis=1)
-        bad = ~(np.abs(totals - 1.0) <= 1e-10)
+        bad = ~(np.abs(totals - 1.0) <= NORM_TOL + self.design.shape[1] * np.finfo(float).eps)
         if bad.any():
             raise NumericalError(f"probabilities sum to {totals[bad][0]}, expected 1")
-        return p
+        return np.clip(p, 0.0, None)
 
     def rank(self) -> int:
         """Numerical rank of the design, by ``_column_rank``."""
@@ -182,9 +182,9 @@ def outcome_probabilities(rho: AccessibleDensityMatrix,
                           setting: WaveplateSetting) -> np.ndarray:
     """Probabilities of the N+1 outcomes, ordered (N,0) first.
 
-    p_k = sum_j mult_j trace(B_j Pi_{k,j}); tiny negative round-off is
-    clipped to zero, and NumericalError is raised when the probabilities
-    are not a distribution within round-off.
+    p_k = sum_j mult_j trace(B_j Pi_{k,j}); a negative p_k within a state's
+    tolerances is clipped to zero, and NumericalError is raised beyond them
+    (see ``_OutcomeModel.distributions``).
     """
     return _OutcomeModel([setting], rho.n).distributions(rho)[0]
 

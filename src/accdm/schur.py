@@ -312,13 +312,17 @@ class _Layout:
     have the inner product sum_j mult_j tr(A_j B_j) = scale @ (theta_A *
     theta_B), and ``trace_weights`` is scale times the identity's theta.
     ``monomials`` holds the exponents of (u00, u01, u10, u11) in each
-    degree-n monomial of a 2x2 matrix's entries, degree 1 in that order.
+    degree-n monomial of a 2x2 matrix's entries, degree 1 in that order;
+    ``transposed`` holds the position of each with u01's and u10's swapped.
     """
 
     def __init__(self, n: int):
         self.n = n
         self.monomials = np.array([[c.count(e) for e in range(4)]
                                    for c in combinations_with_replacement(range(4), n)])
+        self._index = {tuple(e): i for i, e in enumerate(self.monomials.tolist())}
+        self.transposed = np.array([self._index[a, c, b, d]
+                                    for a, b, c, d in self.monomials.tolist()])
         self.sectors = occurring_two_j(n)
         self.shape = (len(self.sectors), n + 1, n + 1)
         self.mult = np.array([su2_multiplicity(n, tj) for tj in self.sectors])
@@ -345,9 +349,9 @@ class _Layout:
         # theta @ trace_weights is sum_j mult_j tr B_j
         self.trace_weights = self.scale * self.theta(
             {tj: np.eye(tj + 1) for tj in self.sectors})
-        for array in (self.monomials, self.mult, self.in_block, self._sector, self._row,
-                      self._col, self._off, self.scale, self.trace_weights,
-                      self.gather, self.scatter, self.source, self.sign):
+        for array in (self.monomials, self.transposed, self.mult, self.in_block,
+                      self._sector, self._row, self._col, self._off, self.scale,
+                      self.trace_weights, self.gather, self.scatter, self.source, self.sign):
             array.setflags(write=False)
 
     def stack(self, theta: np.ndarray) -> np.ndarray:
@@ -387,10 +391,6 @@ class _Layout:
         """Hermitian block family of a real parameter vector."""
         return self.unpad(self.stack(theta))
 
-    def trace(self, theta: np.ndarray) -> float:
-        """Multiplicity-weighted trace sum_j mult_j tr B_j of a parameter vector."""
-        return float(self.trace_weights @ theta)
-
     @cached_property
     def table(self) -> np.ndarray:
         """Real coefficient of each monomial of ``monomials`` (rows) in entry
@@ -403,8 +403,7 @@ class _Layout:
         H^(k-r') V^r' part of (u00 H + u10 V)^(k-r) (u01 H + u11 V)^r, and
         det(u)^m = sum_i C(m, i) (-1)^i (u00 u11)^(m-i) (u01 u10)^i.
         """
-        index = {tuple(e): i for i, e in enumerate(self.monomials.tolist())}
-        table = np.zeros((len(index), len(index)))
+        table = np.zeros((len(self._index),) * 2)
         for column, (s, rp, r) in enumerate(np.argwhere(self.in_block).tolist()):
             k = self.sectors[s]
             m = (self.n - k) // 2
@@ -413,7 +412,7 @@ class _Layout:
                 q = k - rp - p
                 weight = math.comb(k - r, p) * math.comb(r, q) * scale
                 for i in range(m + 1):
-                    table[index[p + m - i, q + i, k - r - p + i, r - q + m - i],
+                    table[self._index[p + m - i, q + i, k - r - p + i, r - q + m - i],
                           column] += (-1) ** i * math.comb(m, i) * weight
         table.setflags(write=False)
         return table

@@ -162,8 +162,6 @@ def expand_and_symmetrize(expr: CreationOperatorExpression) -> FirstQuantizedSta
         for arrangement in _distinct_permutations(labels):
             amplitudes[arrangement] = amplitudes.get(arrangement, 0) + weight
 
-    if not amplitudes:
-        raise ValueError("expression expands to zero: all terms cancel")
     norm = math.sqrt(sum(abs(a) ** 2 for a in amplitudes.values()))
     cleaned = {k: v / norm for k, v in amplitudes.items()
                if abs(v / norm) >= AMPLITUDE_CUTOFF}
@@ -371,10 +369,11 @@ def expression_to_accessible(expr: CreationOperatorExpression) -> AccessibleDens
     With v_k the unit vector of factor k over polarization x primitive
     hidden mode, tr(rho u^(x)n) = perm[<v_k|u (x) 1|v_l>] / perm[<v_k|v_l>]
     is a homogeneous polynomial of degree n in u's entries.  Its C(n+3, 3)
-    coefficients, exact from :func:`_permanent_coefficients`, give the
+    coefficients c, exact from :func:`_permanent_coefficients`, give the
     blocks through ``_layout(n).inverse``, the exact inverse of the square
-    map ``table`` from the blocks to those coefficients.  The Hermitian
-    part is kept.
+    map ``table`` from the blocks to those coefficients.  As a Hermitian
+    rho has tr(rho (u^H)^(x)n) = conj tr(rho u^(x)n), c - conj c[transposed]
+    is twice the anti-Hermitian part's image; the Hermitian part is kept.
     Agrees with ``trace_hidden(expand_and_symmetrize(expr))`` without the
     n!-term expansion, and draws no random number.
 
@@ -386,17 +385,17 @@ def expression_to_accessible(expr: CreationOperatorExpression) -> AccessibleDens
     layout = _layout(n)
     coefficients = _permanent_coefficients(_photon_vectors(expr))
     # at u = 1 only the monomials in u00 and u11 remain, and they sum to
-    # perm[<v_k|v_l>], which is real
-    norm = coefficients[~layout.monomials[:, 1:3].any(axis=1)].sum().real
-    # entry (s, r', r) is mult_j rho_j[r, r']; unlike a complex division,
-    # a product with 1 / norm does not warn when norm is nan
-    stack = np.zeros(layout.shape, dtype=complex)
-    stack[layout.in_block] = _real_matmul(coefficients, layout.inverse.T) * (1 / norm)
-    hermitian = (stack + stack.conj().swapaxes(-1, -2)) / 2
-    anti = (stack - hermitian)[layout.in_block]
-    residual = float(np.abs(_real_matmul(anti, layout.table.T)).max())
+    # perm[<v_k|v_l>], which is real; unlike a complex division, a product
+    # with 1 / norm does not warn when norm is nan
+    scale = 1 / coefficients[~layout.monomials[:, 1:3].any(axis=1)].sum().real
+    anti = coefficients - coefficients[layout.transposed].conj()
+    residual = float(np.abs(anti).max() * abs(scale) / 2)
     if not residual <= RESIDUAL_TOL:
         raise ValueError(f"hidden-mode trace failed: anti-Hermitian residual "
                          f"{residual:.3e} exceeds {RESIDUAL_TOL}")
+    # entry (s, r', r) is mult_j rho_j[r, r']
+    stack = np.zeros(layout.shape, dtype=complex)
+    stack[layout.in_block] = _real_matmul(coefficients, layout.inverse.T) * scale
+    hermitian = (stack + stack.conj().swapaxes(-1, -2)) / 2
     rho = hermitian.swapaxes(-1, -2) / layout.mult[:, None, None]
     return AccessibleDensityMatrix(n, layout.unpad(rho))

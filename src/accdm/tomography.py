@@ -63,11 +63,10 @@ def log_likelihood(rho: AccessibleDensityMatrix, data: CountTable) -> float:
 # ---------------------------------------------------------------------------
 
 def _clip_and_normalize(stack: np.ndarray, layout: _Layout) -> np.ndarray:
-    """Stacked blocks with negative eigenvalues set to zero, normalized to a
-    multiplicity-weighted trace of 1.  The zero padding adds only zero
-    eigenvalues, which change neither the clip nor the trace.
-    """
-    vals, vecs = np.linalg.eigh((stack + stack.conj().swapaxes(-1, -2)) / 2)
+    """Hermitian stacked blocks, as ``_Layout.stack`` writes them, with
+    negative eigenvalues set to zero, normalized to a multiplicity-weighted
+    trace of 1.  The zero padding adds only zero eigenvalues."""
+    vals, vecs = np.linalg.eigh(stack)
     kept = np.clip(vals, 0.0, None)
     total = layout.mult @ kept.sum(axis=1)
     if total <= 1e-12:
@@ -185,9 +184,9 @@ def mle_reconstruct(data: CountTable, *, max_iters: int = 100_000,
     - two plain steps A0 -> A1 -> A2;
     - the extrapolated point A0 - 2 a r + a^2 v, with r = A1 - A0,
       v = A2 - 2 A1 + A0 and a = max(-|r| / |v|, -EXTRAPOLATION_CAP) in
-      the Frobenius norm of the stacked factor, a halved toward -1 until
-      the point's log-likelihood is at least that of A2 (no point once a
-      is within 1/16 of -1, where it is A2);
+      the Frobenius norm of the stacked factor, kept only if its
+      log-likelihood is at least that of A2 (not tried when a >= -1 - 1/16:
+      at a = -1 the point is A2);
     - after an extrapolated point, one stabilizing plain step, kept only
       if it does not lower the log-likelihood.
 
@@ -270,12 +269,10 @@ def mle_reconstruct(data: CountTable, *, max_iters: int = 100_000,
         norm_r, norm_v = math.sqrt(np.vdot(r, r).real), math.sqrt(np.vdot(v, v).real)
         alpha = (-EXTRAPOLATION_CAP if norm_r >= EXTRAPOLATION_CAP * norm_v
                  else -norm_r / norm_v)
-        while alpha < -1 - 1 / 16:
-            point = state(a0 - 2 * alpha * r + alpha * alpha * v)
-            if point[2] >= ll2:
-                return point
-            alpha = (alpha - 1) / 2
-        return None
+        if not alpha < -1 - 1 / 16:
+            return None
+        point = state(a0 - 2 * alpha * r + alpha * alpha * v)
+        return point if point[2] >= ll2 else None
 
     a, p, ll = state(a)
     trace = [ll]
@@ -312,7 +309,7 @@ def mle_reconstruct(data: CountTable, *, max_iters: int = 100_000,
             trace.append(ll)
 
     theta = layout.stack_theta(_gram(a))
-    theta /= layout.trace(theta)
+    theta /= trace_weights @ theta
     estimate = AccessibleDensityMatrix(data.n, layout.blocks(theta))
     p_final = model.probabilities(theta)
     return ReconstructionResult(

@@ -84,6 +84,21 @@ def noon_state(n):
     return AccessibleDensityMatrix(n, blocks)
 
 
+def random_settings(rng, count):
+    return [WaveplateSetting(q, h) for q, h in rng.uniform(0, 180, size=(count, 2))]
+
+
+def haar_unitary(rng, d):
+    """Haar-random d x d unitary: the QR factor of a complex Gaussian
+    matrix, with R's diagonal phases moved into Q."""
+    q, r = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+
+
+def files_under(path):
+    return sorted(p.relative_to(path) for p in path.rglob("*"))
+
+
 def random_accessible_state(n, rng):
     """Generic full-rank accessible state with Ginibre blocks."""
     blocks = {}
@@ -149,6 +164,15 @@ def accessible_projection(rho):
     u = schur_basis(n).matrix
     blocks, _ = _extract_blocks(u @ rho @ u.conj().T, n)
     return AccessibleDensityMatrix(n, blocks)
+
+
+def pure_string_state(n, bits):
+    """|s><s| for a computational string, as an accessible density matrix."""
+    dim = 2 ** n
+    rho = np.zeros((dim, dim), dtype=complex)
+    idx = int(bits, 2)
+    rho[idx, idx] = 1.0
+    return accessible_projection(rho)
 
 
 def outcome_operators(setting, n):

@@ -1,4 +1,5 @@
 import math
+import os
 import sys
 import time
 import warnings
@@ -22,6 +23,7 @@ from conftest import (
     HALF_OVERLAP_TEXT,
     TWELVE_SETTINGS,
     convolution_oracle,
+    files_under,
     half_overlap_blocks,
     sample_counts,
 )
@@ -618,13 +620,49 @@ def test_reconstruct_prints_likelihood_gap_bound(workdir, capsys):
     assert len(line) == 1 and float(line[0].split()[-1]) >= 0
 
 
+@pytest.mark.parametrize("trace, target", [("est.dm", "est.dm"),
+                                           ("est.dm.report.txt", "est.dm.report.txt"),
+                                           ("sub/../est.dm", "est.dm"),
+                                           ("link.dm", "est.dm")],
+                         ids=["out", "report", "through-a-directory", "symlink"])
+def test_reconstruct_refuses_two_outputs_at_one_path(workdir, capsys, monkeypatch,
+                                                     trace, target):
+    # the log-likelihood trace would overwrite the estimate or its report
+    (workdir / "sub").mkdir()
+    (workdir / "link.dm").symlink_to(workdir / "est.dm")
+    counts = workdir / "counts.csv"
+    counts.write_text(io.format_counts(sample_counts()))
+    monkeypatch.setattr(cli, "mle_reconstruct", lambda *args, **kwargs: pytest.fail(
+        "reconstructed before refusing the outputs"))
+    before = files_under(workdir)
+    assert run(["reconstruct", counts, "--out", workdir / "est.dm",
+                "--trace", workdir / trace]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == ("error: two outputs would be written to "
+                            f"{os.path.realpath(workdir / target)}\n")
+    assert captured.out == ""
+    assert files_under(workdir) == before
+
+
+def test_simulate_accepts_a_state_within_psd_tol(workdir, capsys):
+    # the symmetric block has eigenvalue -5e-11, so outcome VV of the (0, 0)
+    # setting has probability -5e-11, clipped to zero
+    rho = AccessibleDensityMatrix(2, {2: np.diag([1 + 5e-11, 0, -5e-11]),
+                                      0: np.zeros((1, 1))})
+    matrix = workdir / "rho.dm"
+    matrix.write_text(io.format_density_matrix(rho))
+    out = workdir / "counts.csv"
+    assert run(["simulate", matrix, "--settings", workdir / "settings.csv",
+                "--seed", "7", "--out", out]) == 0
+    assert capsys.readouterr().err == ""
+    data = io.parse_counts(out.read_text())
+    assert data.settings[0] == WaveplateSetting(0.0, 0.0)
+    assert data.counts[0, 2] == 0
+
+
 # ---------------------------------------------------------------------------
 # files that cannot be read or written
 # ---------------------------------------------------------------------------
-
-def files_under(path):
-    return sorted(p.relative_to(path) for p in path.rglob("*"))
-
 
 def expect_write_error(argv, workdir, capsys, target):
     before = files_under(workdir)

@@ -19,6 +19,7 @@ from accdm.states import AccessibleDensityMatrix
 from conftest import (
     HALF_OVERLAP_TEXT,
     TWELVE_SETTINGS,
+    files_under,
     half_overlap_blocks,
     noon_state,
     sample_counts,
@@ -135,10 +136,6 @@ def command_lines(draw):
     if draw(st.sampled_from(range(20))) == 0:
         argv.append(draw(st.sampled_from(["--bogus", "extra", "-h"])))
     return [command] + argv
-
-
-def files_under(path):
-    return {p.relative_to(path) for p in path.rglob("*")}
 
 
 def analyze_example(text):

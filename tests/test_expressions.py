@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from accdm.expressions import (
+    CreationOperatorExpression,
     Definitions,
     ParseError,
     Term,
@@ -253,3 +254,35 @@ def test_non_ascii_digit_is_a_parse_error_with_position(text, position):
 def test_non_ascii_letters_still_name_modes():
     expr = parse_operator_expression("(αH + a²V)")
     assert [t.mode for t in expr.factors[0]] == ["α", "a²"]
+
+
+def test_constant_takes_one_leading_sign():
+    defs = Definitions()
+    for line in ("k = -0.5", "m = -i", "p = +2i"):
+        parse_definition_line(line, defs)
+    assert defs.constants == {"k": -0.5, "m": -1j, "p": 2j}
+    expr = parse_operator_expression("(k*aH + m*aV + p*bH)", defs)
+    assert [t.coefficient for t in expr.factors[0]] == [-0.5, -1j, 2j]
+    for line in ("k = --0.5", "k = -+0.5", "k = -"):
+        with pytest.raises(ParseError, match="expected 'ident'"):
+            parse_definition_line(line, Definitions())
+
+
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: parse_expression_file("(exp(j*1/2*pi)*aH)"), ParseError,
+     r"expected 'i' inside exp\(\.\.\.\)"),
+    (lambda: parse_expression_file("(exp(i*1/2*p)*aH)"), ParseError,
+     r"expected 'pi' inside exp\(\.\.\.\)"),
+    (lambda: parse_expression_file("2k = 0.5\n(aH)"), ParseError,
+     "invalid definition name '2k'"),
+    (lambda: parse_expression_file("c = 0.6*a + 0.8*b )\n(cH)"), ParseError,
+     r"expected '\+', '-' or end of line, found '\)'"),
+    (lambda: CreationOperatorExpression(()), ValueError,
+     "at least one factor"),
+    (lambda: CreationOperatorExpression(((),)), ValueError,
+     "every factor must have at least one term"),
+], ids=["exp-unit", "exp-pi", "definition-name", "definition-tail",
+        "no-factor", "empty-factor"])
+def test_input_checks_name_their_cause(build, error, message):
+    with pytest.raises(error, match=message):
+        build()

@@ -298,3 +298,21 @@ def test_write_atomic(tmp_path):
     assert target.read_text() == "replaced\n"
     leftovers = [p for p in tmp_path.iterdir() if p.name != "out.txt"]
     assert leftovers == []
+
+
+@pytest.mark.parametrize("existing", [False, True], ids=["new", "existing"])
+def test_write_atomic_removes_its_temporary_file_when_the_rename_fails(
+        tmp_path, monkeypatch, existing):
+    target = tmp_path / "out.txt"
+    if existing:
+        target.write_text("kept\n")
+
+    def fail(src, dst):
+        raise OSError("rename refused")
+
+    monkeypatch.setattr(io.os, "replace", fail)
+    with pytest.raises(OSError, match="rename refused"):
+        io.write_atomic(str(target), "hello\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == (["out.txt"] if existing else [])
+    if existing:
+        assert target.read_text() == "kept\n"

@@ -24,17 +24,9 @@ from conftest import (
     full_matrix,
     noon_state,
     outcome_operators,
+    pure_string_state,
     random_accessible_state,
 )
-
-
-def pure_string_state(n, bits):
-    """|s><s| for a computational string, as an accessible density matrix."""
-    dim = 2 ** n
-    rho = np.zeros((dim, dim), dtype=complex)
-    idx = int(bits, 2)
-    rho[idx, idx] = 1.0
-    return accessible_projection(rho)
 
 
 # ---------------------------------------------------------------------------

@@ -36,7 +36,7 @@ from accdm.schur import (
     sector_rotation,
     su2_multiplicity,
 )
-from accdm.states import AccessibleDensityMatrix, expression_to_accessible
+from accdm.states import PSD_TOL, AccessibleDensityMatrix, expression_to_accessible
 from accdm.tomography import (
     RankDeficiencyError,
     linear_inversion,
@@ -48,12 +48,9 @@ from conftest import (
     TWELVE_SETTINGS,
     outcome_operators,
     random_accessible_state,
+    random_settings,
     sample_counts,
 )
-
-
-def random_settings(rng, count):
-    return [WaveplateSetting(q, h) for q, h in rng.uniform(0, 180, size=(count, 2))]
 
 
 def oracle_rows(settings, n):
@@ -475,6 +472,39 @@ def test_broken_probabilities_raise_numerical_error(monkeypatch, golden_state,
         outcome_probabilities(golden_state, TWELVE_SETTINGS[0])
     with pytest.raises(NumericalError, match=message):
         simulate_counts(golden_state, TWELVE_SETTINGS, 1e4, seed=0)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_outcome_probability_bound_is_psd_tol_times_the_outcome_trace(
+        monkeypatch, golden_state, k):
+    # outcome k's operator has trace C(3, k); the row keeps its sum
+    original = _OutcomeModel.probabilities
+    value = None
+
+    def shifted(self, theta):
+        p = original(self, theta)
+        p[0] += p[k] - value
+        p[k] = value
+        return p
+
+    monkeypatch.setattr(measurement._OutcomeModel, "probabilities", shifted)
+    value = -0.99 * PSD_TOL * math.comb(3, k)
+    assert outcome_probabilities(golden_state, TWELVE_SETTINGS[0])[k] == 0
+    value = -1.01 * PSD_TOL * math.comb(3, k)
+    with pytest.raises(NumericalError, match="below tolerance"):
+        outcome_probabilities(golden_state, TWELVE_SETTINGS[0])
+
+
+def test_states_within_psd_tol_have_outcome_distributions():
+    # eigenvalue -5e-11 on the n_v = 1 row of both sectors: p(n_v = 1) is
+    # -1.5e-10 at the (0, 0) setting, below -PSD_TOL but above -3 PSD_TOL
+    rho = AccessibleDensityMatrix(3, {3: np.diag([1 + 1.5e-10, -5e-11, 0, 0]),
+                                      1: np.diag([-5e-11, 0])})
+    p = outcome_probabilities(rho, WaveplateSetting(0.0, 0.0))
+    np.testing.assert_allclose(p, [1 + 1.5e-10, 0, 0, 0], rtol=0, atol=1e-15)
+    assert (p[1:] == 0).all()
+    data = simulate_counts(rho, [WaveplateSetting(0.0, 0.0)] + TWELVE_SETTINGS[1:], 1e4, seed=0)
+    assert (data.counts[0, 1:] == 0).all()
 
 
 def test_non_finite_probabilities_raise_numerical_error(monkeypatch, golden_state):

@@ -19,7 +19,7 @@ from accdm.schur import (
     weyl_dimension,
 )
 
-from conftest import permutation_matrix
+from conftest import haar_unitary, permutation_matrix
 
 
 # ---------------------------------------------------------------------------
@@ -292,18 +292,12 @@ def test_basis_rejects_out_of_range():
 # Sector rotations
 # ---------------------------------------------------------------------------
 
-def random_unitary_2x2(rng):
-    z = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    q, r = np.linalg.qr(z)
-    return q * (np.diag(r) / np.abs(np.diag(r)))
-
-
 @pytest.mark.parametrize("n", range(1, 9))
 def test_sector_rotation_matches_tensor_power(n):
     rng = np.random.default_rng(7)
     basis = schur_basis(n)
     for _ in range(4):
-        u = random_unitary_2x2(rng)
+        u = haar_unitary(rng, 2)
         u_full = np.array([[1.0]])
         for _ in range(n):
             u_full = np.kron(u_full, u)
@@ -315,7 +309,7 @@ def test_sector_rotation_matches_tensor_power(n):
                 np.testing.assert_allclose(w_from_basis, w, atol=1e-12)
 
     # the same kernel on a stack, including non-unitary matrices
-    stack = np.array([random_unitary_2x2(rng) for _ in range(3)]
+    stack = np.array([haar_unitary(rng, 2) for _ in range(3)]
                      + [rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
                         for _ in range(3)]).reshape(2, 3, 2, 2)
     for two_j in occurring_two_j(n):
@@ -345,7 +339,7 @@ def test_sector_rotation_is_a_representation(n):
 def test_symmetric_power_is_unitary_for_unitary_input():
     rng = np.random.default_rng(11)
     for k in (1, 2, 3, 5):
-        u = random_unitary_2x2(rng)
+        u = haar_unitary(rng, 2)
         s = symmetric_power(u, k)
         np.testing.assert_allclose(s @ s.conj().T, np.eye(k + 1), atol=1e-12)
 
@@ -370,3 +364,17 @@ def test_sector_rotation_rejects_absent_sector(rotation):
 def test_weyl_two_row_equals_two_j_plus_one(n, data):
     tj = data.draw(st.sampled_from(occurring_two_j(n)))
     assert weyl_dimension(two_j_to_partition(n, tj), 2) == tj + 1
+
+
+@pytest.mark.parametrize("check, message", [
+    (lambda: occurring_two_j(0), "n must be >= 1"),
+    (lambda: two_j_to_partition(3, 2), "two_j=2 does not occur for n=3"),
+    (lambda: weyl_dimension((1,), 0), "d must be >= 1"),
+    (lambda: symmetric_dimension(0, 2), "n and d must be >= 1"),
+    (lambda: accessible_param_count(0, 2), "n and d must be >= 1"),
+    (lambda: sector_rotation(np.eye(3), 2, 2), "u must be 2x2 or a stack of 2x2"),
+], ids=["occurring-n", "partition-two_j", "weyl-d", "symmetric-n", "param-count-n",
+        "rotation-shape"])
+def test_input_checks_name_their_cause(check, message):
+    with pytest.raises(ValueError, match=message):
+        check()

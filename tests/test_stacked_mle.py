@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from accdm import measurement, tomography
-from accdm.measurement import CountTable, WaveplateSetting, simulate_counts
+from accdm.measurement import CountTable, simulate_counts
 from accdm.schur import _layout, occurring_two_j, su2_multiplicity
 from accdm.states import PSD_TOL, AccessibleDensityMatrix
 from accdm.tomography import (
@@ -30,7 +30,7 @@ from accdm.tomography import (
     mle_reconstruct,
 )
 
-from conftest import TWELVE_SETTINGS, random_accessible_state
+from conftest import TWELVE_SETTINGS, random_accessible_state, random_settings
 
 
 def oracle_clip_and_normalize(blocks, n):
@@ -208,10 +208,6 @@ def diluted_mle(data, *, max_iters, tol):
             break
     estimate = AccessibleDensityMatrix(n, oracle_clip_and_normalize(blocks, n)[0])
     return estimate, iterations, np.array(trace)
-
-
-def random_settings(rng, count):
-    return [WaveplateSetting(q, h) for q, h in rng.uniform(0, 180, size=(count, 2))]
 
 
 def exact_counts(rho, settings, shots):

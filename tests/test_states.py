@@ -36,6 +36,7 @@ from conftest import (
     brute_force_twirl,
     convolution_oracle,
     full_matrix,
+    haar_unitary,
     half_overlap_blocks,
     random_accessible_state,
 )
@@ -375,13 +376,6 @@ def vectors_expression(vectors):
     return CreationOperatorExpression(tuple(
         tuple(Term(complex(c), "HV"[p], f"m{i}") for (p, i), c in np.ndenumerate(v))
         for v in vectors))
-
-
-def haar_unitary(rng, d):
-    """Haar-random d x d unitary: the QR factor of a complex Gaussian
-    matrix, with R's diagonal phases moved into Q."""
-    q, r = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
-    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
 
 
 def ryser_permanent(a):

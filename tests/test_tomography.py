@@ -23,10 +23,10 @@ from accdm.measurement import waveplate_unitary
 
 from conftest import (
     TWELVE_SETTINGS,
-    accessible_projection,
     full_matrix,
     half_overlap_blocks,
     noon_state,
+    pure_string_state,
     random_accessible_state,
     sample_counts,
 )
@@ -35,13 +35,6 @@ from conftest import (
 def expected_counts(rho, settings, shots):
     """Noise-free counts: count = shots * probability (fractional)."""
     return CountTable(settings, [shots * outcome_probabilities(rho, s) for s in settings])
-
-
-def pure_string_state(n, bits):
-    dim = 2 ** n
-    rho = np.zeros((dim, dim), dtype=complex)
-    rho[int(bits, 2), int(bits, 2)] = 1.0
-    return accessible_projection(rho)
 
 
 # ---------------------------------------------------------------------------
