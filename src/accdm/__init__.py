@@ -32,8 +32,6 @@ from .schur import (
     sector_rotation,
     su2_multiplicity,
     symmetric_dimension,
-    symmetric_power,
-    two_j_to_partition,
     weyl_dimension,
 )
 from .states import AccessibleDensityMatrix, expression_to_accessible
@@ -81,8 +79,6 @@ __all__ = [
     "simulate_counts",
     "su2_multiplicity",
     "symmetric_dimension",
-    "symmetric_power",
-    "two_j_to_partition",
     "waveplate_unitary",
     "weyl_dimension",
 ]

@@ -1,8 +1,9 @@
 """Command-line front end: dims, analyze, simulate, reconstruct.
 
-Exit codes: 0 success, 2 usage, 3 input format or a file that cannot be
+Exit codes: 0 success, 2 usage (an output path that resolves to an input
+or to another output among them), 3 input format or a file that cannot be
 read or written, 4 numerical (rank deficiency or non-convergence).  The
-commands raise; ``main`` alone turns an exception into exit 3 or 4.  A
+commands raise; ``main`` alone turns an exception into exit 2, 3 or 4.  A
 command that does not exit 0 leaves no output file behind.
 
 ``main`` may be called any number of times in one process; it builds its
@@ -55,9 +56,23 @@ DIMS_D_MAX = 100  # d ** (2 n) then has at most 4001 of the 4300 digits str() al
 DIMS_ROWS_MAX = 10_000
 
 
+class UsageError(Exception):
+    """A command line refused before anything is read; ``main`` exits 2."""
+
+
 def _fail(code: int, message: str) -> int:
     print(f"error: {message}", file=sys.stderr)
     return code
+
+
+def _check_paths(inputs: list[str], outputs: list[str]) -> None:
+    """UsageError, naming the path, when an output resolves to an input or
+    to another output: writing it would destroy that file."""
+    taken = {os.path.realpath(p): "an output would overwrite the input" for p in inputs}
+    for path in map(os.path.realpath, outputs):
+        if path in taken:
+            raise UsageError(f"{taken[path]} {path}")
+        taken[path] = "two outputs would be written to"
 
 
 def _read(path: str) -> str:
@@ -130,6 +145,7 @@ def cmd_dims(args) -> int:
 
 
 def cmd_analyze(args) -> int:
+    _check_paths([args.expression], [args.out, args.out + ".report.txt"])
     text = _read(args.expression)
     if not text.strip():
         return _fail(EXIT_USAGE, f"expression file {args.expression} is empty")
@@ -143,6 +159,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    _check_paths([args.matrix, args.settings], [args.out])
     rho = io.parse_density_matrix(_read(args.matrix))
     settings = io.parse_settings(_read(args.settings))
     # one outcome model serves the span rank and the simulation
@@ -162,9 +179,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_reconstruct(args) -> int:
-    real = [os.path.realpath(p) for p in (args.out, args.out + ".report.txt", args.trace) if p]
-    if len(set(real)) < len(real):
-        return _fail(EXIT_USAGE, f"two outputs would be written to {max(real, key=real.count)}")
+    _check_paths([p for p in (args.counts, args.reference) if p],
+                 [p for p in (args.out, args.out + ".report.txt", args.trace) if p])
     data = io.parse_counts(_read(args.counts))
     reference = (io.parse_density_matrix(_read(args.reference))
                  if args.reference else None)
@@ -291,6 +307,8 @@ def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
+    except UsageError as err:
+        return _fail(EXIT_USAGE, str(err))
     except (RankDeficiencyError, NumericalError) as err:
         return _fail(EXIT_NUMERICAL, str(err))
     except ValueError as err:  # FormatError and ParseError among them

@@ -13,8 +13,10 @@ Mode-definition lines, ``modeId = coef*modeId (+ coef*modeId)*``, declare a
 derived mode as a unit-norm combination of primitive modes.  Constant
 definitions, ``name = ['+'|'-'] coef``, declare named coefficients.  A
 name is defined at most once, and a derived mode's expansion may not reach
-the mode itself.  Any identifier never defined as derived is a primitive
-mode; primitive modes are mutually orthonormal by convention.
+the mode itself.  Constants and modes share one namespace: a constant's
+name is refused wherever a mode is read.  Any other identifier never
+defined as derived is a primitive mode; primitive modes are mutually
+orthonormal by convention.
 """
 
 from __future__ import annotations
@@ -127,9 +129,12 @@ class _Parser:
                 f"expected modeId followed by polarization H or V, found {tok.text!r}",
                 tok.pos)
 
-    def primitives(self, mode: str) -> dict[str, complex]:
+    def primitives(self, mode: str, position: int) -> dict[str, complex]:
         """A derived mode's expansion over primitive modes; ``{mode: 1}`` for
-        any other mode."""
+        any other mode.  A constant's name, read at ``position``, is no
+        mode."""
+        if mode in self.definitions.constants:
+            raise self.error(f"{mode!r} is a constant, not a mode", position)
         return self.definitions.modes.get(mode, {mode: 1.0 + 0.0j})
 
     def peek(self, ahead: int = 0) -> _Token:
@@ -237,7 +242,7 @@ class _Parser:
         terms = []
         for coef, tok in self.signed_terms(self.check_polarized):
             mode = tok.text[:-1]
-            for prim, gamma in self.primitives(mode).items():
+            for prim, gamma in self.primitives(mode, tok.pos).items():
                 value = coef if prim == mode else coef * gamma
                 if not cmath.isfinite(value):
                     raise self.error(f"coefficient of {tok.text!r} is not finite", tok.pos)
@@ -318,14 +323,11 @@ def _define(text: str, start: int, end: int, definitions: Definitions) -> None:
     if tok.kind != "end":
         raise parser.error(f"expected '+', '-' or end of line, found {tok.text!r}",
                            tok.pos)
-    combo: dict[str, complex] = {}
-    for coef, ident in terms:
-        combo[ident.text] = combo.get(ident.text, 0) + coef
     resolved: dict[str, complex] = {}
-    for ident, coef in combo.items():
-        expansion = parser.primitives(ident)
+    for coef, ident in terms:
+        expansion = parser.primitives(ident.text, ident.pos)
         if name in expansion:
-            through = "" if ident == name else f" through {ident!r}"
+            through = "" if ident.text == name else f" through {ident.text!r}"
             raise ParseError(f"mode {name!r} defined in terms of itself{through}",
                              at_name, text)
         for prim, gamma in expansion.items():

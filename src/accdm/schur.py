@@ -33,7 +33,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 #: Largest photon number.  ``_layout`` refuses every state, outcome model,
-#: count set and expression beyond it; the dense oracles keep their own cap.
+#: count set and expression beyond it; the dense oracles check it themselves.
 N_MAX = 10
 
 
@@ -87,13 +87,6 @@ def _validate_partition(partition: Sequence[int], d: int) -> tuple[int, ...]:
     if any(lam[i] < lam[i + 1] for i in range(len(lam) - 1)):
         raise ValueError(f"partition entries must be weakly decreasing, got {lam}")
     return lam
-
-
-def two_j_to_partition(n: int, two_j: int) -> tuple[int, int]:
-    """Two-row Young diagram ((n + 2j)/2, (n - 2j)/2) for spin j of n qubits."""
-    if su2_multiplicity(n, two_j) == 0:
-        raise ValueError(f"two_j={two_j} does not occur for n={n}")
-    return ((n + two_j) // 2, (n - two_j) // 2)
 
 
 def weyl_dimension(partition: Sequence[int], d: int) -> int:
@@ -185,10 +178,6 @@ class SchurBasis:
             self._cached_matrix = u
         return self._cached_matrix
 
-    def amplitude_matrix(self, two_j: int, mu: int) -> np.ndarray:
-        """Rows of ``matrix`` for one (j, mu) copy, shape (2j+1, 2^n)."""
-        return self.matrix[self.sector_rows(two_j, mu), :]
-
 
 def _couple_spin_half(vecs: dict[int, np.ndarray], two_jp: int, up: bool) -> dict[int, np.ndarray]:
     """Couple one more spin-1/2 onto a spin-j' standard multiplet.
@@ -264,25 +253,15 @@ def _real_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a.real @ b + 1j * (a.imag @ b)
 
 
-def symmetric_power(u: np.ndarray, k: int) -> np.ndarray:
-    """Matrix of u^(x)k restricted to the symmetric subspace of k qubits:
-    ``sector_rotation(u, k, k)``, for an integer k in 1..N_MAX.
-
-    Basis ordered by weight m descending, i.e. index r = number of V's.
-    Valid for any 2x2 matrix u, not only unitaries.  A stack of matrices,
-    shape (..., 2, 2), gives the stack of powers, shape (..., k+1, k+1).
-    """
-    return sector_rotation(u, k, k)
-
-
 def sector_rotation(u: np.ndarray, n: int, two_j: int) -> np.ndarray:
     """Block of the collective rotation u^(x)n within one spin-j sector.
 
     Identical for every multiplicity copy of the sequential-coupling basis:
-    det(u)^((n-2j)/2) times the symmetric (2j)-fold power of u, read from
-    ``_layout(n).rotations``.  Rows and columns are ordered by weight m
-    descending.  Like :func:`symmetric_power`, accepts a stack of matrices.
-    Raises ValueError unless n is an integer in 1..N_MAX and j occurs.
+    det(u)^((n-2j)/2) Sym^(2j)(u) for any 2x2 u, or for each of a stack of
+    them, read from ``_layout(n).rotations``; ``sector_rotation(u, k, k)``
+    is Sym^k(u).  Rows and columns are ordered by weight m descending, the
+    number of V's.  Raises ValueError unless n is an integer in 1..N_MAX
+    and j occurs.
     """
     layout = _layout(n)
     if not isinstance(two_j, numbers.Integral) or su2_multiplicity(n, two_j) == 0:
@@ -312,7 +291,8 @@ class _Layout:
     have the inner product sum_j mult_j tr(A_j B_j) = scale @ (theta_A *
     theta_B), and ``trace_weights`` is scale times the identity's theta.
     ``monomials`` holds the exponents of (u00, u01, u10, u11) in each
-    degree-n monomial of a 2x2 matrix's entries, degree 1 in that order;
+    degree-n monomial of a 2x2 matrix's entries, degree 1 in that order,
+    and ``index`` maps each one's exponent tuple to its position there;
     ``transposed`` holds the position of each with u01's and u10's swapped.
     """
 
@@ -320,8 +300,8 @@ class _Layout:
         self.n = n
         self.monomials = np.array([[c.count(e) for e in range(4)]
                                    for c in combinations_with_replacement(range(4), n)])
-        self._index = {tuple(e): i for i, e in enumerate(self.monomials.tolist())}
-        self.transposed = np.array([self._index[a, c, b, d]
+        self.index = {tuple(e): i for i, e in enumerate(self.monomials.tolist())}
+        self.transposed = np.array([self.index[a, c, b, d]
                                     for a, b, c, d in self.monomials.tolist()])
         self.sectors = occurring_two_j(n)
         self.shape = (len(self.sectors), n + 1, n + 1)
@@ -403,7 +383,7 @@ class _Layout:
         H^(k-r') V^r' part of (u00 H + u10 V)^(k-r) (u01 H + u11 V)^r, and
         det(u)^m = sum_i C(m, i) (-1)^i (u00 u11)^(m-i) (u01 u10)^i.
         """
-        table = np.zeros((len(self._index),) * 2)
+        table = np.zeros((len(self.index),) * 2)
         for column, (s, rp, r) in enumerate(np.argwhere(self.in_block).tolist()):
             k = self.sectors[s]
             m = (self.n - k) // 2
@@ -412,7 +392,7 @@ class _Layout:
                 q = k - rp - p
                 weight = math.comb(k - r, p) * math.comb(r, q) * scale
                 for i in range(m + 1):
-                    table[self._index[p + m - i, q + i, k - r - p + i, r - q + m - i],
+                    table[self.index[p + m - i, q + i, k - r - p + i, r - q + m - i],
                           column] += (-1) ** i * math.comb(m, i) * weight
         table.setflags(write=False)
         return table

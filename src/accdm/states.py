@@ -331,7 +331,7 @@ def _predecessors(d: int) -> np.ndarray:
     """Position in ``_layout(d - 1).monomials`` of each monomial of degree
     d >= 2 divided by each entry u_e, shape (C(d+3, 3), 4), or -1 where u_e
     does not divide it."""
-    index = {tuple(e): i for i, e in enumerate(_layout(d - 1).monomials.tolist())}
+    index = _layout(d - 1).index
     table = np.array([[index.get(tuple(e[:k] + [e[k] - 1] + e[k + 1:]), -1) for k in range(4)]
                       for e in _layout(d).monomials.tolist()])
     table.setflags(write=False)

@@ -50,12 +50,17 @@ class RankDeficiencyError(ValueError):
         self.required = required
 
 
+def _log_likelihood(counts: np.ndarray, p: np.ndarray) -> float:
+    """counts @ log(max(p, LOG_FLOOR)), for log_likelihood and the MLE alike."""
+    return float(counts @ np.log(np.maximum(p, LOG_FLOOR)))
+
+
 def log_likelihood(rho: AccessibleDensityMatrix, data: CountTable) -> float:
     """Sum of count * log(probability), with probabilities floored at 1e-12."""
     if data.n != rho.n:
         raise ValueError(f"data is for {data.n} photons, state for {rho.n}")
     p = data.model.probabilities(data.model.layout.stack_theta(rho.stack))
-    return float((data.counts.ravel() * np.log(np.maximum(p, LOG_FLOOR))).sum())
+    return _log_likelihood(data.counts.ravel(), p)
 
 
 # ---------------------------------------------------------------------------
@@ -232,16 +237,13 @@ def mle_reconstruct(data: CountTable, *, max_iters: int = 100_000,
     fractions = counts / max(counts.sum(), 1.0)
     design, trace_weights = model.design, layout.trace_weights
 
-    def ll_of(p: np.ndarray) -> float:
-        return float(counts @ np.log(np.maximum(p, LOG_FLOOR)))
-
     def state(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
         """a rescaled to a state a a^H of unit trace, its probabilities and
         log-likelihood"""
         theta = layout.stack_theta(_gram(a))
         t = trace_weights @ theta
         p = design @ theta / t
-        return a / math.sqrt(t), p, ll_of(p)
+        return a / math.sqrt(t), p, _log_likelihood(counts, p)
 
     def r_step(a: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
         r_op = layout.stack(model.operator_theta(fractions / np.maximum(p, 1e-15)))
@@ -257,7 +259,7 @@ def mle_reconstruct(data: CountTable, *, max_iters: int = 100_000,
             # probabilities are linear in rho, so those of a convex step
             # follow from those of its two ends
             p_d = (1 - d) * p + d * p1
-            ll_d = ll_of(p_d)
+            ll_d = _log_likelihood(counts, p_d)
             if ll_d >= ll:
                 return _factor((1 - d) * _gram(a) + d * _gram(a1), layout), p_d, ll_d, True
             d /= 2

@@ -644,6 +644,49 @@ def test_reconstruct_refuses_two_outputs_at_one_path(workdir, capsys, monkeypatc
     assert files_under(workdir) == before
 
 
+def refuses_to_overwrite(argv, path, capsys, workdir):
+    """``argv`` exits 2, names ``path`` as an input that an output would
+    overwrite, and leaves every file under ``workdir`` as it was."""
+    before = {p: p.read_bytes() for p in workdir.rglob("*") if p.is_file()}
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (f"error: an output would overwrite the input "
+                            f"{os.path.realpath(path)}\n")
+    assert captured.out == ""
+    assert {p: p.read_bytes() for p in workdir.rglob("*") if p.is_file()} == before
+
+
+def test_analyze_refuses_to_overwrite_its_expression(workdir, capsys):
+    expr = workdir / "state.expr"
+    refuses_to_overwrite(["analyze", expr, "--out", expr], expr, capsys, workdir)
+
+
+@pytest.mark.parametrize("input_name", ["rho.dm", "settings.csv"])
+def test_simulate_refuses_to_overwrite_its_inputs(workdir, capsys, input_name):
+    (workdir / "rho.dm").write_text(io.format_density_matrix(
+        AccessibleDensityMatrix.maximally_mixed(3)))
+    refuses_to_overwrite(["simulate", workdir / "rho.dm", "--settings",
+                          workdir / "settings.csv", "--out", workdir / input_name],
+                         workdir / input_name, capsys, workdir)
+
+
+@pytest.mark.parametrize("option", ["--out", "--trace"])
+def test_reconstruct_refuses_to_overwrite_its_inputs(workdir, capsys, monkeypatch, option):
+    # the counts through --trace or --out, the reference through the other
+    counts, reference = workdir / "counts.csv", workdir / "rho.dm"
+    counts.write_text(io.format_counts(sample_counts()))
+    reference.write_text(io.format_density_matrix(AccessibleDensityMatrix.maximally_mixed(3)))
+    monkeypatch.setattr(cli, "mle_reconstruct", lambda *args, **kwargs: pytest.fail(
+        "reconstructed before refusing the outputs"))
+    other = {"--out": "--trace", "--trace": "--out"}[option]
+    refuses_to_overwrite(["reconstruct", counts, "--reference", reference,
+                          option, counts, other, workdir / "est.dm"],
+                         counts, capsys, workdir)
+    refuses_to_overwrite(["reconstruct", counts, "--reference", reference,
+                          option, reference, other, workdir / "est.dm"],
+                         reference, capsys, workdir)
+
+
 def test_simulate_accepts_a_state_within_psd_tol(workdir, capsys):
     # the symmetric block has eigenvalue -5e-11, so outcome VV of the (0, 0)
     # setting has probability -5e-11, clipped to zero

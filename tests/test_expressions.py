@@ -198,6 +198,26 @@ def test_primitive_mode_of_a_definition_cannot_be_defined_later(text):
     assert (err.value.line, err.value.column) == (2, 1)
 
 
+@pytest.mark.parametrize("text, line, column", [
+    ("k = 0.5\n(kV)(aH)\n", 2, 2),
+    ("k = 0.5\nc = 0.6*k + 0.8*b\n(cH)\n", 2, 9),
+    ("(aH)\n  (bV)(kV)\nk = 0.5\n", 2, 8),
+], ids=["factor", "derived-mode", "body-above-the-constant"])
+def test_a_constant_is_not_a_mode(text, line, column):
+    # one namespace: k would be a coefficient in one place and a primitive
+    # hidden mode in another
+    with pytest.raises(ParseError, match="'k' is a constant, not a mode") as err:
+        parse_expression_file(text)
+    assert (err.value.line, err.value.column) == (line, column)
+
+
+def test_a_constant_may_be_defined_by_a_constant():
+    defs = Definitions()
+    parse_definition_line("q = 0.6", defs)
+    parse_definition_line("k = q", defs)
+    assert defs.constants == {"q": 0.6, "k": 0.6} and defs.modes == {}
+
+
 # definitions above a body spread over several lines: positions, lines and
 # columns count in the file
 MULTILINE_ERRORS = {

@@ -16,7 +16,7 @@ from accdm.measurement import (
     simulate_counts,
 )
 from accdm.expressions import parse_operator_expression
-from accdm.schur import N_MAX, _layout, _layouts, sector_rotation, symmetric_power
+from accdm.schur import N_MAX, _layout, _layouts, sector_rotation
 from accdm.states import AccessibleDensityMatrix, expression_to_accessible
 from accdm.tomography import linear_inversion, log_likelihood, mle_reconstruct
 
@@ -36,7 +36,6 @@ ENTRY_POINTS = {
     "simulate_counts": lambda n: simulate_counts(SimpleNamespace(n=n), [SETTING], 1e4, 7),
     "expression_to_accessible": lambda n: expression_to_accessible(SimpleNamespace(n=n)),
     "sector_rotation": lambda n: sector_rotation(np.eye(2), n, 1),
-    "symmetric_power": lambda n: symmetric_power(np.eye(2), n),
 }
 
 
@@ -80,7 +79,7 @@ def test_numpy_integer_photon_numbers_are_accepted():
     assert measurement_span_rank([SETTING], three) == measurement_span_rank([SETTING], 3)
     u = np.array([[0.6, 0.8j], [0.8j, 0.6]])
     np.testing.assert_array_equal(sector_rotation(u, three, 1), sector_rotation(u, 3, 1))
-    np.testing.assert_array_equal(symmetric_power(u, three), symmetric_power(u, 3))
+    np.testing.assert_array_equal(sector_rotation(u, three, three), sector_rotation(u, 3, 3))
 
 
 def test_the_gate_hands_on_one_int():

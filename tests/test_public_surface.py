@@ -23,8 +23,7 @@ EXPORTED = [
     "occurring_two_j", "outcome_probabilities", "parse_definition_line",
     "parse_expression_file", "parse_operator_expression", "partitions",
     "schur_basis", "sector_rotation", "simulate_counts", "su2_multiplicity",
-    "symmetric_dimension", "symmetric_power", "two_j_to_partition",
-    "waveplate_unitary", "weyl_dimension",
+    "symmetric_dimension", "waveplate_unitary", "weyl_dimension",
 ]
 
 

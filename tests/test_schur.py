@@ -14,8 +14,6 @@ from accdm.schur import (
     sector_rotation,
     su2_multiplicity,
     symmetric_dimension,
-    symmetric_power,
-    two_j_to_partition,
     weyl_dimension,
 )
 
@@ -160,14 +158,6 @@ def test_partition_enumeration_order():
     assert list(partitions(3, 3)) == [(3,), (2, 1), (1, 1, 1)]
 
 
-def test_two_j_partition_bijection():
-    for n in range(1, 9):
-        for tj in occurring_two_j(n):
-            lam = two_j_to_partition(n, tj)
-            assert sum(lam) == n
-            assert lam[0] - lam[1] == tj
-
-
 # ---------------------------------------------------------------------------
 # Explicit basis
 # ---------------------------------------------------------------------------
@@ -304,7 +294,7 @@ def test_sector_rotation_matches_tensor_power(n):
         for two_j in occurring_two_j(n):
             w = sector_rotation(u, n, two_j)
             for mu in range(1, su2_multiplicity(n, two_j) + 1):
-                rows = basis.amplitude_matrix(two_j, mu)
+                rows = basis.matrix[basis.sector_rows(two_j, mu)]
                 w_from_basis = rows @ u_full @ rows.conj().T
                 np.testing.assert_allclose(w_from_basis, w, atol=1e-12)
 
@@ -315,7 +305,7 @@ def test_sector_rotation_matches_tensor_power(n):
     for two_j in occurring_two_j(n):
         w_stack = sector_rotation(stack, n, two_j)
         assert w_stack.shape == (2, 3, two_j + 1, two_j + 1)
-        rows = basis.amplitude_matrix(two_j, 1)
+        rows = basis.matrix[basis.sector_rows(two_j, 1)]
         for idx in np.ndindex(2, 3):
             u_full = np.array([[1.0]])
             for _ in range(n):
@@ -340,7 +330,7 @@ def test_symmetric_power_is_unitary_for_unitary_input():
     rng = np.random.default_rng(11)
     for k in (1, 2, 3, 5):
         u = haar_unitary(rng, 2)
-        s = symmetric_power(u, k)
+        s = sector_rotation(u, k, k)
         np.testing.assert_allclose(s @ s.conj().T, np.eye(k + 1), atol=1e-12)
 
 
@@ -349,10 +339,10 @@ def test_symmetric_power_is_unitary_for_unitary_input():
     pytest.param(lambda u: sector_rotation(u, 3, 1.0), id="float-two_j"),
     pytest.param(lambda u: sector_rotation(u, 0, 0), id="zero-n"),
     pytest.param(lambda u: sector_rotation(u, N_MAX + 2, N_MAX), id="n-above-cap"),
-    pytest.param(lambda u: symmetric_power(u, -1), id="negative-k"),
-    pytest.param(lambda u: symmetric_power(u, 2.5), id="fractional-k"),
-    pytest.param(lambda u: symmetric_power(u, 0), id="zero-k"),
-    pytest.param(lambda u: symmetric_power(u, N_MAX + 1), id="k-above-cap"),
+    pytest.param(lambda u: sector_rotation(u, -1, -1), id="negative-k"),
+    pytest.param(lambda u: sector_rotation(u, 2.5, 2.5), id="fractional-k"),
+    pytest.param(lambda u: sector_rotation(u, 0, 0), id="zero-k"),
+    pytest.param(lambda u: sector_rotation(u, N_MAX + 1, N_MAX + 1), id="k-above-cap"),
 ])
 def test_sector_rotation_rejects_absent_sector(rotation):
     with pytest.raises(ValueError):
@@ -363,17 +353,16 @@ def test_sector_rotation_rejects_absent_sector(rotation):
 @given(st.integers(min_value=1, max_value=8), st.data())
 def test_weyl_two_row_equals_two_j_plus_one(n, data):
     tj = data.draw(st.sampled_from(occurring_two_j(n)))
-    assert weyl_dimension(two_j_to_partition(n, tj), 2) == tj + 1
+    assert weyl_dimension(((n + tj) // 2, (n - tj) // 2), 2) == tj + 1
 
 
 @pytest.mark.parametrize("check, message", [
     (lambda: occurring_two_j(0), "n must be >= 1"),
-    (lambda: two_j_to_partition(3, 2), "two_j=2 does not occur for n=3"),
     (lambda: weyl_dimension((1,), 0), "d must be >= 1"),
     (lambda: symmetric_dimension(0, 2), "n and d must be >= 1"),
     (lambda: accessible_param_count(0, 2), "n and d must be >= 1"),
     (lambda: sector_rotation(np.eye(3), 2, 2), "u must be 2x2 or a stack of 2x2"),
-], ids=["occurring-n", "partition-two_j", "weyl-d", "symmetric-n", "param-count-n",
+], ids=["occurring-n", "weyl-d", "symmetric-n", "param-count-n",
         "rotation-shape"])
 def test_input_checks_name_their_cause(check, message):
     with pytest.raises(ValueError, match=message):

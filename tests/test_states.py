@@ -440,6 +440,39 @@ def test_photons_in_one_hidden_mode_are_a_symmetric_basis_state(n):
         assert rho.purity() == pytest.approx(1.0, rel=0, abs=1e-12)
 
 
+def table_free_rotation(u, n, two_j):
+    """R_j(u) = det(u)^m Sym^k(u), k = 2j, m = (n - k)/2, without the
+    layout's table: column r of Sym^k multiplies in one linear form per
+    degree, u00 + u10 x for each of the k - r H's of |r> and u01 + u11 x for
+    each of its r V's, and row r' reads the coefficient of x^r', scaled by
+    sqrt(C(k, r) / C(k, r')).  Rows and columns count V's."""
+    sym = np.zeros((two_j + 1, two_j + 1), dtype=complex)
+    for r in range(two_j + 1):
+        poly = np.ones(1, dtype=complex)
+        for form in [u[:, 0]] * (two_j - r) + [u[:, 1]] * r:
+            poly = np.convolve(poly, form)
+        sym[:, r] = poly
+    binom = np.array([math.comb(two_j, r) for r in range(two_j + 1)])
+    return np.linalg.det(u) ** ((n - two_j) // 2) * sym * np.sqrt(binom / binom[:, None])
+
+
+@pytest.mark.parametrize("n", range(1, N_MAX + 1))
+def test_blocks_give_the_permanent_without_the_table(n):
+    # sum_j mult_j tr(rho_j R_j(u)) = perm M(u) / perm G at a non-unitary
+    # u, M_kl(u) = <v_k|u (x) 1|v_l> and G = M(1), with R_j(u) built
+    # independently of the table that analyze inverts
+    rng = np.random.default_rng(1600 + n)
+    vectors = rng.normal(size=(n, 2, 3)) + 1j * rng.normal(size=(n, 2, 3))
+    u = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    rho = expression_to_accessible(vectors_expression(vectors))
+    value = sum(su2_multiplicity(n, tj) * np.trace(block @ table_free_rotation(u, n, tj))
+                for tj, block in rho.blocks.items())
+    overlap = np.einsum("kpi,pq,lqi->kl", vectors.conj(), u, vectors)
+    gram = np.einsum("kpi,lpi->kl", vectors.conj(), vectors)
+    expected = ryser_permanent(overlap) / ryser_permanent(gram)
+    assert abs(value - expected) <= 1e-10 * abs(expected)
+
+
 def kron_power(a, n):
     out = np.ones((1, 1), dtype=complex)
     for _ in range(n):
