@@ -1,10 +1,12 @@
 """Command-line front end: dims, analyze, simulate, reconstruct.
 
-Exit codes: 0 success, 2 usage (an output path that resolves to an input
-or to another output among them), 3 input format or a file that cannot be
-read or written, 4 numerical (rank deficiency or non-convergence).  The
-commands raise; ``main`` alone turns an exception into exit 2, 3 or 4.  A
-command that does not exit 0 leaves no output file behind.
+Exit codes: 0 success, 2 usage (argparse's errors and every UsageError:
+dims beyond its caps, an empty expression file, an output path that
+resolves to an input or to another output), 3 input format or a file that
+cannot be read or written, 4 numerical (rank deficiency or
+non-convergence).  The commands raise and return nothing; ``main`` alone
+turns an exception into exit 2, 3 or 4.  A command that does not exit 0
+leaves no output file behind.
 
 ``main`` may be called any number of times in one process; it builds its
 parser on the first call and reuses it.
@@ -118,12 +120,12 @@ def _write(outputs: dict[str, str]) -> None:
 # that it prints is computed; main maps the exception to an exit code
 # ---------------------------------------------------------------------------
 
-def cmd_dims(args) -> int:
+def cmd_dims(args) -> None:
     n, d = args.n, args.d
     # the d = 2 table has n/2 rows, and range() overflows beyond sys.maxsize
     if not (1 <= n <= DIMS_N_MAX and 1 <= d <= DIMS_D_MAX):
-        return _fail(EXIT_USAGE, f"--n must be between 1 and {DIMS_N_MAX}, "
-                                 f"--d between 1 and {DIMS_D_MAX}")
+        raise UsageError(f"--n must be between 1 and {DIMS_N_MAX}, "
+                         f"--d between 1 and {DIMS_D_MAX}")
     if d == 2:
         print(f"{'two_j':>6} {'multiplicity':>13} {'dimension':>10}")
         for two_j in occurring_two_j(n):
@@ -132,8 +134,8 @@ def cmd_dims(args) -> int:
         # about n^(d-1) / ((d-1)! d!) rows
         rows = list(itertools.islice(partitions(n, d), DIMS_ROWS_MAX + 1))
         if len(rows) > DIMS_ROWS_MAX:
-            return _fail(EXIT_USAGE, f"the table for --n {n} --d {d} has more "
-                                     f"than {DIMS_ROWS_MAX} rows")
+            raise UsageError(f"the table for --n {n} --d {d} has more than "
+                             f"{DIMS_ROWS_MAX} rows")
         print(f"{'partition':>20} {'dimension':>10}")
         for lam in rows:
             print(f"{str(lam):>20} {weyl_dimension(lam, d):>10}")
@@ -141,24 +143,22 @@ def cmd_dims(args) -> int:
     print(f"symmetric dimension: {sym} (squared: {sym ** 2})")
     print(f"accessible parameters: {accessible_param_count(n, d)}")
     print(f"full-space parameters: {d ** (2 * n)}")
-    return EXIT_OK
 
 
-def cmd_analyze(args) -> int:
+def cmd_analyze(args) -> None:
     _check_paths([args.expression], [args.out, args.out + ".report.txt"])
     text = _read(args.expression)
     if not text.strip():
-        return _fail(EXIT_USAGE, f"expression file {args.expression} is empty")
+        raise UsageError(f"expression file {args.expression} is empty")
     rho = expression_to_accessible(parse_expression_file(text))
     report = io.format_report(indistinguishability_report(rho, tol=args.verdict_tol))
     _write({args.out: io.format_density_matrix(rho), args.out + ".report.txt": report})
     print(f"photons: {rho.n}")
     print(report, end="")
     print(f"wrote {args.out} and {args.out}.report.txt")
-    return EXIT_OK
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args) -> None:
     _check_paths([args.matrix, args.settings], [args.out])
     rho = io.parse_density_matrix(_read(args.matrix))
     settings = io.parse_settings(_read(args.settings))
@@ -175,10 +175,9 @@ def cmd_simulate(args) -> int:
     # fsum rounds the exact total once, as formatting an int total did
     total = math.fsum(data.counts.flat)
     print(f"wrote {data.counts.size} rows ({total:.0f} counts) to {args.out}")
-    return EXIT_OK
 
 
-def cmd_reconstruct(args) -> int:
+def cmd_reconstruct(args) -> None:
     _check_paths([p for p in (args.counts, args.reference) if p],
                  [p for p in (args.out, args.out + ".report.txt", args.trace) if p])
     data = io.parse_counts(_read(args.counts))
@@ -209,7 +208,6 @@ def cmd_reconstruct(args) -> int:
         print(f"fidelity to reference: {fid:.6f}")
     print(report, end="")
     print(f"wrote {args.out} and {args.out}.report.txt")
-    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -306,13 +304,14 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        args.func(args)
     except UsageError as err:
         return _fail(EXIT_USAGE, str(err))
     except (RankDeficiencyError, NumericalError) as err:
         return _fail(EXIT_NUMERICAL, str(err))
     except ValueError as err:  # FormatError and ParseError among them
         return _fail(EXIT_FORMAT, str(err))
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -27,7 +27,7 @@ import re
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-NORM_TOL = 1e-12
+MODE_NORM_TOL = 1e-12
 
 
 # the line boundaries of str.splitlines
@@ -336,7 +336,7 @@ def _define(text: str, start: int, end: int, definitions: Definitions) -> None:
     # hypot of the parts neither overflows, as a sum of squares does, nor
     # raises, as abs() of a complex can for a NaN
     norm = math.hypot(*(x for v in resolved.values() for x in (v.real, v.imag)))
-    if not abs(norm * norm - 1.0) <= NORM_TOL:
+    if not abs(norm * norm - 1.0) <= MODE_NORM_TOL:
         raise ParseError(
             f"derived mode {name!r} has norm {norm:.12g}, expected 1", eq + 1, text)
     definitions.modes[name] = resolved

@@ -292,16 +292,17 @@ class _Layout:
     theta_B), and ``trace_weights`` is scale times the identity's theta.
     ``monomials`` holds the exponents of (u00, u01, u10, u11) in each
     degree-n monomial of a 2x2 matrix's entries, degree 1 in that order,
-    and ``index`` maps each one's exponent tuple to its position there;
-    ``transposed`` holds the position of each with u01's and u10's swapped.
+    and ``transposed`` the position of each with u01's and u10's swapped.
+    The tables of analyze's permanent, ``glynn_signs`` and
+    ``predecessors``, are built on first use like ``table`` and ``inverse``.
     """
 
     def __init__(self, n: int):
         self.n = n
         self.monomials = np.array([[c.count(e) for e in range(4)]
                                    for c in combinations_with_replacement(range(4), n)])
-        self.index = {tuple(e): i for i, e in enumerate(self.monomials.tolist())}
-        self.transposed = np.array([self.index[a, c, b, d]
+        self._index = {tuple(e): i for i, e in enumerate(self.monomials.tolist())}
+        self.transposed = np.array([self._index[a, c, b, d]
                                     for a, b, c, d in self.monomials.tolist()])
         self.sectors = occurring_two_j(n)
         self.shape = (len(self.sectors), n + 1, n + 1)
@@ -383,7 +384,7 @@ class _Layout:
         H^(k-r') V^r' part of (u00 H + u10 V)^(k-r) (u01 H + u11 V)^r, and
         det(u)^m = sum_i C(m, i) (-1)^i (u00 u11)^(m-i) (u01 u10)^i.
         """
-        table = np.zeros((len(self.index),) * 2)
+        table = np.zeros((len(self._index),) * 2)
         for column, (s, rp, r) in enumerate(np.argwhere(self.in_block).tolist()):
             k = self.sectors[s]
             m = (self.n - k) // 2
@@ -392,7 +393,7 @@ class _Layout:
                 q = k - rp - p
                 weight = math.comb(k - r, p) * math.comb(r, q) * scale
                 for i in range(m + 1):
-                    table[self.index[p + m - i, q + i, k - r - p + i, r - q + m - i],
+                    table[self._index[p + m - i, q + i, k - r - p + i, r - q + m - i],
                           column] += (-1) ** i * math.comb(m, i) * weight
         table.setflags(write=False)
         return table
@@ -405,6 +406,33 @@ class _Layout:
         inverse = np.linalg.inv(self.table)
         inverse.setflags(write=False)
         return inverse
+
+    @cached_property
+    def glynn_signs(self) -> tuple[np.ndarray, np.ndarray]:
+        """Sign vectors delta in {+1, -1}^n with delta_1 = +1, and their
+        products, for Glynn's permanent formula."""
+        bits = (np.arange(2 ** (self.n - 1))[:, None] >> np.arange(self.n - 1)) & 1
+        # complex like the matrices they multiply: a mixed real-complex matmul
+        # misses BLAS and is many times slower
+        deltas = np.hstack([np.ones((len(bits), 1)), 1.0 - 2.0 * bits]).astype(complex)
+        parity = deltas.real.prod(axis=1).astype(complex)
+        deltas.setflags(write=False)
+        parity.setflags(write=False)
+        return deltas, parity
+
+    @cached_property
+    def predecessors(self) -> tuple[np.ndarray, ...]:
+        """For each degree d = 2..n, the position among the monomials of
+        degree d - 1 of each one of degree d divided by each entry u_e,
+        shape (C(d+3, 3), 4), or -1 where u_e does not divide it; the
+        tables below degree n are those of the lower layouts."""
+        if self.n == 1:
+            return ()
+        below = _layouts(self.n - 1)
+        table = np.array([[below._index.get(tuple(e[:k] + [e[k] - 1] + e[k + 1:]), -1)
+                           for k in range(4)] for e in self.monomials.tolist()])
+        table.setflags(write=False)
+        return below.predecessors + (table,)
 
     def monomial_values(self, u: np.ndarray) -> np.ndarray:
         """Values of ``monomials`` at a stack of 2x2 matrices, shape

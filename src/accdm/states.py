@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 from types import MappingProxyType
 from typing import Iterator, Mapping
 
@@ -313,42 +312,18 @@ def _photon_vectors(expr: CreationOperatorExpression) -> np.ndarray:
     return vectors
 
 
-@lru_cache(maxsize=None)
-def _glynn_signs(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Sign vectors delta in {+1, -1}^n with delta_1 = +1, and their products."""
-    bits = (np.arange(2 ** (n - 1))[:, None] >> np.arange(n - 1)) & 1
-    # complex like the matrices they multiply: a mixed real-complex matmul
-    # misses BLAS and is many times slower
-    deltas = np.hstack([np.ones((len(bits), 1)), 1.0 - 2.0 * bits]).astype(complex)
-    parity = deltas.real.prod(axis=1).astype(complex)
-    deltas.setflags(write=False)
-    parity.setflags(write=False)
-    return deltas, parity
-
-
-@lru_cache(maxsize=None)
-def _predecessors(d: int) -> np.ndarray:
-    """Position in ``_layout(d - 1).monomials`` of each monomial of degree
-    d >= 2 divided by each entry u_e, shape (C(d+3, 3), 4), or -1 where u_e
-    does not divide it."""
-    index = _layout(d - 1).index
-    table = np.array([[index.get(tuple(e[:k] + [e[k] - 1] + e[k + 1:]), -1) for k in range(4)]
-                      for e in _layout(d).monomials.tolist()])
-    table.setflags(write=False)
-    return table
-
-
 def _permanent_coefficients(vectors: np.ndarray) -> np.ndarray:
     """Coefficients over ``_layout(n).monomials`` of perm M(u), for unit
     vectors v_k of shape (n, 2, modes) and M_kl(u) = <v_k|u (x) 1|v_l>, by
     Glynn's formula: perm M = 2^-(n-1) sum_delta (prod_k delta_k) prod_l
     L_l with L_l = sum_k delta_k M_kl.  The product of the linear forms L_l
     is multiplied out one column l at a time: a monomial's new coefficient
-    is the dot product of its predecessors' (:func:`_predecessors`) with
+    is the dot product of its predecessors' (``_Layout.predecessors``) with
     the coefficients of L_l, one batched matmul over the sign vectors.
     """
     n = len(vectors)
-    deltas, parity = _glynn_signs(n)
+    layout = _layout(n)
+    deltas, parity = layout.glynn_signs
     # the linear forms sum_k delta_k <v_k|p><q|v_l>, shape (signs, n, 4, 1)
     mixed = (deltas @ vectors.conj().reshape(n, -1)).reshape(2 * len(deltas), -1)
     columns = (mixed @ vectors.reshape(2 * n, -1).T).reshape(len(deltas), 2, n, 2)
@@ -357,8 +332,7 @@ def _permanent_coefficients(vectors: np.ndarray) -> np.ndarray:
     # predecessors at -1
     products = np.zeros((len(deltas), math.comb(n + 3, 3) + 1, 1), dtype=complex)
     products[:, :4] = columns[:, 0]
-    for col in range(1, n):
-        table = _predecessors(col + 1)
+    for col, table in enumerate(layout.predecessors, start=1):
         np.matmul(products[:, table, 0], columns[:, col], out=products[:, :len(table)])
     return parity @ products[:, :-1, 0] / 2 ** (n - 1)
 

@@ -23,7 +23,6 @@ import numpy as np
 from .measurement import (
     CountTable,
     NumericalError,
-    WaveplateSetting,
     _OutcomeModel,
     _column_rank,
 )
@@ -124,8 +123,6 @@ class ReconstructionResult:
     log_likelihood: float
     iterations: int
     converged: bool
-    settings: list[WaveplateSetting]
-    observed_frequencies: np.ndarray
     predicted_frequencies: np.ndarray
     ll_trace: np.ndarray = field(repr=False)
     floored_cells: int = 0
@@ -319,8 +316,6 @@ def mle_reconstruct(data: CountTable, *, max_iters: int = 100_000,
         log_likelihood=ll,
         iterations=iterations,
         converged=converged,
-        settings=list(data.settings),
-        observed_frequencies=data.frequencies,
         predicted_frequencies=p_final.reshape(data.counts.shape),
         ll_trace=np.array(trace),
         floored_cells=int(_floored(counts, p_final).sum()),

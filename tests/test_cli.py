@@ -1,3 +1,4 @@
+import argparse
 import math
 import os
 import sys
@@ -72,6 +73,17 @@ def test_dims_qutrits(capsys):
 
 def test_dims_rejects_bad_arguments(capsys):
     assert run(["dims", "--n", "0"]) == 2
+
+
+def test_commands_raise_and_return_nothing(workdir, capsys):
+    # main alone turns a refusal into an exit code, and success into 0
+    with pytest.raises(cli.UsageError, match="--n must be between 1 and"):
+        cli.cmd_dims(argparse.Namespace(n=0, d=2))
+    (workdir / "empty.expr").write_text("")
+    with pytest.raises(cli.UsageError, match="is empty$"):
+        cli.cmd_analyze(argparse.Namespace(expression=str(workdir / "empty.expr"),
+                                           out=str(workdir / "x.dm"), verdict_tol=1e-3))
+    assert cli.cmd_dims(argparse.Namespace(n=3, d=2)) is None
 
 
 @pytest.mark.parametrize("d", [cli.DIMS_D_MAX + 1, 3000])

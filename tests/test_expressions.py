@@ -135,8 +135,8 @@ def test_chain_of_derived_modes_expands_to_primitive_terms():
         (Term(0.6, "V", "a"), Term(0.8, "V", "b")))
 
 
-# 1.0000000000004 is unit norm within NORM_TOL, and the largest float times
-# it overflows only when the derived mode is expanded
+# 1.0000000000004 is unit norm within MODE_NORM_TOL, and the largest float
+# times it overflows only when the derived mode is expanded
 NON_FINITE_COEFFICIENTS = {
     "infinite": ("(1e400*aH)(aV)", 7),
     "nan-phase": ("(exp(i*1e400*pi)*aH)", 17),

@@ -145,7 +145,7 @@ def test_parse_counts_fuzz(text):
 def expression_templates(draw):
     """A constant, a derived mode and factors, in any order, with
     coefficients from NUMBERS: some are not finite, and some overflow only
-    once the derived mode c, of norm 1 within NORM_TOL, is expanded."""
+    once the derived mode c, of norm 1 within MODE_NORM_TOL, is expanded."""
     coefficient = st.one_of(NUMBERS, NUMBERS.map(lambda x: x + "i"),
                             NUMBERS.map(lambda x: f"exp(i*{x}*pi)"),
                             st.sampled_from(["k", "1.7976931348623157e308"]))

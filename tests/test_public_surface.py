@@ -37,6 +37,14 @@ def test_expression_fields_are_pinned():
     assert [field.name for field in fields] == ["factors"]
 
 
+def test_reconstruction_result_fields_are_pinned():
+    # what the reconstruction computed; its input stays on the CountTable
+    fields = dataclasses.fields(accdm.ReconstructionResult)
+    assert [field.name for field in fields] == [
+        "estimate", "log_likelihood", "iterations", "converged",
+        "predicted_frequencies", "ll_trace", "floored_cells", "gap_bound"]
+
+
 def test_benchmark_hooks_resolve():
     # WRAPPED is read from the source, so that nothing is imported or patched
     tree = ast.parse((PERFBENCH / "tracing.py").read_text())

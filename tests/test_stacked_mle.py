@@ -110,14 +110,13 @@ def oracle_mle(data, *, max_iters, tol):
         v = {tj: f2[tj] - 2 * f1[tj] + f0[tj] for tj in f0}
         norm_r = math.sqrt(sum(np.vdot(b, b).real for b in r.values()))
         norm_v = math.sqrt(sum(np.vdot(b, b).real for b in v.values()))
-        alpha = max(-norm_r / norm_v, -EXTRAPOLATION_CAP)
-        while alpha < -1 - 1 / 16:
-            point = state({tj: f0[tj] - 2 * alpha * r[tj] + alpha ** 2 * v[tj]
-                           for tj in f0})
-            if point[2] >= ll2:
-                return point
-            alpha = (alpha - 1) / 2
-        return None
+        # one capped try; the cap also stands in for -|r| / |v| at v = 0
+        alpha = (-EXTRAPOLATION_CAP if norm_r >= EXTRAPOLATION_CAP * norm_v
+                 else -norm_r / norm_v)
+        if not alpha < -1 - 1 / 16:
+            return None
+        point = state({tj: f0[tj] - 2 * alpha * r[tj] + alpha ** 2 * v[tj] for tj in f0})
+        return point if point[2] >= ll2 else None
 
     factors, p, ll = state(oracle_factor(mixed_start(data, n)))
     trace = [ll]

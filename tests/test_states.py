@@ -440,6 +440,34 @@ def test_photons_in_one_hidden_mode_are_a_symmetric_basis_state(n):
         assert rho.purity() == pytest.approx(1.0, rel=0, abs=1e-12)
 
 
+@pytest.mark.parametrize("n", range(1, N_MAX + 1))
+def test_photons_in_distinct_hidden_modes_fill_every_block(n):
+    # k V photons and n - k H photons, each in a hidden mode of its own: the
+    # polarization is the uniform mixture of the C(n, k) strings with k V's,
+    # so every block with 2j >= |n - 2k| is 1/C(n, k) at row r = k - (n -
+    # 2j)/2, the number of V's in the block, and every other entry is zero
+    for k in range(n + 1):
+        rho = expression_to_accessible(parse_operator_expression(
+            "".join(f"(m{i}{'V' if i < k else 'H'})" for i in range(n))))
+        for two_j, block in rho.blocks.items():
+            expected = np.zeros((two_j + 1, two_j + 1))
+            if two_j >= abs(n - 2 * k):
+                r = k - (n - two_j) // 2
+                expected[r, r] = 1 / math.comb(n, k)
+            np.testing.assert_allclose(block, expected, rtol=0, atol=1e-13)
+
+
+def test_analyze_keeps_its_per_n_tables_on_the_layout():
+    # the layout is the one per-N cache besides the dense oracle's, and the
+    # permanent's tables live on it
+    assert [name for name, value in vars(states).items()
+            if hasattr(value, "cache_info")] == ["schur_basis"]
+    layout = _layout(3)
+    assert layout.glynn_signs is layout.glynn_signs
+    assert layout.predecessors[0] is _layout(2).predecessors[0]
+    assert [table.shape for table in layout.predecessors] == [(10, 4), (20, 4)]
+
+
 def table_free_rotation(u, n, two_j):
     """R_j(u) = det(u)^m Sym^k(u), k = 2j, m = (n - k)/2, without the
     layout's table: column r of Sym^k multiplies in one linear form per
