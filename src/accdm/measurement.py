@@ -123,9 +123,8 @@ class _OutcomeModel:
     Probabilities are linear in the blocks, p = sum_j mult_j tr(B_j Pi_kj),
     so one real design matrix over the block parameters theta of
     :class:`accdm.schur._Layout` serves span rank, simulation, linear
-    inversion and maximum likelihood.  Row k of ``_operator_design`` is the
-    theta of outcome operator Pi_k, from the layout; by the layout's inner
-    product, the design is ``_operator_design * scale``.
+    inversion and maximum likelihood.  By the layout's inner product, row k
+    of ``design`` is the theta of outcome operator Pi_k times ``scale``.
     """
 
     def __init__(self, settings: list[WaveplateSetting], n: int):
@@ -144,8 +143,7 @@ class _OutcomeModel:
         inside = np.abs(two_m) <= two_j
         rows = layout.rotations(unitaries)[
             :, np.arange(len(two_j)), (two_j - two_m) // 2] * inside[..., None]
-        self._operator_design = layout.outer_theta(rows.reshape((-1,) + layout.shape[:2]))
-        self.design = self._operator_design * layout.scale
+        self.design = layout.outer_theta(rows.reshape((-1,) + layout.shape[:2])) * layout.scale
 
     def probabilities(self, theta: np.ndarray) -> np.ndarray:
         """Flat outcome probabilities, row-major over (setting, outcome)."""
@@ -153,8 +151,9 @@ class _OutcomeModel:
 
     def operator_theta(self, weights: np.ndarray) -> np.ndarray:
         """Parameter vector of sum_k w_k Pi_k, one weight per (setting,
-        outcome) row: the transpose of ``probabilities``."""
-        return weights @ self._operator_design
+        outcome) row: the transpose of ``probabilities`` over the layout's
+        inner product."""
+        return weights @ self.design / self.layout.scale
 
     def distributions(self, rho: AccessibleDensityMatrix) -> np.ndarray:
         """Outcome distributions of a state, one row per setting.

@@ -69,12 +69,12 @@ def log_likelihood(rho: AccessibleDensityMatrix, data: CountTable) -> float:
 def _clip_and_normalize(stack: np.ndarray, layout: _Layout) -> np.ndarray:
     """Hermitian stacked blocks, as ``_Layout.stack`` writes them, with
     negative eigenvalues set to zero, normalized to a multiplicity-weighted
-    trace of 1.  The zero padding adds only zero eigenvalues."""
+    trace of 1.  The zero padding adds only zero eigenvalues.  A least-squares
+    fit has weighted trace 1, since the symmetric projector gives every
+    outcome probability 1, and the clip only raises it."""
     vals, vecs = np.linalg.eigh(stack)
     kept = np.clip(vals, 0.0, None)
     total = layout.mult @ kept.sum(axis=1)
-    if total <= 1e-12:
-        raise ValueError("estimate degenerated to zero after positivity clipping")
     clipped = (vecs * kept[:, None, :]) @ vecs.conj().swapaxes(-1, -2)
     return clipped / total
 
@@ -135,21 +135,28 @@ def _floored(counts: np.ndarray, p: np.ndarray) -> np.ndarray:
     return (counts > 0) & (p <= LOG_FLOOR)
 
 
+def _r_operator(model: _OutcomeModel, fractions: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Stacked R = sum_k (f_k / max(p_k, LOG_FLOOR)) Pi_k, f the fractions
+    of the counts, for the R.rho.R step and the gap bound alike."""
+    return model.layout.stack(model.operator_theta(fractions / np.maximum(p, LOG_FLOOR)))
+
+
 def _gap_bound(model: _OutcomeModel, counts: np.ndarray, p: np.ndarray) -> float:
-    """lambda_max(sum_k n_k Pi_k / p_k) - sum_k n_k at probabilities p.
+    """sum_k n_k (lambda_max(R) - 1) at probabilities p, R of ``_r_operator``.
 
     The log-likelihood is concave in the state, so for every state sigma,
-    LL(sigma) - LL(rho) <= tr(sigma R) - sum_k n_k with R the operator
-    above, and tr(sigma R) <= lambda_max(R).
+    LL(sigma) - LL(rho) <= sum_k n_k (tr(sigma R) - 1), and tr(sigma R) <=
+    lambda_max(R).  R holds the fractions, not the counts, so that no
+    weight overflows.
     """
     if _floored(counts, p).any():
         return math.inf
-    weights = np.divide(counts, p, out=np.zeros_like(counts), where=counts > 0)
+    total = counts.sum()
     # the zero padding of the stacked blocks adds only zero eigenvalues,
     # and R is positive semidefinite
-    r_max = np.linalg.eigvalsh(model.layout.stack(model.operator_theta(weights))).max()
-    # tr(rho R) = sum_k n_k, so only round-off can put the difference below zero
-    return max(float(r_max - counts.sum()), 0.0)
+    r_max = np.linalg.eigvalsh(_r_operator(model, counts / total, p)).max()
+    # tr(rho R) = 1, so only round-off can put the difference below zero
+    return max(float(total * (r_max - 1)), 0.0)
 
 
 def _factor(stack: np.ndarray, layout: _Layout) -> np.ndarray:
@@ -203,14 +210,13 @@ def mle_reconstruct(data: CountTable, *, max_iters: int = 100_000,
     points, kept stabilizing steps), so its length need not be
     ``iterations + 1``.
 
-    Initialized from clipped linear inversion (falling back to the maximally
-    mixed state), mixed with START_MIX of the maximally mixed state.  The
-    table's outcome model serves both the loop and the linear-inversion
-    start, which also checks the span.
+    Initialized from clipped linear inversion, mixed with START_MIX of the
+    maximally mixed state.  The table's outcome model serves both the loop
+    and the linear-inversion start, which also checks the span.
 
     Raises RankDeficiencyError when the settings do not span the accessible
-    space, and NumericalError when the start has a block eigenvalue below
-    -PSD_TOL.
+    space.  The start's block eigenvalues are checked against -PSD_TOL as
+    the loop's invariant; a start from ``linear_inversion`` always passes.
     """
     if not 0 <= tol < math.inf:
         raise ValueError("tol must be nonnegative and finite")
@@ -219,19 +225,14 @@ def mle_reconstruct(data: CountTable, *, max_iters: int = 100_000,
     model = data.model
     layout = model.layout
 
-    try:
-        start = linear_inversion(data)
-    except RankDeficiencyError:
-        raise
-    except ValueError:
-        start = AccessibleDensityMatrix.maximally_mixed(data.n)
     # Clipping leaves exact zero eigenvalues, which R.rho.R can never lift;
     # a trace of the maximally mixed state keeps every eigenvalue positive.
-    a = _factor(layout.pad({tj: (1 - START_MIX) * b + START_MIX * np.eye(tj + 1) / 2 ** data.n
-                            for tj, b in start.blocks.items()}), layout)
+    a = _factor((1 - START_MIX) * linear_inversion(data).stack
+                + START_MIX * (np.eye(data.n + 1) * layout.in_block) / 2 ** data.n, layout)
 
     counts = data.counts.ravel()
-    fractions = counts / max(counts.sum(), 1.0)
+    # linear inversion has found counts, so their total is positive
+    fractions = counts / counts.sum()
     design, trace_weights = model.design, layout.trace_weights
 
     def state(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
@@ -243,8 +244,7 @@ def mle_reconstruct(data: CountTable, *, max_iters: int = 100_000,
         return a / math.sqrt(t), p, _log_likelihood(counts, p)
 
     def r_step(a: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
-        r_op = layout.stack(model.operator_theta(fractions / np.maximum(p, 1e-15)))
-        return state(r_op @ a)
+        return state(_r_operator(model, fractions, p) @ a)
 
     def plain(a: np.ndarray, p: np.ndarray, ll: float):
         """(a, p, ll, diluted) of one ascending step, None if none ascends."""

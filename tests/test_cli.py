@@ -17,6 +17,7 @@ from accdm.measurement import (
     simulate_counts,
     waveplate_unitary,
 )
+from accdm.schur import _layout
 from accdm.states import AccessibleDensityMatrix
 from accdm.tomography import fidelity
 
@@ -594,11 +595,11 @@ def test_reconstruct_rank_deficient_exits_4(workdir, capsys):
 
 
 def test_reconstruct_leaving_positive_cone_exits_4(workdir, capsys, monkeypatch):
-    # A start outside the positive cone in the j = 1/2 sector, which the data
-    # populate: R.rho.R amplifies the negative eigenvalue until the iterate
-    # is no state.  Exit 4, and nothing is written.
-    start = SimpleNamespace(blocks={3: np.eye(4, dtype=complex) * (1 + 4e-8) / 4,
-                                    1: -1e-8 * np.eye(2, dtype=complex)})
+    # A start outside the positive cone in the j = 1/2 sector: the factor
+    # of the mixed start refuses it before any R.rho.R step.  Exit 4, and
+    # nothing is written.
+    start = SimpleNamespace(stack=_layout(3).pad({3: np.eye(4, dtype=complex) * (1 + 4e-8) / 4,
+                                                  1: -1e-8 * np.eye(2, dtype=complex)}))
     monkeypatch.setattr(tomography, "linear_inversion", lambda data: start)
     counts = workdir / "counts.csv"
     counts.write_text(io.format_counts(sample_counts()))

@@ -114,6 +114,12 @@ def test_density_matrix_repeated_block(golden_state):
         io.parse_density_matrix("\n".join(lines + lines[-3:]))
 
 
+def test_density_matrix_ending_inside_a_block(golden_state):
+    lines = io.format_density_matrix(golden_state).splitlines()
+    with pytest.raises(io.FormatError, match="block two_j=1: missing matrix rows"):
+        io.parse_density_matrix("\n".join(lines[:-1]) + "\n")
+
+
 @pytest.mark.parametrize("text", [
     "n_photons 0\nblock two_j 0 multiplicity 1\n1 0\n",
     "n_photons 11\nblock two_j 11 multiplicity 1\n",
@@ -256,6 +262,11 @@ def test_report_format_round_trip(golden_state):
     assert back.verdict == report.verdict
     assert abs(back.symmetric_population - report.symmetric_population) < 1e-6
     assert abs(back.purity - report.purity) < 1e-6
+
+
+def test_report_blank_lines_are_skipped(golden_state):
+    text = io.format_report(indistinguishability_report(golden_state))
+    assert io.parse_report("\n" + text.replace("\n", "\n  \n")) == io.parse_report(text)
 
 
 VERDICTS = ["indistinguishable", "hidden-differences-detected", "inconclusive"]

@@ -227,11 +227,25 @@ def test_trace_weights_are_the_weighted_diagonal(n):
     assert np.array_equal(layout.trace_weights, real + imag)
 
 
-@pytest.mark.parametrize("n", [1, 3, 6, 8])
-def test_design_is_operator_design_times_scale(n):
-    model = _OutcomeModel(random_settings(np.random.default_rng(1200 + n), 6), n)
-    np.testing.assert_array_equal(model._operator_design * model.layout.scale,
-                                  model.design)
+@pytest.mark.parametrize("n", range(1, N_MAX + 1))
+def test_symmetric_projector_gives_every_outcome_probability_one(n):
+    # the symmetric subspace holds exactly one state of each outcome, so the
+    # symmetric projector gives every (setting, outcome) probability 1: the
+    # all-ones vector is in the design's column space, and a least-squares
+    # fit has weighted trace 1
+    layout = _layout(n)
+    projector = {tj: np.eye(tj + 1) if tj == n else np.zeros((tj + 1, tj + 1))
+                 for tj in layout.sectors}
+    model = _OutcomeModel(random_settings(np.random.default_rng(1400 + n), 20), n)
+    np.testing.assert_allclose(model.probabilities(layout.theta(projector)), 1.0,
+                               rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("n", [1, 4, 8])
+def test_outcome_model_holds_one_matrix(n):
+    model = _OutcomeModel(random_settings(np.random.default_rng(1500 + n), 6), n)
+    assert [name for name, value in vars(model).items()
+            if isinstance(value, np.ndarray)] == ["design"]
 
 
 @pytest.mark.parametrize("n", [1, 3, 5, 8])

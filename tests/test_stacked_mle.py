@@ -18,9 +18,10 @@ import numpy as np
 import pytest
 
 from accdm import measurement, tomography
+from accdm.expressions import parse_expression_file
 from accdm.measurement import CountTable, simulate_counts
 from accdm.schur import _layout, occurring_two_j, su2_multiplicity
-from accdm.states import PSD_TOL, AccessibleDensityMatrix
+from accdm.states import PSD_TOL, AccessibleDensityMatrix, expression_to_accessible
 from accdm.tomography import (
     EXTRAPOLATION_CAP,
     LOG_FLOOR,
@@ -48,12 +49,8 @@ def oracle_clip_and_normalize(blocks, n):
 
 
 def mixed_start(data, n):
-    try:
-        start = linear_inversion(data)
-    except ValueError:
-        start = AccessibleDensityMatrix.maximally_mixed(n)
     return {tj: (1 - START_MIX) * b + START_MIX * np.eye(tj + 1) / 2 ** n
-            for tj, b in start.blocks.items()}
+            for tj, b in linear_inversion(data).blocks.items()}
 
 
 def oracle_factor(blocks):
@@ -86,7 +83,7 @@ def oracle_mle(data, *, max_iters, tol):
         return {tj: f / math.sqrt(total) for tj, f in factors.items()}, p, ll_of(p)
 
     def r_step(factors, p):
-        weights = counts / np.maximum(p, 1e-15) / max(total_counts, 1.0)
+        weights = counts / np.maximum(p, LOG_FLOOR) / max(total_counts, 1.0)
         r_ops = model.layout.blocks(model.operator_theta(weights))
         return state({tj: r_ops[tj] @ f for tj, f in factors.items()})
 
@@ -177,7 +174,7 @@ def diluted_mle(data, *, max_iters, tol):
     iterations = 0
     d_start = 1.0
     for iterations in range(1, max_iters + 1):
-        weights = counts / np.maximum(p, 1e-15) / max(total_counts, 1.0)
+        weights = counts / np.maximum(p, LOG_FLOOR) / max(total_counts, 1.0)
         direction = {tj: r_op @ blocks[tj] @ r_op
                      for tj, r_op in model.layout.blocks(
                          model.operator_theta(weights)).items()}
@@ -234,6 +231,26 @@ def test_stacked_mle_matches_oracle_exact_counts_n3(golden_state):
 def test_stacked_mle_matches_oracle_poisson_counts_n3(golden_state, seed):
     result = assert_same_run(n3_counts(golden_state, seed), max_iters=5000, tol=1e-5)
     assert result.converged and result.iterations > 100
+
+
+# a three-photon item of the benchmark (pipeline-n3, seed 1, round 0, slot 7)
+OVERLAP_N3_TEXT = """\
+w0 = exp(i*-0.1978448991807984*pi)
+w1 = exp(i*-0.6407581878468016*pi)
+w2 = exp(i*-0.8487485942228701*pi)
+c = 0.9099161455248642*a + 0.4147922469299229*b
+(1.1338617042641157*aH + w0*aV)(3.43849707728227*aH + w1*aV)(0.2923963135261958*cH + w2*cV)
+"""
+
+
+def test_stacked_mle_matches_oracle_where_the_extrapolation_is_skipped():
+    # two of this fit's 18 extrapolations have a = -|r| / |v| >= -1 - 1/16
+    # (-0.965 and -1.016): both loops skip them, and a loop that tried them
+    # would keep one and take 54 steps
+    rho = expression_to_accessible(parse_expression_file(OVERLAP_N3_TEXT))
+    data = simulate_counts(rho, TWELVE_SETTINGS, 1e4, seed=1953222986)
+    result = assert_same_run(data, max_iters=10_000, tol=1e-2)
+    assert result.converged and result.iterations == 53
 
 
 def test_stacked_mle_matches_oracle_n5():

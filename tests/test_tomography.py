@@ -10,7 +10,7 @@ from accdm.measurement import (
     simulate_counts,
 )
 from accdm.states import AccessibleDensityMatrix
-from accdm.schur import occurring_two_j, sector_rotation
+from accdm.schur import _layout, occurring_two_j, sector_rotation
 from accdm.tomography import (
     RankDeficiencyError,
     fidelity,
@@ -28,6 +28,7 @@ from conftest import (
     noon_state,
     pure_string_state,
     random_accessible_state,
+    random_settings,
     sample_counts,
 )
 
@@ -114,6 +115,35 @@ def test_linear_inversion_clips_shot_noise_to_valid_state(golden_state):
     estimate = linear_inversion(data)
     for block in estimate.blocks.values():
         assert np.linalg.eigvalsh(block).min() >= -1e-10
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_linear_inversion_fit_has_unit_trace(n):
+    # random nonnegative tables, a fifth of the settings unobserved: the fit
+    # is a state or RankDeficiencyError (the first table has fewer settings
+    # than the C(n + 2, 2) that random settings need to span), and the
+    # least-squares fit before the clip has weighted trace 1, so the clip
+    # never finds a zero total
+    rng = np.random.default_rng(1600 + n)
+    layout = _layout(n)
+    fitted, deficient = 0, 0
+    for count in [math.comb(n + 2, 2) - 1] + [math.comb(n + 2, 2) * 5 // 4 + 2] * 5:
+        settings = random_settings(rng, count)
+        counts = rng.integers(0, 1000, size=(len(settings), n + 1)).astype(float)
+        counts[rng.permutation(len(settings))[:len(settings) // 5]] = 0
+        data = CountTable(settings, counts)
+        try:
+            rho = linear_inversion(data)
+        except RankDeficiencyError:
+            deficient += 1
+            continue
+        rows = np.repeat(counts.sum(axis=1) > 0, n + 1)
+        theta = np.linalg.lstsq(data.model.design[rows], data.frequencies.ravel()[rows],
+                                rcond=None)[0]
+        assert abs(layout.trace_weights @ theta - 1) <= 1e-12
+        assert abs(layout.trace_weights @ layout.stack_theta(rho.stack) - 1) <= 1e-12
+        fitted += 1
+    assert deficient >= 1 and fitted >= 3
 
 
 # ---------------------------------------------------------------------------
