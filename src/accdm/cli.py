@@ -21,12 +21,12 @@ import itertools
 import math
 import os
 import sys
+from decimal import ROUND_CEILING, Context, Decimal
 
 from . import io
 from .expressions import parse_expression_file
 from .measurement import (
     MAX_SHOTS,
-    _OutcomeModel,
     measurement_span_rank,
     simulate_counts,
 )
@@ -162,15 +162,13 @@ def cmd_simulate(args) -> None:
     _check_paths([args.matrix, args.settings], [args.out])
     rho = io.parse_density_matrix(_read(args.matrix))
     settings = io.parse_settings(_read(args.settings))
-    # one outcome model serves the span rank and the simulation
-    model = _OutcomeModel(settings, rho.n)
-    rank = measurement_span_rank(settings, rho.n, model=model)
+    rank = measurement_span_rank(settings, rho.n)
     needed = accessible_param_count(rho.n, 2)
     if rank < needed:
         print(f"warning: settings span only {rank} of {needed} dimensions; "
               f"reconstruction from this data will be rank-deficient",
               file=sys.stderr)
-    data = simulate_counts(rho, settings, args.shots, args.seed, model=model)
+    data = simulate_counts(rho, settings, args.shots, args.seed)
     _write({args.out: io.format_counts(data)})
     # fsum rounds the exact total once, as formatting an int total did
     total = math.fsum(data.counts.flat)
@@ -189,7 +187,9 @@ def cmd_reconstruct(args) -> None:
     result = mle_reconstruct(data, max_iters=args.max_iters, tol=args.tol)
     print(f"iterations: {result.iterations} (converged: {result.converged})")
     print(f"log-likelihood: {result.log_likelihood:.6f}")
-    print(f"likelihood gap bound: {result.gap_bound:.6g}")
+    # rounded up to the ~3 digits it holds; Emin keeps it a float .3g prints exactly
+    bound = float(Context(3, ROUND_CEILING, Emin=-305).plus(Decimal(result.gap_bound)))
+    print(f"likelihood gap bound: {bound:.3g}")
     if not result.converged:
         raise NumericalError(f"not converged within {args.max_iters} iterations")
 

@@ -296,7 +296,6 @@ def _define(text: str, start: int, end: int, definitions: Definitions) -> None:
         raise ParseError(f"invalid definition name {name!r}", at_name, text)
     if name in definitions.constants or name in definitions.modes:
         raise ParseError(f"redefinition of {name!r}", at_name, text)
-    spans = [(eq + 1, end)]
 
     def check_not_primitive():
         # an earlier derived mode keeps the name as a primitive mode
@@ -305,7 +304,7 @@ def _define(text: str, start: int, end: int, definitions: Definitions) -> None:
                 raise ParseError(f"{name!r} is already a primitive mode of {mode!r}",
                                  at_name, text)
 
-    parser = _Parser(text, definitions, spans)
+    parser = _Parser(text, definitions, [(eq + 1, end)])
     sign = parser.next().kind if parser.peek().kind in "+-" else "+"
     try:
         value = parser.parse_coefficient() * (-1 if sign == "-" else 1)
@@ -317,7 +316,7 @@ def _define(text: str, start: int, end: int, definitions: Definitions) -> None:
         definitions.constants[name] = value
         return
 
-    parser = _Parser(text, definitions, spans)
+    parser.pos = 0  # not a constant: read the same tokens again
     terms = parser.signed_terms()
     tok = parser.peek()
     if tok.kind != "end":

@@ -144,6 +144,7 @@ class _OutcomeModel:
         rows = layout.rotations(unitaries)[
             :, np.arange(len(two_j)), (two_j - two_m) // 2] * inside[..., None]
         self.design = layout.outer_theta(rows.reshape((-1,) + layout.shape[:2])) * layout.scale
+        self.design.flags.writeable = False
 
     def probabilities(self, theta: np.ndarray) -> np.ndarray:
         """Flat outcome probabilities, row-major over (setting, outcome)."""
@@ -177,6 +178,11 @@ class _OutcomeModel:
         return _column_rank(self.design)
 
 
+# the one shared model (read-only design) of the settings list in use; typed,
+# so that a float n never meets a cached int one and always reaches the gate
+_outcome_model = functools.lru_cache(maxsize=1, typed=True)(_OutcomeModel)
+
+
 def outcome_probabilities(rho: AccessibleDensityMatrix,
                           setting: WaveplateSetting) -> np.ndarray:
     """Probabilities of the N+1 outcomes, ordered (N,0) first.
@@ -185,7 +191,7 @@ def outcome_probabilities(rho: AccessibleDensityMatrix,
     tolerances is clipped to zero, and NumericalError is raised beyond them
     (see ``_OutcomeModel.distributions``).
     """
-    return _OutcomeModel([setting], rho.n).distributions(rho)[0]
+    return _outcome_model((setting,), rho.n).distributions(rho)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -228,8 +234,8 @@ class CountTable:
 
     @functools.cached_property
     def model(self) -> _OutcomeModel:
-        """The outcome model of the settings, built on first use."""
-        return _OutcomeModel(self.settings, self.n)
+        """The settings' ``_outcome_model``, held by the table from first use."""
+        return _outcome_model(self.settings, self.n)
 
     @functools.cached_property
     def frequencies(self) -> np.ndarray:
@@ -244,8 +250,7 @@ class CountTable:
 def simulate_counts(rho: AccessibleDensityMatrix,
                     settings: list[WaveplateSetting],
                     mean_shots: float,
-                    seed: int, *,
-                    model: _OutcomeModel | None = None) -> CountTable:
+                    seed: int) -> CountTable:
     """Poisson count data for every (setting, outcome) pair.
 
     Each pair owns a substream of one PCG64 stream seeded by ``seed``: cell
@@ -257,8 +262,7 @@ def simulate_counts(rho: AccessibleDensityMatrix,
     equal across substreams, and their draws correlated.)  Results are
     reproducible for a given numpy version.  ``mean_shots`` must lie in
     [0, MAX_SHOTS], ``seed`` must be a nonnegative integer, and no setting
-    may repeat.  A caller that has built the outcome model of these settings
-    for ``rho.n`` photons passes it as ``model``, to pay for it once.
+    may repeat.  The outcome model is ``_outcome_model``'s, as the table's.
     """
     if not 0 <= mean_shots <= MAX_SHOTS:
         raise ValueError(f"mean_shots must be in [0, {MAX_SHOTS:g}]")
@@ -268,9 +272,7 @@ def simulate_counts(rho: AccessibleDensityMatrix,
         raise ValueError("seed must be an integer") from None
     if seed < 0:
         raise ValueError("seed must be nonnegative")
-    if model is None:
-        model = _OutcomeModel(settings, rho.n)
-    counts = mean_shots * model.distributions(rho)
+    counts = mean_shots * _outcome_model(tuple(settings), rho.n).distributions(rho)
     bits = np.random.PCG64(seed)
     seeded = bits.state
     rng = np.random.Generator(bits)
@@ -287,16 +289,14 @@ def simulate_counts(rho: AccessibleDensityMatrix,
 # Linear span of the measurement set
 # ---------------------------------------------------------------------------
 
-def measurement_span_rank(settings: list[WaveplateSetting], n: int, *,
-                          model: _OutcomeModel | None = None) -> int:
+def measurement_span_rank(settings: list[WaveplateSetting], n: int) -> int:
     """Dimension of the real-linear span of all outcome operators.
 
-    The rank of the design matrix, whose columns are the block coordinates
-    of the outcome operators scaled by nonzero constants; at most
-    accessible_param_count(n, 2) dimensions are reachable.  A full-rank
+    The rank of the design of ``_outcome_model``, whose rows are the block
+    coordinates of the outcome operators scaled by nonzero constants; at
+    most accessible_param_count(n, 2) dimensions are reachable.  A full-rank
     design is certified by a shifted Cholesky factorization of its Gram
     matrix; an SVD runs only when that certificate fails (see
-    ``_column_rank``).  A caller that has built the outcome model of these
-    settings passes it as ``model``.
+    ``_column_rank``).
     """
-    return (_OutcomeModel(settings, n) if model is None else model).rank()
+    return _outcome_model(tuple(settings), n).rank()

@@ -1,9 +1,11 @@
 import argparse
+import dataclasses
 import math
 import os
 import sys
 import time
 import warnings
+from decimal import Decimal
 from types import SimpleNamespace
 
 import numpy as np
@@ -296,6 +298,7 @@ def test_simulate_builds_one_outcome_model(workdir, monkeypatch):
     # the span rank and the draw share one model; the counts are those of
     # simulate_counts building its own
     matrix = analyzed_matrix(workdir)
+    measurement._outcome_model.cache_clear()
     built = []
     original_init = measurement._OutcomeModel.__init__
 
@@ -631,6 +634,53 @@ def test_reconstruct_prints_likelihood_gap_bound(workdir, capsys):
     line = [ln for ln in capsys.readouterr().out.splitlines()
             if ln.startswith("likelihood gap bound: ")]
     assert len(line) == 1 and float(line[0].split()[-1]) >= 0
+
+
+def printed_gap_bound(out):
+    line, = [ln for ln in out.splitlines() if ln.startswith("likelihood gap bound: ")]
+    return line.split()[-1]
+
+
+def assert_rounded_up(printed, bound):
+    """The printed bound has at most 3 significant digits and lies at most
+    1% above the computed one, and never below it."""
+    assert len(printed.split("e")[0].replace(".", "").lstrip("0")) <= 3
+    assert Decimal(printed) >= Decimal(bound)
+    assert float(printed) <= 1.01 * bound
+
+
+@pytest.mark.parametrize("argv, code", [((), 0), (("--tol", "1e-2"), 0),
+                                        (("--max-iters", "2"), 4)],
+                         ids=["default-tol", "tol-1e-2", "not-converged"])
+def test_gap_bound_line_rounds_up_to_three_digits(workdir, capsys, argv, code):
+    counts = workdir / "counts.csv"
+    counts.write_text(io.format_counts(sample_counts()))
+    assert run(["reconstruct", counts, "--out", workdir / "est.dm", *argv]) == code
+    options = {"tol": 1e-2} if "--tol" in argv else {"max_iters": 2} if argv else {}
+    bound = tomography.mle_reconstruct(sample_counts(), **options).gap_bound
+    assert 0 < bound < math.inf
+    assert_rounded_up(printed_gap_bound(capsys.readouterr().out), bound)
+
+
+@pytest.mark.parametrize("bound, printed", [
+    (1.51811e-05, "1.52e-05"), (1.29871, "1.3"), (21.7309, "21.8"), (0.1, "0.101"),
+    (9.995, "10"), (999.1, "1e+03"), (1.5, "1.5"), (123456789.0, "1.24e+08"),
+    (1e300, "1.01e+300"), (1e-300, "1.01e-300"), (5e-324, "1e-307"),
+    (0.0, "0"), (math.inf, "inf")])
+def test_gap_bound_line_at_chosen_bounds(workdir, capsys, monkeypatch, bound, printed):
+    # the line of any computed bound, from subnormal to inf: at most 3
+    # digits, rounded up, and 0 and inf as they are
+    fit = tomography.mle_reconstruct
+    monkeypatch.setattr(cli, "mle_reconstruct", lambda data, **options: dataclasses.replace(
+        fit(data, **options), gap_bound=bound))
+    counts = workdir / "counts.csv"
+    counts.write_text(io.format_counts(sample_counts()))
+    assert run(["reconstruct", counts, "--out", workdir / "est.dm", "--tol", "1e-2"]) == 0
+    assert printed_gap_bound(capsys.readouterr().out) == printed
+    if 1e-305 <= bound < math.inf:
+        assert_rounded_up(printed, bound)
+    else:
+        assert Decimal(printed) >= Decimal(bound)
 
 
 @pytest.mark.parametrize("trace, target", [("est.dm", "est.dm"),

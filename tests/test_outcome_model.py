@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import accdm
-from accdm import measurement, tomography
+from accdm import io, measurement, tomography
 from accdm.expressions import CreationOperatorExpression, Term
 from accdm.measurement import (
     CountTable,
@@ -246,6 +246,61 @@ def test_outcome_model_holds_one_matrix(n):
     model = _OutcomeModel(random_settings(np.random.default_rng(1500 + n), 6), n)
     assert [name for name, value in vars(model).items()
             if isinstance(value, np.ndarray)] == ["design"]
+
+
+def test_outcome_model_design_is_read_only():
+    # one model serves every caller of its settings list, so none may
+    # change the design under the others
+    design = _OutcomeModel(TWELVE_SETTINGS, 3).design
+    assert not design.flags.writeable
+    with pytest.raises(ValueError):
+        design[0, 0] = 1.0
+
+
+def count_models(monkeypatch):
+    """The list of outcome models built from now on, one entry each."""
+    built = []
+    original_init = _OutcomeModel.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args)
+        original_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(_OutcomeModel, "__init__", counting_init)
+    return built
+
+
+def test_library_flow_builds_one_outcome_model(monkeypatch, golden_state):
+    # the README's flow, after simulate's span rank: the three calls on one
+    # settings list share one model.  The list is one that no other test
+    # uses, so no earlier model of it can be in the memo.
+    settings = [WaveplateSetting(s.qwp_deg + 0.5, s.hwp_deg) for s in TWELVE_SETTINGS]
+    built = count_models(monkeypatch)
+    assert measurement_span_rank(settings, 3) == 20
+    data = simulate_counts(golden_state, settings, 1e4, seed=1)
+    mle_reconstruct(data, max_iters=50)
+    assert len(built) == 1
+    # another list, or another N, is a new model, and the memo holds one
+    assert measurement._outcome_model(tuple(settings[1:]), 3).design.shape[0] == 44
+    assert measurement._outcome_model(tuple(settings), 2).n == 2
+    assert measurement._outcome_model(tuple(settings), 3) is not data.model
+    assert len(built) == 4
+
+
+def test_fit_does_not_depend_on_the_models_built_before(golden_state):
+    # a fit of the demo counts, a fit of other settings at another N, then
+    # the demo fit again: the memo hands back no stale model
+    def demo_fit():
+        result = mle_reconstruct(sample_counts(), max_iters=200)
+        return io.format_density_matrix(result.estimate), result.ll_trace
+
+    first_matrix, first_trace = demo_fit()
+    rng = np.random.default_rng(2024)
+    rho = random_accessible_state(2, rng)
+    mle_reconstruct(simulate_counts(rho, random_settings(rng, 8), 1e3, seed=5), max_iters=200)
+    again_matrix, again_trace = demo_fit()
+    assert again_matrix == first_matrix
+    np.testing.assert_array_equal(again_trace, first_trace)
 
 
 @pytest.mark.parametrize("n", [1, 3, 5, 8])

@@ -72,6 +72,16 @@ def test_every_entry_point_refuses_a_bad_photon_number(call, n):
         call(n)
 
 
+@pytest.mark.parametrize("name", ["outcome_probabilities", "measurement_span_rank",
+                                  "simulate_counts"])
+def test_the_gate_holds_with_the_model_cached(name):
+    # the outcome model of [SETTING] at n = 3 is in the memo, and 3.0, equal
+    # to 3, must still be refused
+    measurement_span_rank([SETTING], 3)
+    with pytest.raises(ValueError, match=GATE):
+        ENTRY_POINTS[name](3.0)
+
+
 def test_numpy_integer_photon_numbers_are_accepted():
     three = np.int64(3)
     assert AccessibleDensityMatrix.maximally_mixed(three).allclose(

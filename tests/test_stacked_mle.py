@@ -382,6 +382,7 @@ def test_one_model_and_one_qr_per_reconstruction(monkeypatch, golden_state):
         return call
 
     data = simulate_counts(golden_state, TWELVE_SETTINGS, 1e4, seed=3)
+    measurement._outcome_model.cache_clear()
     monkeypatch.setattr(measurement._OutcomeModel, "__init__", counting_init)
     for name in ("qr", "svd", "lstsq"):
         monkeypatch.setattr(np.linalg, name, counting(name))
