@@ -36,6 +36,13 @@ import numpy as np
 #: count set and expression beyond it; the dense oracles check it themselves.
 N_MAX = 10
 
+#: Working memory, in bytes, of one chunk of analyze's Glynn sum or of the
+#: outcome model's rows; the layout's ``signs_per_chunk`` and
+#: ``settings_per_chunk`` turn it into chunk lengths at each n.  640 KiB
+#: keeps the Glynn sum of n <= 7 in one chunk, and every chunk at n = 8
+#: smaller than the design of 48 settings.
+WORK_BYTES = 640 * 2 ** 10
+
 
 # ---------------------------------------------------------------------------
 # Counting: multiplicities, dimensions, parameter counts
@@ -433,6 +440,22 @@ class _Layout:
                            for k in range(4)] for e in self.monomials.tolist()])
         table.setflags(write=False)
         return below.predecessors + (table,)
+
+    @property
+    def signs_per_chunk(self) -> int:
+        """Sign vectors per chunk of analyze's Glynn sum, at least one.  Each
+        takes 80 C(n+3, 3) bytes: a complex coefficient per monomial and a
+        gather of four predecessors for each.  Read from WORK_BYTES at every
+        call, like ``settings_per_chunk``."""
+        return max(1, WORK_BYTES // (80 * len(self.monomials)))
+
+    @property
+    def settings_per_chunk(self) -> int:
+        """Settings per chunk of the outcome model's rows, at least one.  Each
+        takes about 32 (n+1) C(n+3, 3) bytes, as measured at n = 8 and 10:
+        its n+1 outcome rows' outer products, complex and then real, with
+        its monomial values and every sector's R_j(u)."""
+        return max(1, WORK_BYTES // (32 * (self.n + 1) * len(self.monomials)))
 
     def monomial_values(self, u: np.ndarray) -> np.ndarray:
         """Values of ``monomials`` at a stack of 2x2 matrices, shape

@@ -319,22 +319,32 @@ def _permanent_coefficients(vectors: np.ndarray) -> np.ndarray:
     L_l with L_l = sum_k delta_k M_kl.  The product of the linear forms L_l
     is multiplied out one column l at a time: a monomial's new coefficient
     is the dot product of its predecessors' (``_Layout.predecessors``) with
-    the coefficients of L_l, one batched matmul over the sign vectors.
+    the coefficients of L_l, one batched matmul over the sign vectors.  The
+    sum runs over ``_Layout.signs_per_chunk`` sign vectors at a time, so its
+    working memory stays near ``schur.WORK_BYTES`` at every n.
     """
     n = len(vectors)
     layout = _layout(n)
     deltas, parity = layout.glynn_signs
-    # the linear forms sum_k delta_k <v_k|p><q|v_l>, shape (signs, n, 4, 1)
-    mixed = (deltas @ vectors.conj().reshape(n, -1)).reshape(2 * len(deltas), -1)
-    columns = (mixed @ vectors.reshape(2 * n, -1).T).reshape(len(deltas), 2, n, 2)
-    columns = columns.transpose(0, 2, 1, 3).reshape(len(deltas), n, 4, 1)
+    size = min(layout.signs_per_chunk, len(deltas))
+    conj = vectors.conj().reshape(n, -1)
+    flat = vectors.reshape(2 * n, -1).T
     # one row per sign vector; the last entry stays zero, for the
-    # predecessors at -1
-    products = np.zeros((len(deltas), math.comb(n + 3, 3) + 1, 1), dtype=complex)
-    products[:, :4] = columns[:, 0]
-    for col, table in enumerate(layout.predecessors, start=1):
-        np.matmul(products[:, table, 0], columns[:, col], out=products[:, :len(table)])
-    return parity @ products[:, :-1, 0] / 2 ** (n - 1)
+    # predecessors at -1, and each chunk overwrites the rest before reading
+    products = np.zeros((size, math.comb(n + 3, 3) + 1, 1), dtype=complex)
+    coefficients = np.zeros(math.comb(n + 3, 3), dtype=complex)
+    for start in range(0, len(deltas), size):
+        chunk = deltas[start:start + size]
+        rows = products[:len(chunk)]
+        # the linear forms sum_k delta_k <v_k|p><q|v_l>, shape (chunk, n, 4, 1)
+        mixed = (chunk @ conj).reshape(2 * len(chunk), -1)
+        columns = (mixed @ flat).reshape(len(chunk), 2, n, 2)
+        columns = columns.transpose(0, 2, 1, 3).reshape(len(chunk), n, 4, 1)
+        rows[:, :4] = columns[:, 0]
+        for col, table in enumerate(layout.predecessors, start=1):
+            np.matmul(rows[:, table, 0], columns[:, col], out=rows[:, :len(table)])
+        coefficients += parity[start:start + size] @ rows[:, :-1, 0]
+    return coefficients / 2 ** (n - 1)
 
 
 def expression_to_accessible(expr: CreationOperatorExpression) -> AccessibleDensityMatrix:

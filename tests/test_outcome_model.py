@@ -8,12 +8,13 @@ outcome-operator blocks.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import accdm
-from accdm import io, measurement, tomography
+from accdm import io, measurement, schur, tomography
 from accdm.expressions import CreationOperatorExpression, Term
 from accdm.measurement import (
     CountTable,
@@ -257,6 +258,40 @@ def test_outcome_model_design_is_read_only():
         design[0, 0] = 1.0
 
 
+def test_outcome_model_peak_is_its_design_and_a_bounded_chunk():
+    # the rows are formed a chunk of settings at a time, straight into the
+    # one design: 400 settings at N = 10 need at most 3 MB beyond it
+    settings = random_settings(np.random.default_rng(2300), 400)
+    _OutcomeModel(settings[:1], 10)
+    tracemalloc.start()
+    try:
+        design = _OutcomeModel(settings, 10).design
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= design.nbytes + 3e6
+
+
+@pytest.mark.parametrize("n, count", [(8, 47), (10, 401)])
+def test_design_does_not_depend_on_the_chunk_length(monkeypatch, n, count):
+    # one setting per chunk, then longer chunks, which leave a partial last
+    # one as the count is prime: the default's design, Fortran-ordered and
+    # read-only
+    settings = random_settings(np.random.default_rng(2400 + n), count)
+    layout = _layout(n)
+    default = _OutcomeModel(settings, n).design
+    assert 1 < layout.settings_per_chunk < count
+    budget, sizes = schur.WORK_BYTES, []
+    for patched in (1, budget // 3):
+        monkeypatch.setattr(schur, "WORK_BYTES", patched)
+        sizes.append(layout.settings_per_chunk)
+        design = _OutcomeModel(settings, n).design
+        assert design.flags.f_contiguous and not design.flags.writeable
+        np.testing.assert_allclose(design, default, rtol=0,
+                                   atol=1e-13 * np.abs(default).max())
+    assert sizes[0] == 1 and count % sizes[1]
+
+
 def count_models(monkeypatch):
     """The list of outcome models built from now on, one entry each."""
     built = []
@@ -285,6 +320,17 @@ def test_library_flow_builds_one_outcome_model(monkeypatch, golden_state):
     assert measurement._outcome_model(tuple(settings), 2).n == 2
     assert measurement._outcome_model(tuple(settings), 3) is not data.model
     assert len(built) == 4
+
+
+def test_one_setting_probabilities_keep_the_list_model(monkeypatch, golden_state):
+    # outcome_probabilities builds its one-setting model outside the memo,
+    # so the list's model survives it and simulate reuses the span rank's
+    measurement._outcome_model.cache_clear()
+    built = count_models(monkeypatch)
+    measurement_span_rank(TWELVE_SETTINGS, 3)
+    outcome_probabilities(golden_state, TWELVE_SETTINGS[0])
+    simulate_counts(golden_state, TWELVE_SETTINGS, 1e4, seed=1)
+    assert len(built) == 2
 
 
 def test_fit_does_not_depend_on_the_models_built_before(golden_state):

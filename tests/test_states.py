@@ -1,10 +1,12 @@
 import math
 import pickle
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from accdm import states
+from accdm import schur, states
 from accdm.expressions import (
     CreationOperatorExpression,
     Definitions,
@@ -466,6 +468,39 @@ def test_analyze_keeps_its_per_n_tables_on_the_layout():
     assert layout.glynn_signs is layout.glynn_signs
     assert layout.predecessors[0] is _layout(2).predecessors[0]
     assert [table.shape for table in layout.predecessors] == [(10, 4), (20, 4)]
+
+
+def test_analyze_peak_is_a_bounded_chunk():
+    # Glynn's sum runs a chunk of sign vectors at a time: the golden
+    # corpus's ten photons, each in its own hidden mode, need at most 3 MB
+    # once the layout is built
+    expr = parse_expression_file(
+        (Path(__file__).parent / "golden" / "inputs" / "ten.expr").read_text())
+    expression_to_accessible(expr)
+    tracemalloc.start()
+    try:
+        expression_to_accessible(expr)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3e6
+
+
+@pytest.mark.parametrize("n", [8, 9, 10])
+def test_analyze_does_not_depend_on_the_chunk_length(monkeypatch, n):
+    # one sign vector per chunk, then chunks that leave a partial last one
+    rng = np.random.default_rng(1700 + n)
+    expr = vectors_expression(rng.normal(size=(n, 2, n)) + 1j * rng.normal(size=(n, 2, n)))
+    layout = _layout(n)
+    default = expression_to_accessible(expr).stack
+    assert layout.signs_per_chunk < 2 ** (n - 1)
+    budget, sizes = schur.WORK_BYTES, []
+    for patched in (1, budget // 5):
+        monkeypatch.setattr(schur, "WORK_BYTES", patched)
+        sizes.append(layout.signs_per_chunk)
+        stack = expression_to_accessible(expr).stack
+        assert np.abs(stack - default).max() <= 1e-13 * np.abs(default).max()
+    assert sizes[0] == 1 and 2 ** (n - 1) % sizes[1]
 
 
 def table_free_rotation(u, n, two_j):
